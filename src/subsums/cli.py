@@ -2,7 +2,8 @@
 
 Subcommands: compute, bound, sweep, extremal, fp. Exit codes: 0 on
 success, 1 on usage or parse errors, 2 when a verification or tightness
-check fails, 3 when a sweep is refused for exceeding its budget.
+check fails, 3 when a sweep or fp run is refused for exceeding its
+budget.
 All numbers are printed in plain decimal.
 """
 
@@ -222,9 +223,13 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_fp(args) -> int:
     if args.p is not None:
-        primes = [args.p]
+        candidates = [args.p]
     else:
-        primes = [q for q in range(2, args.p_upto + 1) if fp.is_prime(q)]
+        candidates = (q for q in range(2, args.p_upto + 1) if fp.is_prime(q))
+    primes = []
+    for q in candidates:  # all checked before any runs; stops past the guard
+        fp.check_prime(q)
+        primes.append(q)
     reports = [fp.verify_balandraud(q) for q in primes]
     bad = sum(rep.violations for rep in reports)
     if args.json:

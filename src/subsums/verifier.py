@@ -2,21 +2,31 @@
 
 A sweep enumerates every k-subset of [-max_abs, max_abs] (optionally
 crossed with a range of multiplicities), computes the thresholded sum
-set for each alpha under the policy, evaluates every applicable floor,
-and aggregates: violation and tightness tallies plus the empirical
-minimum size per (k, alpha) cell with example witnesses.
+set for each alpha under the policy, compares it with every applicable
+floor, and aggregates: violation and tightness tallies plus the
+empirical minimum size per (k, alpha) cell with example witnesses.
+
+Floors depend only on the instance's shape: its multiplicity r and the
+sign profile of its base set, which also fixes k. Each instance is
+classified once; its floors for every alpha the policy selects are
+looked up in a table keyed by (r, sign profile). The table belongs to
+one chunk of instances and is filled from `bounds.applicable_bounds` on
+a miss, so it holds at most one chunk's shapes and is dropped with the
+chunk.
 
 Determinism: instances are visited in lexicographic element order
 (ascending k, then ascending r); aggregation is associative and merged
 in instance order, so reports are identical for any worker count apart
-from the elapsed-time field. Work is refused up front, not truncated,
-when the instance-alpha pair count would exceed the budget.
+from the elapsed-time field. The process pool is never larger than the
+CPU count or the number of chunks. Work is refused up front, not
+truncated, when the instance-alpha pair count would exceed the budget.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +34,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from . import engine, oracle
+from . import bounds, engine, oracle
 from .bounds import BoundResult, applicable_bounds
 from .model import IntegerSet, RepSequence, SumSet
 
@@ -173,25 +183,50 @@ def _policy_echo(policy) -> object:
 
 # -- per-instance scans ------------------------------------------------
 
-def _check_bounds(
-    agg: dict,
+def _floor_rows(
+    table: dict,
     instance: IntegerSet | RepSequence,
-    alpha: int,
-    size: int,
-) -> tuple[tuple[BoundCheck, ...], bool]:
-    checks = []
+    base: IntegerSet,
+    r: int | None,
+    total: int,
+    policy,
+) -> tuple[tuple[int, tuple[BoundResult, ...]], ...]:
+    """(alpha, floors) for every alpha the policy selects in [0, total].
+
+    The floors depend only on r (None for sets) and the base's sign
+    profile, which also fixes k = n + p + has_zero; a miss fills the rows
+    from `applicable_bounds` on this instance.
+    """
+    key = (r, bounds.classify(base))
+    rows = table.get(key)
+    if rows is None:
+        rows = tuple(
+            (alpha, tuple(applicable_bounds(instance, alpha)))
+            for alpha in _alphas(policy, total)
+        )
+        table[key] = rows
+    return rows
+
+
+def _check_bounds(agg: dict, floors: tuple[BoundResult, ...], size: int
+                  ) -> bool:
+    """Tally one (instance, alpha) pair; True when a floor is violated."""
     violation = False
-    for bound in applicable_bounds(instance, alpha):
-        tight = size == bound.value
+    tight = agg["tight"]
+    for bound in floors:
         if bound.value > size:
             violation = True
-        if tight:
-            agg["tight"][bound.theorem_id] += 1
-        agg["checks"] += 1
-        checks.append(BoundCheck(bound, tight))
+        elif bound.value == size:
+            tight[bound.theorem_id] += 1
+    agg["checks"] += len(floors)
     if violation:
         agg["violations"] += 1
-    return tuple(checks), violation
+    return violation
+
+
+def _bound_checks(floors: tuple[BoundResult, ...], size: int
+                  ) -> tuple[BoundCheck, ...]:
+    return tuple(BoundCheck(bound, bound.value == size) for bound in floors)
 
 
 def _oracle_suffixes(by_size: list[set[int]]) -> list[tuple[int, ...]]:
@@ -203,8 +238,8 @@ def _oracle_suffixes(by_size: list[set[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _scan_set(agg: dict, elems: tuple[int, ...], policy, use_oracle: bool,
-              collect: bool) -> None:
+def _scan_set(agg: dict, table: dict, elems: tuple[int, ...], policy,
+              use_oracle: bool, collect: bool) -> None:
     inst = IntegerSet(elems)
     k = inst.k
     layers, offset = engine.subset_layers(inst)
@@ -216,7 +251,7 @@ def _scan_set(agg: dict, elems: tuple[int, ...], policy, use_oracle: bool,
         expected = _oracle_suffixes(oracle.subset_sums_by_size(inst))
     literal = inst.literal()
     agg["instances"] += 1
-    for alpha in _alphas(policy, k):
+    for alpha, floors in _floor_rows(table, inst, inst, None, k, policy):
         bitmap = suffix[alpha]
         size = bitmap.bit_count()
         if expected is not None:
@@ -225,18 +260,19 @@ def _scan_set(agg: dict, elems: tuple[int, ...], policy, use_oracle: bool,
                     f"engine/oracle mismatch on {literal} alpha={alpha}"
                 )
             agg["oracle_checked"] += 1
-        checks, violation = _check_bounds(agg, inst, alpha, size)
+        violation = _check_bounds(agg, floors, size)
         _note_minimum(agg["minima"], (k, alpha), size, literal)
         if collect:
             agg["records"].append(
                 VerificationRecord(
-                    literal, None, alpha, size, checks, use_oracle, violation
+                    literal, None, alpha, size, _bound_checks(floors, size),
+                    use_oracle, violation,
                 )
             )
 
 
-def _scan_sequence(agg: dict, elems: tuple[int, ...], r: int, policy,
-                   use_oracle: bool, collect: bool) -> None:
+def _scan_sequence(agg: dict, table: dict, elems: tuple[int, ...], r: int,
+                   policy, use_oracle: bool, collect: bool) -> None:
     inst = RepSequence(IntegerSet(elems), r)
     total = inst.length
     layers, offset = engine.sequence_layers(inst)
@@ -248,7 +284,7 @@ def _scan_sequence(agg: dict, elems: tuple[int, ...], r: int, policy,
         expected = _oracle_suffixes(oracle.sequence_sums_by_size(inst))
     literal = inst.base.literal()
     agg["instances"] += 1
-    for alpha in _alphas(policy, total):
+    for alpha, floors in _floor_rows(table, inst, inst.base, r, total, policy):
         bitmap = suffix[alpha]
         size = bitmap.bit_count()
         if expected is not None:
@@ -257,12 +293,13 @@ def _scan_sequence(agg: dict, elems: tuple[int, ...], r: int, policy,
                     f"engine/oracle mismatch on {literal} r={r} alpha={alpha}"
                 )
             agg["oracle_checked"] += 1
-        checks, violation = _check_bounds(agg, inst, alpha, size)
+        violation = _check_bounds(agg, floors, size)
         _note_minimum(agg["minima"], (inst.base.k, r, alpha), size, literal)
         if collect:
             agg["records"].append(
                 VerificationRecord(
-                    literal, r, alpha, size, checks, use_oracle, violation
+                    literal, r, alpha, size, _bound_checks(floors, size),
+                    use_oracle, violation,
                 )
             )
 
@@ -270,16 +307,18 @@ def _scan_sequence(agg: dict, elems: tuple[int, ...], r: int, policy,
 def _set_chunk_worker(payload) -> dict:
     chunk, policy, use_oracle, collect = payload
     agg = _new_agg()
+    table: dict = {}
     for elems in chunk:
-        _scan_set(agg, elems, policy, use_oracle, collect)
+        _scan_set(agg, table, elems, policy, use_oracle, collect)
     return agg
 
 
 def _seq_chunk_worker(payload) -> dict:
     chunk, policy, use_oracle, collect = payload
     agg = _new_agg()
+    table: dict = {}
     for elems, r in chunk:
-        _scan_sequence(agg, elems, r, policy, use_oracle, collect)
+        _scan_sequence(agg, table, elems, r, policy, use_oracle, collect)
     return agg
 
 
@@ -294,18 +333,26 @@ def _chunks(items: Iterable, size: int) -> Iterator[list]:
         yield batch
 
 
-def _run_chunked(worker, instances, policy, use_oracle, collect,
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _run_chunked(worker, instances, count: int, policy, use_oracle, collect,
                  workers: int) -> dict:
+    """Scan `count` instances in chunks; the pool never has more processes
+    than CPUs or chunks, since a fork pool starts all of them at once."""
     agg = _new_agg()
     payloads = (
         (chunk, policy, use_oracle, collect)
         for chunk in _chunks(instances, _CHUNK)
     )
-    if workers <= 1:
+    procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK))
+    if procs <= 1:
         for payload in payloads:
             _merge_aggs(agg, worker(payload))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             for partial in pool.map(worker, payloads):
                 _merge_aggs(agg, partial)
     return agg
@@ -334,6 +381,7 @@ def sweep_sets(
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValueError("k range must contain only integers >= 1")
+    _check_workers(workers)
     pool_size = 2 * max_abs + 1
     pairs = sum(
         comb(pool_size, k) * _alpha_count(alpha_policy, k) for k in ks
@@ -346,8 +394,9 @@ def sweep_sets(
     instances = itertools.chain.from_iterable(
         itertools.combinations(values, k) for k in ks
     )
+    count = sum(comb(pool_size, k) for k in ks)
     agg = _run_chunked(
-        _set_chunk_worker, instances, alpha_policy, oracle_check,
+        _set_chunk_worker, instances, count, alpha_policy, oracle_check,
         collect_records, workers,
     )
     universe = {
@@ -380,6 +429,7 @@ def sweep_sequences(
         raise ValueError("k range must contain only integers >= 1")
     if not rs or rs[0] < 1:
         raise ValueError("r range must contain only integers >= 1")
+    _check_workers(workers)
     pool_size = 2 * max_abs + 1
     pairs = sum(
         comb(pool_size, k) * _alpha_count(alpha_policy, r * k)
@@ -397,8 +447,9 @@ def sweep_sequences(
         for elems in itertools.combinations(values, k)
         for r in rs
     )
+    count = sum(comb(pool_size, k) for k in ks) * len(rs)
     agg = _run_chunked(
-        _seq_chunk_worker, instances, alpha_policy, oracle_check,
+        _seq_chunk_worker, instances, count, alpha_policy, oracle_check,
         collect_records, workers,
     )
     universe = {

@@ -133,6 +133,15 @@ class TestSweep:
     def test_bad_span(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-abs", "2", "--k", "4..2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_rejects_nonpositive_workers(self, capsys, workers):
+        code, out, err = run(
+            capsys, "sweep", "--max-abs", "1", "--k", "2", "--workers", workers
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "workers" in err
         assert "error:" in err
 
 
@@ -195,6 +204,25 @@ class TestFp:
         code, _, err = run(capsys, "fp", "--p", "9")
         assert code == EXIT_USAGE
         assert "not prime" in err
+
+    def test_large_prime_refused(self, capsys):
+        code, out, err = run(capsys, "fp", "--p", "29")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert str(3**14 - 1) in err
+
+    def test_prime_sweep_refused_before_any_work(self, capsys, monkeypatch):
+        from subsums import fp
+
+        ran = []
+        monkeypatch.setattr(fp, "verify_balandraud", ran.append)
+        # the first prime past the guard is refused without scanning to N
+        for upto in ("31", str(10**12)):
+            code, out, err = run(capsys, "fp", "--p-upto", upto)
+            assert code == EXIT_BUDGET
+            assert ran == []
+            assert out == ""
+            assert "p=29" in err
 
     def test_requires_exactly_one_selector(self, capsys):
         code, _, _ = run(capsys, "fp")

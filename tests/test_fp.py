@@ -6,6 +6,7 @@ import pytest
 from subsums.engine import sigma
 from subsums.fp import FpSubset, PRIME_GUARD, is_prime, sigma_fp, verify_balandraud
 from subsums.model import IntegerSet
+from subsums.verifier import BudgetExceeded
 
 
 class TestPrimality:
@@ -118,8 +119,11 @@ class TestVerifyBalandraud:
             verify_balandraud(9)
 
     def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            verify_balandraud(PRIME_GUARD + 6)  # 37 is prime but too big
+        # refused before any work, naming the admissible-subset count
+        assert PRIME_GUARD == 23
+        for p in (29, 31, 37):
+            with pytest.raises(BudgetExceeded, match=str(3 ** ((p - 1) // 2) - 1)):
+                verify_balandraud(p)
 
     def test_determinism(self):
         a = verify_balandraud(7).to_json()

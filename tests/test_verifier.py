@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+from subsums import verifier
+from subsums.bounds import applicable_bounds
+from subsums.model import parse_sequence, parse_set
 from subsums.verifier import (
     BudgetExceeded,
     CampaignReport,
@@ -111,6 +114,105 @@ class TestDeterminism:
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
         assert a == b
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested size and
+    maps in this process, so no worker process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+        _RecordingPool.sizes = []
+        return _RecordingPool
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_sets(1, [2], workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_sequences(1, [2], [2], workers=workers)
+
+    def test_clamped_to_chunks(self, pool):
+        # C(17,2) + C(17,3) = 816 instances: two chunks
+        rep = sweep_sets(8, [2, 3], workers=5000)
+        assert pool.sizes == [2]
+        assert rep.instances == 816
+
+    def test_clamped_to_cpus(self, pool):
+        # C(17,4) = 2380 instances: five chunks, four CPUs
+        sweep_sets(8, [4], workers=5000)
+        assert pool.sizes == [4]
+
+    def test_sequences_clamped(self, pool):
+        # (C(11,2) + C(11,3)) x 3 multiplicities = 660 instances: two chunks
+        sweep_sequences(5, [2, 3], [1, 2, 3], workers=64)
+        assert pool.sizes == [2]
+
+    def test_one_chunk_runs_serial(self, pool, monkeypatch):
+        sweep_sets(1, [2], workers=5000)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+        sweep_sets(8, [2, 3], workers=5000)
+        assert pool.sizes == []
+
+
+def _assert_records_match_dispatch(rep, instance_of):
+    assert rep.records
+    for rec in rep.records:
+        inst = instance_of(rec)
+        assert [chk.bound for chk in rec.bounds] == applicable_bounds(
+            inst, rec.alpha
+        )
+        assert [chk.tight for chk in rec.bounds] == [
+            chk.bound.value == rec.sigma_size for chk in rec.bounds
+        ]
+        assert rec.violation == any(
+            chk.bound.value > rec.sigma_size for chk in rec.bounds
+        )
+
+
+class TestFloorTable:
+    """Floors looked up per shape equal a fresh dispatch on every record."""
+
+    @pytest.fixture(params=[1, 2])
+    def workers(self, request, monkeypatch):
+        if request.param > 1:
+            # small chunks, so several tables are built across processes
+            monkeypatch.setattr(verifier, "_CHUNK", 32)
+        return request.param
+
+    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
+    def test_sets(self, policy, workers):
+        rep = sweep_sets(3, range(1, 6), policy, workers=workers,
+                         collect_records=True)
+        assert rep.instances == 119
+        _assert_records_match_dispatch(rep, lambda rec: parse_set(rec.instance))
+
+    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
+    def test_sequences(self, policy, workers):
+        rep = sweep_sequences(2, range(1, 4), range(1, 4), policy,
+                              workers=workers, collect_records=True)
+        assert rep.instances == 75
+        _assert_records_match_dispatch(
+            rep, lambda rec: parse_sequence(rec.instance, rec.r)
+        )
 
 
 class TestReportShape:
