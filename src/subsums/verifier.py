@@ -184,12 +184,7 @@ def _policy_echo(policy) -> object:
 # -- per-instance scans ------------------------------------------------
 
 def _floor_rows(
-    table: dict,
-    instance: IntegerSet | RepSequence,
-    base: IntegerSet,
-    r: int | None,
-    total: int,
-    policy,
+    table: dict, instance: IntegerSet | RepSequence, policy
 ) -> tuple[tuple[int, tuple[BoundResult, ...]], ...]:
     """(alpha, floors) for every alpha the policy selects in [0, total].
 
@@ -197,6 +192,10 @@ def _floor_rows(
     profile, which also fixes k = n + p + has_zero; a miss fills the rows
     from `applicable_bounds` on this instance.
     """
+    if isinstance(instance, RepSequence):
+        base, r, total = instance.base, instance.r, instance.length
+    else:
+        base, r, total = instance, None, instance.k
     key = (r, bounds.classify(base))
     rows = table.get(key)
     if rows is None:
@@ -251,7 +250,7 @@ def _scan_set(agg: dict, table: dict, elems: tuple[int, ...], policy,
         expected = _oracle_suffixes(oracle.subset_sums_by_size(inst))
     literal = inst.literal()
     agg["instances"] += 1
-    for alpha, floors in _floor_rows(table, inst, inst, None, k, policy):
+    for alpha, floors in _floor_rows(table, inst, policy):
         bitmap = suffix[alpha]
         size = bitmap.bit_count()
         if expected is not None:
@@ -284,7 +283,7 @@ def _scan_sequence(agg: dict, table: dict, elems: tuple[int, ...], r: int,
         expected = _oracle_suffixes(oracle.sequence_sums_by_size(inst))
     literal = inst.base.literal()
     agg["instances"] += 1
-    for alpha, floors in _floor_rows(table, inst, inst.base, r, total, policy):
+    for alpha, floors in _floor_rows(table, inst, policy):
         bitmap = suffix[alpha]
         size = bitmap.bit_count()
         if expected is not None:
@@ -360,6 +359,11 @@ def _run_chunked(worker, instances, count: int, policy, use_oracle, collect,
 
 # -- campaign entry points ---------------------------------------------
 
+def _subset_counts(max_abs: int, ks: list[int]) -> dict[int, int]:
+    """Number of k-subsets of [-max_abs, max_abs], per k."""
+    return {k: comb(2 * max_abs + 1, k) for k in ks}
+
+
 def _alpha_count(policy, total: int) -> int:
     if policy == "all":
         return total + 1
@@ -382,10 +386,8 @@ def sweep_sets(
     if not ks or ks[0] < 1:
         raise ValueError("k range must contain only integers >= 1")
     _check_workers(workers)
-    pool_size = 2 * max_abs + 1
-    pairs = sum(
-        comb(pool_size, k) * _alpha_count(alpha_policy, k) for k in ks
-    )
+    subsets = _subset_counts(max_abs, ks)
+    pairs = sum(n * _alpha_count(alpha_policy, k) for k, n in subsets.items())
     if pairs > budget:
         raise BudgetExceeded(
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
@@ -394,7 +396,7 @@ def sweep_sets(
     instances = itertools.chain.from_iterable(
         itertools.combinations(values, k) for k in ks
     )
-    count = sum(comb(pool_size, k) for k in ks)
+    count = sum(subsets.values())
     agg = _run_chunked(
         _set_chunk_worker, instances, count, alpha_policy, oracle_check,
         collect_records, workers,
@@ -430,10 +432,10 @@ def sweep_sequences(
     if not rs or rs[0] < 1:
         raise ValueError("r range must contain only integers >= 1")
     _check_workers(workers)
-    pool_size = 2 * max_abs + 1
+    subsets = _subset_counts(max_abs, ks)
     pairs = sum(
-        comb(pool_size, k) * _alpha_count(alpha_policy, r * k)
-        for k in ks
+        n * _alpha_count(alpha_policy, r * k)
+        for k, n in subsets.items()
         for r in rs
     )
     if pairs > budget:
@@ -447,7 +449,7 @@ def sweep_sequences(
         for elems in itertools.combinations(values, k)
         for r in rs
     )
-    count = sum(comb(pool_size, k) for k in ks) * len(rs)
+    count = sum(subsets.values()) * len(rs)
     agg = _run_chunked(
         _seq_chunk_worker, instances, count, alpha_policy, oracle_check,
         collect_records, workers,

@@ -133,6 +133,7 @@ class TestSweep:
     def test_bad_span(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-abs", "2", "--k", "4..2")
         assert code == EXIT_USAGE
+        assert "error:" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_rejects_nonpositive_workers(self, capsys, workers):
