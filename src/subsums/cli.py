@@ -20,6 +20,7 @@ from .model import (
     AT_MOST,
     IntegerSet,
     RepSequence,
+    as_sequence,
     classify,
     parse_sequence,
     parse_set,
@@ -63,33 +64,32 @@ def _instance(args) -> IntegerSet | RepSequence:
     return parse_sequence(args.set, args.r)
 
 
-def _profile_line(inst: IntegerSet | RepSequence) -> str:
-    base = inst.base if isinstance(inst, RepSequence) else inst
-    prof = classify(base)
-    flags = (
-        f"n={prof.n} p={prof.p} zero={'yes' if prof.has_zero else 'no'} "
-        f"self_disjoint={'yes' if prof.self_disjoint else 'no'} "
-        f"self_meet_zero={'yes' if prof.self_meet_zero else 'no'}"
-    )
-    if isinstance(inst, RepSequence):
-        return f"profile: k={base.k} r={inst.r} {flags}"
-    return f"profile: k={base.k} {flags}"
-
-
 def _profile_json(inst: IntegerSet | RepSequence) -> dict:
-    base = inst.base if isinstance(inst, RepSequence) else inst
-    prof = classify(base)
+    seq = as_sequence(inst)
+    prof = classify(seq.base)
     out = {
-        "k": base.k,
+        "k": seq.base.k,
         "n": prof.n,
         "p": prof.p,
         "has_zero": prof.has_zero,
         "self_disjoint": prof.self_disjoint,
         "self_meet_zero": prof.self_meet_zero,
     }
-    if isinstance(inst, RepSequence):
-        out["r"] = inst.r
+    if seq is inst:
+        out["r"] = seq.r
     return out
+
+
+def _profile_line(inst: IntegerSet | RepSequence) -> str:
+    prof = _profile_json(inst)
+    yes = {True: "yes", False: "no"}
+    r = f" r={prof['r']}" if "r" in prof else ""
+    return (
+        f"profile: k={prof['k']}{r} n={prof['n']} p={prof['p']} "
+        f"zero={yes[prof['has_zero']]} "
+        f"self_disjoint={yes[prof['self_disjoint']]} "
+        f"self_meet_zero={yes[prof['self_meet_zero']]}"
+    )
 
 
 def _emit(payload: dict) -> None:
@@ -99,10 +99,7 @@ def _emit(payload: dict) -> None:
 def _cmd_compute(args) -> int:
     inst = _instance(args)
     mode = AT_LEAST if args.mode == "at-least" else AT_MOST
-    if isinstance(inst, RepSequence):
-        result = engine.sigma_seq(inst, args.alpha, mode)
-    else:
-        result = engine.sigma(inst, args.alpha, mode)
+    result = engine.sigma_seq(as_sequence(inst), args.alpha, mode)
     if args.json:
         _emit(
             {
@@ -127,10 +124,7 @@ def _cmd_bound(args) -> int:
     bounds_list = applicable_bounds(inst, args.alpha)
     size = None
     if args.check:
-        if isinstance(inst, RepSequence):
-            size = engine.sigma_seq(inst, args.alpha).size
-        else:
-            size = engine.sigma(inst, args.alpha).size
+        size = engine.sigma_size(as_sequence(inst), args.alpha)
     if args.json:
         rows = []
         for b in bounds_list:

@@ -1,23 +1,28 @@
 """Exact sum-set computation via count-resolved bitmaps.
 
+A set is the r = 1 case of a repeated sequence, so every query runs
+through one DP over the sorted term list of a `RepSequence`; the
+set-valued entry points wrap their argument at r = 1.
+
 Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
-exactly c members, where offset is the negated minimum achievable sum
-(the negative-element total, scaled by r for sequences). Inserting an
-element x is then a single shift-or per layer, walking layers top-down
-so each copy is used at most once. Intermediate indices never go
-negative: any partial selection's sum stays at or above the sum of the
-negative elements processed so far.
+exactly c terms, where offset is the negated sum of the negative terms.
+Inserting a term x is then a single shift-or per layer, walking layers
+top-down so each term is used at most once; copies of equal value are
+interchangeable, so layer c ends up holding exactly the sums reachable
+with c terms. Intermediate indices never go negative: any partial
+selection's sum stays at or above the sum of the negative terms
+processed so far.
 
-Repeated sequences reuse the same transition, inserting each base
-element r times; copies of equal value are interchangeable, so layer c
-ends up holding exactly the sums reachable with c copies total.
-
-Thresholded queries union a window of layers. Folds read one layer.
-All public functions return sums sorted ascending.
+Thresholded queries union a window of layers; sizes are bit counts of
+that union, and only the sum-valued queries decode it. Folds read one
+layer. All public functions return sums sorted ascending.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import or_
 
 from .bounds import min_fold_size, min_sumset_size
 from .model import (
@@ -32,35 +37,22 @@ from .model import (
 )
 
 
-def _shift(bitmap: int, delta: int) -> int:
-    return bitmap << delta if delta >= 0 else bitmap >> -delta
+def sequence_layers(s: RepSequence) -> tuple[list[int], int]:
+    """Bitmaps of achievable sums per term count; returns (layers, offset)."""
+    terms = sorted(s.base.elements * s.r)
+    offset = -sum(x for x in terms if x < 0)
+    layers = [0] * (len(terms) + 1)
+    layers[0] = 1 << offset
+    for seen, x in enumerate(terms):
+        # layers 0..seen are all nonempty here, so none is skipped
+        for c in range(seen, -1, -1):
+            layers[c + 1] |= layers[c] << x if x >= 0 else layers[c] >> -x
+    return layers, offset
 
 
 def subset_layers(a: IntegerSet) -> tuple[list[int], int]:
     """Bitmaps of achievable sums per subset size; returns (layers, offset)."""
-    offset = -sum(x for x in a.elements if x < 0)
-    layers = [0] * (a.k + 1)
-    layers[0] = 1 << offset
-    for seen, x in enumerate(a.elements):
-        for c in range(seen, -1, -1):
-            if layers[c]:
-                layers[c + 1] |= _shift(layers[c], x)
-    return layers, offset
-
-
-def sequence_layers(s: RepSequence) -> tuple[list[int], int]:
-    """Bitmaps of achievable sums per copy count; returns (layers, offset)."""
-    offset = -s.r * sum(x for x in s.base.elements if x < 0)
-    layers = [0] * (s.length + 1)
-    layers[0] = 1 << offset
-    seen = 0
-    for x in s.base.elements:
-        for _ in range(s.r):
-            for c in range(seen, -1, -1):
-                if layers[c]:
-                    layers[c + 1] |= _shift(layers[c], x)
-            seen += 1
-    return layers, offset
+    return sequence_layers(RepSequence(a, 1))
 
 
 def union_layers(layers: list[int], window: range) -> int:
@@ -70,18 +62,32 @@ def union_layers(layers: list[int], window: range) -> int:
     return bitmap
 
 
-def sigma(a: IntegerSet, alpha: int, mode: str = AT_LEAST) -> SumSet:
-    """Sums over subsets whose size lies in the (alpha, mode) window."""
-    window = size_window(alpha, a.k, mode)
-    layers, offset = subset_layers(a)
-    return SumSet.from_bitmap(union_layers(layers, window), offset)
+def suffix_unions(layers: list[int]) -> list[int]:
+    """suffix[c] is the union of layers[c:], the bitmap of the sums with
+    at least c terms."""
+    return list(accumulate(reversed(layers), or_))[::-1]
+
+
+def _window_bitmap(s: RepSequence, alpha: int, mode: str) -> tuple[int, int]:
+    window = size_window(alpha, s.length, mode)
+    layers, offset = sequence_layers(s)
+    return union_layers(layers, window), offset
 
 
 def sigma_seq(s: RepSequence, alpha: int, mode: str = AT_LEAST) -> SumSet:
-    """Sums over subsequences whose copy count lies in the window."""
-    window = size_window(alpha, s.length, mode)
-    layers, offset = sequence_layers(s)
-    return SumSet.from_bitmap(union_layers(layers, window), offset)
+    """Sums over subsequences whose term count lies in the window."""
+    return SumSet.from_bitmap(*_window_bitmap(s, alpha, mode))
+
+
+def sigma(a: IntegerSet, alpha: int, mode: str = AT_LEAST) -> SumSet:
+    """Sums over subsets whose size lies in the (alpha, mode) window."""
+    return sigma_seq(RepSequence(a, 1), alpha, mode)
+
+
+def sigma_size(s: RepSequence, alpha: int, mode: str = AT_LEAST) -> int:
+    """Number of sums over subsequences whose term count lies in the
+    window; the bitmap is counted, not decoded."""
+    return _window_bitmap(s, alpha, mode)[0].bit_count()
 
 
 def add_sets(a: SumSet, b: SumSet) -> SumSet:
@@ -126,15 +132,15 @@ def fold_fast(
     if kind == RESTRICTED:
         if h > a.k:
             raise ValueError(f"restricted fold needs h <= k, got h={h}, k={a.k}")
-        layers, offset = subset_layers(a)
-        return SumSet.from_bitmap(layers[h], offset)
-    if kind == GENERALIZED:
+        r = 1
+    elif kind == GENERALIZED:
         if r is None or r < 1:
             raise ValueError("generalized fold needs multiplicity r >= 1")
         if h > r * a.k:
             raise ValueError(
                 f"generalized fold needs h <= r*k, got h={h}, r*k={r * a.k}"
             )
-        layers, offset = sequence_layers(RepSequence(a, r))
-        return SumSet.from_bitmap(layers[h], offset)
-    raise ValueError(f"unknown fold kind {kind!r}")
+    else:
+        raise ValueError(f"unknown fold kind {kind!r}")
+    layers, offset = sequence_layers(RepSequence(a, r))
+    return SumSet.from_bitmap(layers[h], offset)

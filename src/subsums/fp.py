@@ -4,19 +4,27 @@ verifier for the prime-field size floor.
 Admissible subsets contain no residue together with its additive
 inverse (which also rules out zero), so they have at most (p - 1) / 2
 elements. Verification enumerates every admissible subset by choosing,
-for each inverse pair {x, p - x}, either nothing, x, or p - x.
+for each inverse pair {x, p - x}, either nothing, x, or p - x. It fills
+the campaign aggregate of `verifier` and reports through its finisher,
+keying minima as a set sweep does, where sets run as r = 1 sequences
+marked r = None: the cells carry k and alpha, no r.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .bounds import T1_3, bound_fp
-from .verifier import BudgetExceeded, CampaignReport, WITNESS_CAP, _note_minimum
+from .verifier import (
+    BudgetExceeded,
+    CampaignReport,
+    finish_report,
+    new_aggregate,
+    note_minimum,
+)
 
 # Largest prime verified: p = 23 enumerates 3^11 - 1 subsets in about
 # half a minute, while p = 29 needs 3^14 - 1, roughly an hour.
@@ -119,8 +127,9 @@ def verify_balandraud(p: int) -> CampaignReport:
     instances = 0
     checks = 0
     violations = 0
-    tight: Counter = Counter()
-    minima: dict = {}
+    agg = new_aggregate()
+    tight = agg["tight"]
+    minima = agg["minima"]
     for choice in itertools.product((0, 1, 2), repeat=half):
         picked = [pair[c - 1] for pair, c in zip(pairs, choice) if c]
         if not picked:
@@ -143,26 +152,6 @@ def verify_balandraud(p: int) -> CampaignReport:
                 violations += 1
             elif got == floor:
                 tight[T1_3] += 1
-            _note_minimum(minima, (size, alpha), got, literal)
-    minima_cells = []
-    for key in sorted(minima):
-        cell_size, wits = minima[key]
-        minima_cells.append(
-            {
-                "k": key[0],
-                "alpha": key[1],
-                "size": cell_size,
-                "witnesses": wits[:WITNESS_CAP],
-            }
-        )
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return CampaignReport(
-        universe={"kind": "fp", "p": p},
-        instances=instances,
-        checks=checks,
-        violations=violations,
-        oracle_checked=0,
-        tight_by_theorem=dict(tight),
-        minima=minima_cells,
-        elapsed_ms=elapsed_ms,
-    )
+            note_minimum(minima, (size, None, alpha), got, literal)
+    agg.update(instances=instances, checks=checks, violations=violations)
+    return finish_report({"kind": "fp", "p": p}, agg, started)

@@ -5,7 +5,7 @@ Conventions:
   - An integer set holds k distinct integers, stored sorted ascending.
   - A repeated sequence pairs a base set with a uniform multiplicity
     r >= 1: every base element occurs exactly r times, so the sequence
-    has r*k terms.
+    has r*k terms. A set is the r = 1 case (`as_sequence`).
   - A thresholded sum query takes alpha and a mode. Mode "at_least"
     keeps sub-collections with at least alpha members; "at_most" keeps
     those with at most total - alpha members (total = k for sets, r*k
@@ -139,6 +139,11 @@ class RepSequence:
 
     def negate(self) -> "RepSequence":
         return RepSequence(self.base.negate(), self.r)
+
+
+def as_sequence(inst: IntegerSet | RepSequence) -> RepSequence:
+    """The instance as a repeated sequence: a set is its r = 1 case."""
+    return inst if isinstance(inst, RepSequence) else RepSequence(inst, 1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ A sweep enumerates every k-subset of [-max_abs, max_abs] (optionally
 crossed with a range of multiplicities), computes the thresholded sum
 set for each alpha under the policy, compares it with every applicable
 floor, and aggregates: violation and tightness tallies plus the
-empirical minimum size per (k, alpha) cell with example witnesses.
+empirical minimum size per (k, r, alpha) cell with example witnesses.
+
+Sets run as r = 1 sequences through one scan, chunk worker and sweep
+body; r = None marks a set, so it gets the set floors and its minima
+cells no r. Sizes are bit counts of the engine's suffix unions.
 
 Floors depend only on the instance's shape: its multiplicity r and the
 sign profile of its base set, which also fixes k. Each instance is
@@ -13,6 +17,8 @@ looked up in a table keyed by (r, sign profile). The table belongs to
 one chunk of instances and is filled from `bounds.applicable_bounds` on
 a miss, so it holds at most one chunk's shapes and is dropped with the
 chunk.
+
+`fp` fills the same aggregate and reports through `finish_report`.
 
 Determinism: instances are visited in lexicographic element order
 (ascending k, then ascending r); aggregation is associative and merged
@@ -134,7 +140,9 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 
 # -- aggregation -------------------------------------------------------
 
-def _new_agg() -> dict:
+def new_aggregate() -> dict:
+    """Empty campaign tallies: counts, tight floors per theorem, minima
+    keyed by (k, r, alpha) with r None outside sequences, and records."""
     return {
         "instances": 0,
         "checks": 0,
@@ -146,7 +154,9 @@ def _new_agg() -> dict:
     }
 
 
-def _note_minimum(minima: dict, key: tuple, size: int, literal: str) -> None:
+def note_minimum(minima: dict, key: tuple, size: int, literal: str) -> None:
+    """Keep the least size seen for a minima cell and up to WITNESS_CAP
+    literals attaining it, in the order seen."""
     cur = minima.get(key)
     if cur is None or size < cur[0]:
         minima[key] = (size, [literal])
@@ -161,13 +171,8 @@ def _merge_aggs(dst: dict, src: dict) -> None:
     dst["oracle_checked"] += src["oracle_checked"]
     dst["tight"].update(src["tight"])
     for key, (size, wits) in src["minima"].items():
-        cur = dst["minima"].get(key)
-        if cur is None or size < cur[0]:
-            dst["minima"][key] = (size, list(wits[:WITNESS_CAP]))
-        elif size == cur[0]:
-            room = WITNESS_CAP - len(cur[1])
-            if room > 0:
-                cur[1].extend(wits[:room])
+        for literal in wits:
+            note_minimum(dst["minima"], key, size, literal)
     dst["records"].extend(src["records"])
 
 
@@ -184,7 +189,7 @@ def _policy_echo(policy) -> object:
 # -- per-instance scans ------------------------------------------------
 
 def _floor_rows(
-    table: dict, instance: IntegerSet | RepSequence, policy
+    table: dict, base: IntegerSet, r: int | None, policy
 ) -> tuple[tuple[int, tuple[BoundResult, ...]], ...]:
     """(alpha, floors) for every alpha the policy selects in [0, total].
 
@@ -192,16 +197,13 @@ def _floor_rows(
     profile, which also fixes k = n + p + has_zero; a miss fills the rows
     from `applicable_bounds` on this instance.
     """
-    if isinstance(instance, RepSequence):
-        base, r, total = instance.base, instance.r, instance.length
-    else:
-        base, r, total = instance, None, instance.k
     key = (r, bounds.classify(base))
     rows = table.get(key)
     if rows is None:
+        instance = base if r is None else RepSequence(base, r)
         rows = tuple(
             (alpha, tuple(applicable_bounds(instance, alpha)))
-            for alpha in _alphas(policy, total)
+            for alpha in _alphas(policy, base.k * (r or 1))
         )
         table[key] = rows
     return rows
@@ -237,65 +239,38 @@ def _oracle_suffixes(by_size: list[set[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _scan_set(agg: dict, table: dict, elems: tuple[int, ...], policy,
-              use_oracle: bool, collect: bool) -> None:
-    inst = IntegerSet(elems)
-    k = inst.k
-    layers, offset = engine.subset_layers(inst)
-    suffix = [0] * (k + 2)
-    for c in range(k, -1, -1):
-        suffix[c] = suffix[c + 1] | layers[c]
+def _scan(agg: dict, table: dict, elems: tuple[int, ...], r: int | None,
+          policy, use_oracle: bool, collect: bool) -> None:
+    """Check one instance at every alpha: the set elems when r is None,
+    else elems repeated r times."""
+    base = IntegerSet(elems)
+    seq = RepSequence(base, r or 1)
+    layers, offset = engine.sequence_layers(seq)
+    suffix = engine.suffix_unions(layers)
+    literal = base.literal()
     expected = None
     if use_oracle:
-        expected = _oracle_suffixes(oracle.subset_sums_by_size(inst))
-    literal = inst.literal()
+        by_size = (oracle.subset_sums_by_size(base) if r is None
+                   else oracle.sequence_sums_by_size(seq))
+        expected = _oracle_suffixes(by_size)
+    k = len(elems)
+    minima = agg["minima"]
+    records = agg["records"]
     agg["instances"] += 1
-    for alpha, floors in _floor_rows(table, inst, policy):
+    for alpha, floors in _floor_rows(table, base, r, policy):
         bitmap = suffix[alpha]
         size = bitmap.bit_count()
         if expected is not None:
             if SumSet.from_bitmap(bitmap, offset).sums != expected[alpha]:
+                where = literal if r is None else f"{literal} r={r}"
                 raise RuntimeError(
-                    f"engine/oracle mismatch on {literal} alpha={alpha}"
+                    f"engine/oracle mismatch on {where} alpha={alpha}"
                 )
             agg["oracle_checked"] += 1
         violation = _check_bounds(agg, floors, size)
-        _note_minimum(agg["minima"], (k, alpha), size, literal)
+        note_minimum(minima, (k, r, alpha), size, literal)
         if collect:
-            agg["records"].append(
-                VerificationRecord(
-                    literal, None, alpha, size, _bound_checks(floors, size),
-                    use_oracle, violation,
-                )
-            )
-
-
-def _scan_sequence(agg: dict, table: dict, elems: tuple[int, ...], r: int,
-                   policy, use_oracle: bool, collect: bool) -> None:
-    inst = RepSequence(IntegerSet(elems), r)
-    total = inst.length
-    layers, offset = engine.sequence_layers(inst)
-    suffix = [0] * (total + 2)
-    for c in range(total, -1, -1):
-        suffix[c] = suffix[c + 1] | layers[c]
-    expected = None
-    if use_oracle:
-        expected = _oracle_suffixes(oracle.sequence_sums_by_size(inst))
-    literal = inst.base.literal()
-    agg["instances"] += 1
-    for alpha, floors in _floor_rows(table, inst, policy):
-        bitmap = suffix[alpha]
-        size = bitmap.bit_count()
-        if expected is not None:
-            if SumSet.from_bitmap(bitmap, offset).sums != expected[alpha]:
-                raise RuntimeError(
-                    f"engine/oracle mismatch on {literal} r={r} alpha={alpha}"
-                )
-            agg["oracle_checked"] += 1
-        violation = _check_bounds(agg, floors, size)
-        _note_minimum(agg["minima"], (inst.base.k, r, alpha), size, literal)
-        if collect:
-            agg["records"].append(
+            records.append(
                 VerificationRecord(
                     literal, r, alpha, size, _bound_checks(floors, size),
                     use_oracle, violation,
@@ -303,21 +278,12 @@ def _scan_sequence(agg: dict, table: dict, elems: tuple[int, ...], r: int,
             )
 
 
-def _set_chunk_worker(payload) -> dict:
+def _chunk_worker(payload) -> dict:
     chunk, policy, use_oracle, collect = payload
-    agg = _new_agg()
-    table: dict = {}
-    for elems in chunk:
-        _scan_set(agg, table, elems, policy, use_oracle, collect)
-    return agg
-
-
-def _seq_chunk_worker(payload) -> dict:
-    chunk, policy, use_oracle, collect = payload
-    agg = _new_agg()
+    agg = new_aggregate()
     table: dict = {}
     for elems, r in chunk:
-        _scan_sequence(agg, table, elems, r, policy, use_oracle, collect)
+        _scan(agg, table, elems, r, policy, use_oracle, collect)
     return agg
 
 
@@ -332,16 +298,11 @@ def _chunks(items: Iterable, size: int) -> Iterator[list]:
         yield batch
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
-def _run_chunked(worker, instances, count: int, policy, use_oracle, collect,
+def _run_chunked(instances, count: int, policy, use_oracle, collect,
                  workers: int) -> dict:
     """Scan `count` instances in chunks; the pool never has more processes
     than CPUs or chunks, since a fork pool starts all of them at once."""
-    agg = _new_agg()
+    agg = new_aggregate()
     payloads = (
         (chunk, policy, use_oracle, collect)
         for chunk in _chunks(instances, _CHUNK)
@@ -349,92 +310,43 @@ def _run_chunked(worker, instances, count: int, policy, use_oracle, collect,
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK))
     if procs <= 1:
         for payload in payloads:
-            _merge_aggs(agg, worker(payload))
+            _merge_aggs(agg, _chunk_worker(payload))
     else:
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            for partial in pool.map(worker, payloads):
+            for partial in pool.map(_chunk_worker, payloads):
                 _merge_aggs(agg, partial)
     return agg
 
 
 # -- campaign entry points ---------------------------------------------
 
-def _subset_counts(max_abs: int, ks: list[int]) -> dict[int, int]:
-    """Number of k-subsets of [-max_abs, max_abs], per k."""
-    return {k: comb(2 * max_abs + 1, k) for k in ks}
+def _check_max_abs(max_abs: int) -> None:
+    if max_abs < 0:
+        raise ValueError(f"max_abs must be >= 0, got {max_abs}")
 
 
-def _alpha_count(policy, total: int) -> int:
-    if policy == "all":
-        return total + 1
-    return sum(1 for a in policy if 0 <= a <= total)
+def _span(values: Iterable[int], name: str) -> list[int]:
+    out = sorted(set(int(v) for v in values))
+    if not out or out[0] < 1:
+        raise ValueError(f"{name} range must contain only integers >= 1")
+    return out
 
 
-def sweep_sets(
-    max_abs: int,
-    k_range: Iterable[int],
-    alpha_policy="all",
-    oracle_check: bool = False,
-    *,
-    workers: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    collect_records: bool = False,
-) -> CampaignReport:
-    """Verify every floor over all k-subsets of [-max_abs, max_abs]."""
+def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
+           r_range: Iterable[int] | None, alpha_policy, oracle_check: bool,
+           workers: int, budget: int, collect_records: bool
+           ) -> CampaignReport:
+    """One campaign over all base k-subsets of [-max_abs, max_abs] crossed
+    with every r in r_range; r_range None sweeps the sets themselves."""
     started = time.perf_counter()
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ValueError("k range must contain only integers >= 1")
-    _check_workers(workers)
-    subsets = _subset_counts(max_abs, ks)
-    pairs = sum(n * _alpha_count(alpha_policy, k) for k, n in subsets.items())
-    if pairs > budget:
-        raise BudgetExceeded(
-            f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
-        )
-    values = range(-max_abs, max_abs + 1)
-    instances = itertools.chain.from_iterable(
-        itertools.combinations(values, k) for k in ks
-    )
-    count = sum(subsets.values())
-    agg = _run_chunked(
-        _set_chunk_worker, instances, count, alpha_policy, oracle_check,
-        collect_records, workers,
-    )
-    universe = {
-        "kind": "sets",
-        "max_abs": max_abs,
-        "k": ks,
-        "alpha_policy": _policy_echo(alpha_policy),
-        "oracle": oracle_check,
-    }
-    return _finish(universe, agg, started, with_r=False)
-
-
-def sweep_sequences(
-    max_abs: int,
-    k_range: Iterable[int],
-    r_range: Iterable[int],
-    alpha_policy="all",
-    oracle_check: bool = False,
-    *,
-    workers: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    collect_records: bool = False,
-) -> CampaignReport:
-    """Verify every floor over all base k-subsets of [-max_abs, max_abs]
-    crossed with every multiplicity in r_range."""
-    started = time.perf_counter()
-    ks = sorted(set(int(k) for k in k_range))
-    rs = sorted(set(int(r) for r in r_range))
-    if not ks or ks[0] < 1:
-        raise ValueError("k range must contain only integers >= 1")
-    if not rs or rs[0] < 1:
-        raise ValueError("r range must contain only integers >= 1")
-    _check_workers(workers)
-    subsets = _subset_counts(max_abs, ks)
+    ks = _span(k_range, "k")
+    rs = [None] if r_range is None else _span(r_range, "r")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_max_abs(max_abs)
+    subsets = {k: comb(2 * max_abs + 1, k) for k in ks}
     pairs = sum(
-        n * _alpha_count(alpha_policy, r * k)
+        n * len(_alphas(alpha_policy, k * (r or 1)))
         for k, n in subsets.items()
         for r in rs
     )
@@ -450,30 +362,60 @@ def sweep_sequences(
         for r in rs
     )
     count = sum(subsets.values()) * len(rs)
-    agg = _run_chunked(
-        _seq_chunk_worker, instances, count, alpha_policy, oracle_check,
-        collect_records, workers,
-    )
-    universe = {
-        "kind": "sequences",
-        "max_abs": max_abs,
-        "k": ks,
-        "r": rs,
-        "alpha_policy": _policy_echo(alpha_policy),
-        "oracle": oracle_check,
-    }
-    return _finish(universe, agg, started, with_r=True)
+    agg = _run_chunked(instances, count, alpha_policy, oracle_check,
+                       collect_records, workers)
+    universe = {"kind": kind, "max_abs": max_abs, "k": ks}
+    if r_range is not None:
+        universe["r"] = rs
+    universe["alpha_policy"] = _policy_echo(alpha_policy)
+    universe["oracle"] = oracle_check
+    return finish_report(universe, agg, started)
 
 
-def _finish(universe: dict, agg: dict, started: float, with_r: bool
-            ) -> CampaignReport:
+def sweep_sets(
+    max_abs: int,
+    k_range: Iterable[int],
+    alpha_policy="all",
+    oracle_check: bool = False,
+    *,
+    workers: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    collect_records: bool = False,
+) -> CampaignReport:
+    """Verify every floor over all k-subsets of [-max_abs, max_abs]."""
+    return _sweep("sets", max_abs, k_range, None, alpha_policy, oracle_check,
+                  workers, budget, collect_records)
+
+
+def sweep_sequences(
+    max_abs: int,
+    k_range: Iterable[int],
+    r_range: Iterable[int],
+    alpha_policy="all",
+    oracle_check: bool = False,
+    *,
+    workers: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    collect_records: bool = False,
+) -> CampaignReport:
+    """Verify every floor over all base k-subsets of [-max_abs, max_abs]
+    crossed with every multiplicity in r_range."""
+    return _sweep("sequences", max_abs, k_range, r_range, alpha_policy,
+                  oracle_check, workers, budget, collect_records)
+
+
+def finish_report(universe: dict, agg: dict, started: float
+                  ) -> CampaignReport:
+    """The report of a filled aggregate: minima cells in key order, each
+    with an r field only when its key has one; elapsed time since
+    `started` (a perf_counter reading)."""
     minima = []
-    for key in sorted(agg["minima"]):
-        size, wits = agg["minima"][key]
-        cell = {"k": key[0]}
-        if with_r:
-            cell["r"] = key[1]
-        cell["alpha"] = key[-1]
+    for (k, r, alpha) in sorted(agg["minima"]):
+        size, wits = agg["minima"][k, r, alpha]
+        cell = {"k": k}
+        if r is not None:
+            cell["r"] = r
+        cell["alpha"] = alpha
         cell["size"] = size
         cell["witnesses"] = wits
         minima.append(cell)
@@ -512,6 +454,7 @@ def empirical_minimum(
         raise ValueError(f"alpha={alpha} out of range [0, {k}]")
     if zero_policy not in ("any", "require", "forbid"):
         raise ValueError(f"unknown zero policy {zero_policy!r}")
+    _check_max_abs(max_abs)
     nonzero = [v for v in range(-max_abs, max_abs + 1) if v != 0]
     if zero_policy == "any":
         count = comb(2 * max_abs + 1, k)
@@ -535,7 +478,7 @@ def empirical_minimum(
     wits: list[IntegerSet] = []
     for elems in candidates:
         inst = IntegerSet(tuple(elems))
-        size = engine.sigma(inst, alpha).size
+        size = engine.sigma_size(RepSequence(inst, 1), alpha)
         if best is None or size < best:
             best, wits = size, [inst]
         elif size == best and len(wits) < witness_cap:

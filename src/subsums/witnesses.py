@@ -3,8 +3,8 @@ a checker that confirms tightness point by point.
 
 Each family pairs a construction (an interval-shaped set or repeated
 sequence) with the one floor it is claimed to attain for every alpha in
-the floor's range. check_tightness recomputes the achievable-sum set
-with the engine and compares sizes exactly.
+the floor's range. check_tightness counts the achievable sums with the
+engine, a set family as its r = 1 sequence, and compares sizes exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, engine
-from .model import IntegerSet, RepSequence
+from .model import IntegerSet, RepSequence, as_sequence
 
 POS_INTERVAL = "pos-interval"
 NONNEG_INTERVAL = "nonneg-interval"
@@ -143,18 +143,12 @@ def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
 def alpha_values(fam: WitnessFamily) -> range:
     """Thresholds covered by the matched floor: [0, k] for sets and
     [0, r*k - 1] for sequences (k counts distinct base elements)."""
-    inst = witness(fam)
-    if isinstance(inst, RepSequence):
-        return range(0, inst.length)
-    return range(0, inst.k + 1)
+    length = as_sequence(witness(fam)).length
+    return range(0, length if fam.is_sequence else length + 1)
 
 
 def check_tightness(fam: WitnessFamily, alpha: int) -> TightnessReport:
     """Compare the engine-computed size against the claimed floor."""
-    inst = witness(fam)
-    if isinstance(inst, RepSequence):
-        size = engine.sigma_seq(inst, alpha).size
-    else:
-        size = engine.sigma(inst, alpha).size
+    size = engine.sigma_size(as_sequence(witness(fam)), alpha)
     bound = claimed_bound(fam, alpha)
     return TightnessReport(fam, alpha, size, bound, size == bound.value)

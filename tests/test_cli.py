@@ -146,6 +146,13 @@ class TestSweep:
         assert "error:" in err
 
 
+    def test_rejects_negative_max_abs(self, capsys):
+        code, out, err = run(capsys, "sweep", "--max-abs", "-1", "--k", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: max_abs must be >= 0" in err
+
+
 class TestExtremal:
     def test_all_alphas_tight(self, capsys):
         code, out, _ = run(capsys, "extremal", "--family", "pos-interval",

@@ -5,7 +5,7 @@ and the algebraic identities must hold on exhaustive small universes.
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subsums.engine import (
@@ -15,9 +15,18 @@ from subsums.engine import (
     sequence_layers,
     sigma,
     sigma_seq,
+    sigma_size,
     subset_layers,
+    suffix_unions,
 )
-from subsums.model import AT_LEAST, AT_MOST, IntegerSet, RepSequence, SumSet
+from subsums.model import (
+    AT_LEAST,
+    AT_MOST,
+    IntegerSet,
+    RepSequence,
+    SumSet,
+    as_sequence,
+)
 from subsums.oracle import (
     oracle_fold,
     oracle_sigma_seq,
@@ -201,6 +210,41 @@ def test_sequence_r1_equals_set_semantics():
         s = RepSequence(a, 1)
         for alpha in range(a.k + 1):
             assert sigma_seq(s, alpha) == sigma(a, alpha)
+
+
+@given(st.sets(st.integers(-6, 6), min_size=1, max_size=4), st.integers(1, 4))
+@example({7}, 3)  # k = 1
+@example({-5, -2, -1}, 2)  # all negative
+@example({-1, 0, 3}, 4)  # contains zero
+@example({-4, 0}, 1)
+def test_sigma_size_matches_oracle(values, r):
+    a = IntegerSet.from_iterable(values)
+    s = RepSequence(a, r)
+    for mode in (AT_LEAST, AT_MOST):
+        for alpha in range(s.length + 1):
+            size = sigma_size(s, alpha, mode)
+            assert size == oracle_sigma_seq(s, alpha, mode).size
+            if r == 1:
+                assert size == oracle_sigma_set(a, alpha, mode).size
+
+
+def test_suffix_unions_are_at_least_windows():
+    s = RepSequence(iset(-2, 0, 3), 2)
+    layers, _ = sequence_layers(s)
+    suffix = suffix_unions(layers)
+    assert len(suffix) == len(layers)
+    for c in range(len(layers)):
+        window = 0
+        for layer in layers[c:]:
+            window |= layer
+        assert suffix[c] == window
+
+
+def test_as_sequence():
+    s = RepSequence(iset(1, 2), 3)
+    assert as_sequence(s) is s
+    a = iset(-1, 4)
+    assert as_sequence(a) == RepSequence(a, 1)
 
 
 def test_add_sets_size_floor_holds():

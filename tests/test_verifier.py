@@ -306,6 +306,16 @@ class TestEmpiricalMinimum:
             empirical_minimum(5, 0, 1)  # only 3 candidate values
 
 
+    def test_rejects_negative_max_abs(self):
+        for call in (
+            lambda: empirical_minimum(2, 1, -1),
+            lambda: sweep_sets(-1, [2]),
+            lambda: sweep_sequences(-1, [2], [1, 2]),
+        ):
+            with pytest.raises(ValueError, match="max_abs must be >= 0"):
+                call()
+
+
 class TestSoundnessAtScale:
     """Wider sweeps with the oracle enabled; zero violations expected."""
 
