@@ -218,6 +218,8 @@ def _cmd_extremal(args) -> int:
 def _cmd_fp(args) -> int:
     if args.p is not None:
         candidates = [args.p]
+    elif args.p_upto < 2:
+        raise UsageError(f"--p-upto {args.p_upto} admits no prime; need N >= 2")
     else:
         candidates = (q for q in range(2, args.p_upto + 1) if fp.is_prime(q))
     primes = []

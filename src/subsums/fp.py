@@ -1,24 +1,30 @@
 """Thresholded subset sums over a prime field, and the exhaustive
 verifier for the prime-field size floor.
 
-Admissible subsets contain no residue together with its additive
-inverse (which also rules out zero), so they have at most (p - 1) / 2
-elements. Verification enumerates every admissible subset by choosing,
-for each inverse pair {x, p - x}, either nothing, x, or p - x. It fills
-the campaign aggregate of `verifier` and reports through its finisher,
-keying minima as a set sweep does, where sets run as r = 1 sequences
-marked r = None: the cells carry k and alpha, no r.
+Sums mod p live in count layers: layer c is a p-bit int whose bit s is
+set iff s is a sum of exactly c members, and adding a residue x rotates
+each layer by x into the next. Admissible subsets contain no residue
+together with its additive inverse (which also rules out zero), so they
+have at most (p - 1) / 2 elements. Verification walks them depth first,
+choosing for each inverse pair {x, p - x} either nothing, x, or p - x,
+so every subset's layers extend its parent's by one insertion; sizes
+per alpha are bit counts of suffix unions. It fills the campaign
+aggregate of `verifier` and reports through its finisher, keying minima
+as a set sweep does, where sets run as r = 1 sequences marked r = None:
+the cells carry k and alpha, no r. `oracle.residue_sums_by_size` is the
+enumeration these layers are checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp
+from .model import SumSet
 from .verifier import (
+    WITNESS_CAP,
     BudgetExceeded,
     CampaignReport,
     finish_report,
@@ -26,8 +32,9 @@ from .verifier import (
     note_minimum,
 )
 
-# Largest prime verified: p = 23 enumerates 3^11 - 1 subsets in about
-# half a minute, while p = 29 needs 3^14 - 1, roughly an hour.
+# Largest prime verified: p = 23 walks 3^11 - 1 subsets in about a
+# second; p = 29 has 3^14 - 1, 27 times as many, so by extrapolation
+# about half a minute, and p = 31 three times that again.
 PRIME_GUARD = 23
 
 
@@ -84,11 +91,14 @@ class FpSubset:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
 
-def _sums_by_size_mod(elements: tuple[int, ...], p: int) -> list[set[int]]:
-    out: list[set[int]] = [set() for _ in range(len(elements) + 1)]
-    for size in range(len(elements) + 1):
-        for combo in itertools.combinations(elements, size):
-            out[size].add(sum(combo) % p)
+def _insert(layers: list[int], x: int, p: int) -> list[int]:
+    """Count layers after adding residue x: layer c, rotated by x, joins
+    layer c + 1."""
+    mask = (1 << p) - 1
+    back = p - x
+    out = layers + [0]
+    for c, v in enumerate(layers):
+        out[c + 1] |= ((v << x) | (v >> back)) & mask
     return out
 
 
@@ -96,11 +106,13 @@ def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     """Residues reachable as subset sums with at least alpha members."""
     if not 0 <= alpha <= a.size:
         raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
-    by_size = _sums_by_size_mod(a.elements, a.p)
-    sums: set[int] = set()
-    for size in range(alpha, a.size + 1):
-        sums |= by_size[size]
-    return tuple(sorted(sums))
+    layers = [1]
+    for x in a.elements:
+        layers = _insert(layers, x, a.p)
+    reach = 0
+    for layer in layers[alpha:]:
+        reach |= layer
+    return SumSet.from_bitmap(reach, 0).sums
 
 
 def check_prime(p: int) -> None:
@@ -115,6 +127,38 @@ def check_prime(p: int) -> None:
         )
 
 
+def _walk(p: int, visit: Callable[[list[int], list[int], list[int]], None]
+          ) -> None:
+    """Call visit(layers, lows, highs) on every admissible subset mod p.
+
+    The walk goes depth first over the inverse pairs {x, p - x} for
+    x = 1 .. (p - 1) / 2, choosing nothing, x, then p - x, so subsets come in
+    itertools.product((0, 1, 2), repeat=(p - 1) // 2) order, the empty one
+    skipped. A child's layers are its parent's plus one insertion. lows
+    holds the chosen x ascending and highs the chosen p - x descending;
+    both are reused between calls.
+    """
+    half = (p - 1) // 2
+    lows: list[int] = []
+    highs: list[int] = []
+
+    def descend(x: int, layers: list[int], picked: int, negated: int) -> None:
+        if x > half:
+            if len(layers) > 1:
+                # picked and negated hold the members and their inverses
+                assert len(layers) - 1 <= half and not picked & negated
+                visit(layers, lows, highs)
+            return
+        descend(x + 1, layers, picked, negated)
+        for y, chosen in ((x, lows), (p - x, highs)):
+            chosen.append(y)
+            descend(x + 1, _insert(layers, y, p),
+                    picked | 1 << y, negated | 1 << p - y)
+            chosen.pop()
+
+    descend(1, [1], 0, 0)
+
+
 def verify_balandraud(p: int) -> CampaignReport:
     """Check the prime-field floor on every admissible subset of residues
     mod p and every alpha. Admissible subsets pick at most one residue
@@ -123,35 +167,46 @@ def verify_balandraud(p: int) -> CampaignReport:
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
-    pairs = [(x, p - x) for x in range(1, half + 1)]
-    instances = 0
-    checks = 0
-    violations = 0
+    # the floor depends only on (size, alpha), so each cell is read once
+    floors = [()] + [
+        tuple(bound_fp(size, alpha, p).value for alpha in range(size + 1))
+        for size in range(1, half + 1)
+    ]
+    # note_minimum keeps a witness of size `got` for a cell iff got is
+    # below that cell's admit entry: its minimum, plus one while the
+    # cell holds fewer than WITNESS_CAP witnesses
+    admit = [[p + 1] * (size + 1) for size in range(half + 1)]
     agg = new_aggregate()
-    tight = agg["tight"]
     minima = agg["minima"]
-    for choice in itertools.product((0, 1, 2), repeat=half):
-        picked = [pair[c - 1] for pair, c in zip(pairs, choice) if c]
-        if not picked:
-            continue
-        elements = tuple(sorted(picked))
-        size = len(elements)
-        assert size <= half
+    instances = checks = violations = tight = 0
+
+    def visit(layers: list[int], lows: list[int], highs: list[int]) -> None:
+        nonlocal instances, checks, violations, tight
+        size = len(layers) - 1
         instances += 1
-        subset = FpSubset(p, elements)
-        assert subset.self_disjoint
-        by_size = _sums_by_size_mod(elements, p)
-        reachable: set[int] = set()
-        literal = subset.literal()
+        checks += size + 1
+        cell_floors = floors[size]
+        cell_admit = admit[size]
+        literal = None
+        reach = 0
         for alpha in range(size, -1, -1):
-            reachable |= by_size[alpha]
-            got = len(reachable)
-            floor = bound_fp(size, alpha, p).value
-            checks += 1
+            reach |= layers[alpha]
+            got = reach.bit_count()
+            floor = cell_floors[alpha]
             if got < floor:
                 violations += 1
             elif got == floor:
-                tight[T1_3] += 1
-            note_minimum(minima, (size, None, alpha), got, literal)
+                tight += 1
+            if got < cell_admit[alpha]:
+                if literal is None:
+                    literal = "{" + ",".join(map(str, lows + highs[::-1])) + "}"
+                key = (size, None, alpha)
+                note_minimum(minima, key, got, literal)
+                least, wits = minima[key]
+                cell_admit[alpha] = least + 1 if len(wits) < WITNESS_CAP else least
+
+    _walk(p, visit)
+    if tight:
+        agg["tight"][T1_3] = tight
     agg.update(instances=instances, checks=checks, violations=violations)
     return finish_report({"kind": "fp", "p": p}, agg, started)

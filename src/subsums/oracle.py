@@ -51,6 +51,17 @@ def subset_sums_by_size(a: IntegerSet) -> list[set[int]]:
     return out
 
 
+def residue_sums_by_size(elements: tuple[int, ...], p: int) -> list[set[int]]:
+    """Achievable sums mod p grouped by subset size, sizes 0..len; the
+    cross-check for the prime-field count layers."""
+    _guard_subsets(len(elements))
+    out: list[set[int]] = [set() for _ in range(len(elements) + 1)]
+    for size in range(len(elements) + 1):
+        for combo in itertools.combinations(elements, size):
+            out[size].add(sum(combo) % p)
+    return out
+
+
 def sequence_sums_by_size(s: RepSequence) -> list[set[int]]:
     """Achievable sums grouped by total copy count, counts 0..r*k."""
     k, r = s.base.k, s.r

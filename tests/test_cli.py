@@ -172,6 +172,31 @@ class TestExtremal:
         assert payload["all_tight"] is True
         assert payload["reports"][0]["alpha"] == 3
 
+    def test_all_alphas_share_one_dp(self, capsys, monkeypatch):
+        from subsums import engine, witnesses
+        from subsums.model import as_sequence
+
+        calls = []
+        real = engine.sequence_layers
+
+        def counted(s):
+            calls.append(s)
+            return real(s)
+
+        witnesses._sizes.cache_clear()
+        monkeypatch.setattr(engine, "sequence_layers", counted)
+        code, out, _ = run(capsys, "extremal", "--family", "mixed-full-r",
+                           "--n", "2", "--p", "1", "--r", "3", "--json")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.setattr(engine, "sequence_layers", real)
+        fam = witnesses.WitnessFamily("mixed-full-r", n=2, p=1, r=3)
+        inst = as_sequence(witnesses.witness(fam))
+        reports = json.loads(out)["reports"]
+        assert [rep["alpha"] for rep in reports] == list(range(inst.length))
+        for rep in reports:
+            assert rep["size"] == engine.sigma_size(inst, rep["alpha"])
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "extremal", "--family", "pos-ray", "--k", "3")
         assert code == EXIT_USAGE
@@ -231,6 +256,13 @@ class TestFp:
             assert ran == []
             assert out == ""
             assert "p=29" in err
+
+    @pytest.mark.parametrize("upto", ["1", "0", "-5"])
+    def test_prime_sweep_without_primes_refused(self, capsys, upto):
+        code, out, err = run(capsys, "fp", "--p-upto", upto)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"error: --p-upto {upto} " in err
 
     def test_requires_exactly_one_selector(self, capsys):
         code, _, _ = run(capsys, "fp")

@@ -1,12 +1,30 @@
 """Prime-field thresholded subset sums and the exhaustive floor check
 over admissible residue sets."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from subsums import fp
 from subsums.engine import sigma
 from subsums.fp import FpSubset, PRIME_GUARD, is_prime, sigma_fp, verify_balandraud
 from subsums.model import IntegerSet
+from subsums.oracle import residue_sums_by_size
 from subsums.verifier import BudgetExceeded
+
+
+def residues(bits):
+    return {s for s in range(bits.bit_length()) if bits >> s & 1}
+
+
+def admissible_in_product_order(p):
+    half = (p - 1) // 2
+    for choice in itertools.product((0, 1, 2), repeat=half):
+        picked = [(x, p - x)[c - 1] for x, c in zip(range(1, half + 1), choice) if c]
+        if picked:
+            yield tuple(sorted(picked))
 
 
 class TestPrimality:
@@ -82,6 +100,48 @@ class TestSigmaFp:
         ints = sigma(IntegerSet((1, 2, 3)), alpha).sums
         field = sigma_fp(FpSubset(31, (1, 2, 3)), alpha)
         assert tuple(s % 31 for s in ints) == field
+
+
+class TestCyclicLayers:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_walk_layers_match_enumeration(self, p):
+        # the depth-first walk visits every admissible subset once, in
+        # product order, and each count layer holds exactly the residues
+        # the enumeration oracle reaches with that many members
+        seen = []
+
+        def visit(layers, lows, highs):
+            elements = tuple(lows + highs[::-1])
+            seen.append(elements)
+            by_size = residue_sums_by_size(elements, p)
+            assert [residues(layer) for layer in layers] == by_size
+            reach = set()
+            for alpha in range(len(elements), -1, -1):
+                reach |= by_size[alpha]
+                assert sigma_fp(FpSubset(p, elements), alpha) == tuple(sorted(reach))
+
+        fp._walk(p, visit)
+        assert seen == list(admissible_in_product_order(p))
+        assert len(seen) == 3 ** ((p - 1) // 2) - 1
+
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]),
+           st.sets(st.integers(0, 12), min_size=1))
+    @example(7, set(range(7)))  # the whole field
+    @example(5, {0})
+    @example(11, {0, 3, 8})  # zero and the inverse pair {3, 8}
+    def test_sigma_fp_matches_enumeration(self, p, values):
+        # any residue set, including 0 and both members of an inverse pair
+        elements = tuple(sorted({v % p for v in values}))
+        by_size = residue_sums_by_size(elements, p)
+        a = FpSubset(p, elements)
+        for alpha in range(a.size + 1):
+            expect = set().union(*by_size[alpha:])
+            assert sigma_fp(a, alpha) == tuple(sorted(expect))
+
+    def test_zero_and_inverse_pairs(self):
+        assert sigma_fp(FpSubset(5, (0,)), 1) == (0,)
+        assert sigma_fp(FpSubset(5, (0, 2, 3)), 2) == (0, 2, 3)
+        assert sigma_fp(FpSubset(5, (1, 4)), 0) == (0, 1, 4)
 
 
 class TestVerifyBalandraud:

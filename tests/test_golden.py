@@ -1,7 +1,8 @@
 """Golden bytes: campaign reports and record CSVs must not change.
 
 The digests were taken from the set, sequence and prime-field campaigns
-before the set path was folded into the r = 1 sequence path; any change
+before the set path was folded into the r = 1 sequence path (p = 13
+before the prime-field verifier moved onto cyclic count layers); any change
 to a report body (every field but elapsed_ms) or to the CSV bytes fails
 here, so refactors of the engine, verifier or fp must reproduce them
 exactly.
@@ -55,6 +56,7 @@ def test_sequence_sweep(tmp_path):
     [
         (7, "93c4f9452ed828ae8db6e6290130b2c33d392e17e6c49bba01e88c0149d37271"),
         (11, "0d9d948b8f62d7c0ecadef6537f3f3b04c298df94baae78e1b344a5d9695047f"),
+        (13, "0afd7c3cd88ca165e27af30d3792ae292e21bb8d395285b92fbdb7f0b9c3677b"),
     ],
 )
 def test_prime_field(p, digest):

@@ -13,6 +13,7 @@ from subsums.oracle import (
     oracle_fold,
     oracle_sigma_seq,
     oracle_sigma_set,
+    residue_sums_by_size,
     sequence_sums_by_size,
     subset_sums_by_size,
 )
@@ -114,6 +115,12 @@ def test_sums_by_size_shape():
     assert seq_sizes[2] == {-2, 1, 4}
     assert seq_sizes[3] == {0, 3}
     assert seq_sizes[4] == {2}
+
+
+def test_residue_sums_by_size():
+    # 3 + 4 = 0 mod 7, so the size-2 sum wraps
+    assert residue_sums_by_size((3, 4), 7) == [{0}, {3, 4}, {0}]
+    assert residue_sums_by_size((0, 2), 5) == [{0}, {0, 2}, {2}]
 
 
 def test_subset_guard_refuses_large_k():

@@ -3,7 +3,8 @@ matched floor across full threshold ranges at moderate sizes."""
 
 import pytest
 
-from subsums.model import IntegerSet, RepSequence
+from subsums.engine import sigma_size
+from subsums.model import IntegerSet, RepSequence, as_sequence
 from subsums.witnesses import (
     FAMILY_IDS,
     MIXED_FULL,
@@ -164,6 +165,20 @@ def test_tight_for_every_alpha(fam):
     for alpha in alpha_values(fam):
         rep = check_tightness(fam, alpha)
         assert rep.tight, (fam, alpha, rep.computed_size, rep.bound.value)
+
+
+@pytest.mark.parametrize("fam", list(_moderate_families()), ids=str)
+def test_sizes_match_sigma_size(fam):
+    inst = as_sequence(witness(fam))
+    for alpha in alpha_values(fam):
+        assert check_tightness(fam, alpha).computed_size == sigma_size(inst, alpha)
+
+
+def test_alpha_out_of_range_refused():
+    fam = WitnessFamily(POS_INTERVAL_R, k=2, r=2)
+    for alpha in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            check_tightness(fam, alpha)
 
 
 def test_claimed_bound_matches_family_theorem():
