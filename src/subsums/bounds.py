@@ -1,10 +1,24 @@
 """Closed-form size floors for thresholded sum sets, plus a dispatcher
 that lists every floor applicable to a given instance.
 
-All arithmetic is exact integer arithmetic. Case selection mirrors the
-hypotheses of each floor: a boundary value (alpha or block index equal
-to n or p) always falls into the <= branch. Identifiers such as T2_1 or
-C3_4 are stable strings that appear verbatim in JSON and CSV reports.
+A set is the r = 1 case of a sequence, so the ten set and sequence
+floors come from two shared expressions, with T(x) = x(x+1)/2:
+
+- sign-aware, for n negatives, p positives, zero in {0, 1} and
+  multiplicity r: with m = alpha//r + 1, dn = max(m - n - zero, 0) and
+  dp = max(m - p - zero, 0), the floor is
+  r(T(n) + T(p) - T(dn) - T(dp)) + (dn + dp)(mr - alpha) + 1.
+  T3_1_disjoint is (0, k, 0, r), and T2_1 and T1_3 (before its cap at
+  p) are its r = 1 case; T3_1_zero is (0, k - 1, 1, r) and C2_2 its
+  r = 1 case; T2_3, C2_4, T3_2 and C3_3 pass their own n, p and zero.
+- sign-agnostic, for k values: r((k + 1 - zero)^2 // 4 - T(i - zero)) + 1.
+
+The index i of the sign-agnostic floor and of the mixed-floor case
+labels is alpha for sets and m for sequences; that is why C2_5 (i =
+alpha) and C3_4 (i = m) differ at r = 1 while the signed floors agree.
+All arithmetic is exact integer arithmetic. A boundary index equal to n
+or p always falls into the <= branch. Identifiers such as T2_1 or C3_4
+are stable strings that appear verbatim in JSON and CSV reports.
 """
 
 from __future__ import annotations
@@ -73,11 +87,6 @@ def _tri(x: int) -> int:
     return x * (x + 1) // 2
 
 
-def _tri0(x: int) -> int:
-    # shifted triangular number x(x-1)/2, exact
-    return x * (x - 1) // 2
-
-
 def min_sumset_size(size_a: int, size_b: int) -> int:
     """Least possible size of a pairwise-sum set of two nonempty sets."""
     if size_a < 1 or size_b < 1:
@@ -106,80 +115,110 @@ def _check_alpha(alpha: int, hi: int) -> None:
         raise ValueError(f"alpha={alpha} out of range [0, {hi}]")
 
 
+def _check_k(k: int, least: int) -> None:
+    if k < least:
+        raise ValueError(f"k must be >= {least}")
+
+
+def _check_sides(n: int, p: int) -> None:
+    if n < 1 or p < 1:
+        raise ValueError("n and p must be >= 1")
+
+
+def _seq_m(r: int, alpha: int, k: int) -> int:
+    """Block index of alpha for a base of k values repeated r times,
+    after checking r >= 1 and alpha < r*k."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    _check_alpha(alpha, r * k - 1)
+    return alpha // r + 1
+
+
+def _signed_floor(n: int, p: int, zero: int, r: int, alpha: int) -> int:
+    """Sign-aware floor for n negative values, p positive values and
+    `zero` zeros, each repeated r times, counting sums of at least alpha
+    terms. The blocks m = alpha//r + 1 beyond each side's reach, dn and
+    dp, lose their triangular term and pay back the slack m*r - alpha."""
+    m = alpha // r + 1
+    # max(x, 0) without calling max(), which would double this body's cost
+    dn = m - n - zero if m > n + zero else 0
+    dp = m - p - zero if m > p + zero else 0
+    # T(n) + T(p) - T(dn) - T(dp), doubled so that one exact halving
+    # replaces four calls of _tri
+    twice = n * (n + 1) + p * (p + 1) - dn * (dn + 1) - dp * (dp + 1)
+    return r * twice // 2 + (dn + dp) * (m * r - alpha) + 1
+
+
+def _agnostic_floor(k: int, zero: int, r: int, i: int) -> int:
+    """Sign-agnostic floor for k values (`zero` of them zero), repeated
+    r times, at index i: alpha for sets, the block index m for
+    sequences. The floor-division core is asserted equal to its
+    parity-resolved form."""
+    j = k + 1 - zero
+    core = j * j // 4
+    assert core == ((j * j - 1) // 4 if j % 2 else j * j // 4)
+    return r * (core - _tri(i - zero)) + 1
+
+
+def _case(i: int, n: int, p: int) -> str:
+    """Mixed-floor case label at index i (alpha for sets, m for
+    sequences); a boundary i equal to n or p falls into the <= branch."""
+    if i <= n and i <= p:
+        return "i"
+    if i <= n:
+        return "ii"
+    if i <= p:
+        return "iii"
+    return "iv"
+
+
 def bound_disjoint(k: int, alpha: int) -> BoundResult:
     """Floor k(k+1)/2 - alpha(alpha+1)/2 + 1 for sets where no element's
     negation is also present."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k, 1)
     _check_alpha(alpha, k)
-    value = _tri(k) - _tri(alpha) + 1
+    value = _signed_floor(0, k, 0, 1, alpha)
     return BoundResult(T2_1, None, value, {"k": k, "alpha": alpha})
 
 
 def bound_zero(k: int, alpha: int) -> BoundResult:
     """Floor k(k-1)/2 - alpha(alpha-1)/2 + 1 for sets where zero is the
     only element whose negation is also present."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k, 1)
     _check_alpha(alpha, k)
-    value = _tri0(k) - _tri0(alpha) + 1
+    value = _signed_floor(0, k - 1, 1, 1, alpha)
     return BoundResult(C2_2, None, value, {"k": k, "alpha": alpha})
 
 
 def bound_mixed(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative and p positive integers
     (no zero). Cases split on alpha <= n and alpha <= p."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    _check_sides(n, p)
     _check_alpha(alpha, n + p)
-    base = _tri(n) + _tri(p)
-    if alpha <= n and alpha <= p:
-        case, value = "i", base + 1
-    elif alpha <= n:
-        case, value = "ii", base - _tri(alpha - p) + 1
-    elif alpha <= p:
-        case, value = "iii", base - _tri(alpha - n) + 1
-    else:
-        case, value = "iv", base - _tri(alpha - n) - _tri(alpha - p) + 1
-    return BoundResult(T2_3, case, value, {"n": n, "p": p, "alpha": alpha})
+    value = _signed_floor(n, p, 0, 1, alpha)
+    return BoundResult(
+        T2_3, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
+    )
 
 
 def bound_mixed_zero(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative integers, p positive
     integers, and zero. Same case split as bound_mixed with the alpha
     correction terms shifted by one."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    _check_sides(n, p)
     _check_alpha(alpha, n + p + 1)
-    base = _tri(n) + _tri(p)
-    if alpha <= n and alpha <= p:
-        case, value = "i", base + 1
-    elif alpha <= n:
-        case, value = "ii", base - _tri0(alpha - p) + 1
-    elif alpha <= p:
-        case, value = "iii", base - _tri0(alpha - n) + 1
-    else:
-        case, value = "iv", base - _tri0(alpha - n) - _tri0(alpha - p) + 1
-    return BoundResult(C2_4, case, value, {"n": n, "p": p, "alpha": alpha})
+    value = _signed_floor(n, p, 1, 1, alpha)
+    return BoundResult(
+        C2_4, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
+    )
 
 
 def bound_general(k: int, alpha: int, has_zero: bool) -> BoundResult:
     """Sign-agnostic floor for any set of k >= 2 integers, split only on
-    whether zero is present. The case label records the parity of k; the
-    parity-resolved form is evaluated alongside the floor-division form
-    and the two are asserted equal."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    whether zero is present. The case label records the parity of k."""
+    _check_k(k, 2)
     _check_alpha(alpha, k)
-    if has_zero:
-        value = k * k // 4 - _tri0(alpha) + 1
-        parity_core = (k * k - 1) // 4 if k % 2 else k * k // 4
-        parity_value = parity_core - _tri0(alpha) + 1
-    else:
-        value = (k + 1) ** 2 // 4 - _tri(alpha) + 1
-        parity_core = (k + 1) ** 2 // 4 if k % 2 else ((k + 1) ** 2 - 1) // 4
-        parity_value = parity_core - _tri(alpha) + 1
-    assert value == parity_value
+    value = _agnostic_floor(k, int(has_zero), 1, alpha)
     case = "odd" if k % 2 else "even"
     return BoundResult(
         C2_5, case, value, {"k": k, "alpha": alpha, "has_zero": int(has_zero)}
@@ -191,13 +230,9 @@ def bound_seq_disjoint(k: int, r: int, alpha: int) -> BoundResult:
     for base sets where no element's negation is present. Requires
     alpha < r*k; the alpha = r*k query degenerates to a singleton and is
     handled by callers, not here."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * k - 1)
-    m = m_index(alpha, r)
-    value = r * (_tri(k) - _tri(m)) + m * (m * r - alpha) + 1
+    _check_k(k, 2)
+    m = _seq_m(r, alpha, k)
+    value = _signed_floor(0, k, 0, r, alpha)
     return BoundResult(
         T3_1_DISJOINT, None, value, {"k": k, "r": r, "alpha": alpha, "m": m}
     )
@@ -206,13 +241,9 @@ def bound_seq_disjoint(k: int, r: int, alpha: int) -> BoundResult:
 def bound_seq_zero(k: int, r: int, alpha: int) -> BoundResult:
     """Repeated-sequence floor r(k(k-1)/2 - m(m-1)/2) + (m-1)(mr - alpha) + 1
     for base sets where zero is the only self-negation coincidence."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * k - 1)
-    m = m_index(alpha, r)
-    value = r * (_tri0(k) - _tri0(m)) + (m - 1) * (m * r - alpha) + 1
+    _check_k(k, 2)
+    m = _seq_m(r, alpha, k)
+    value = _signed_floor(0, k - 1, 1, r, alpha)
     return BoundResult(
         T3_1_ZERO, None, value, {"k": k, "r": r, "alpha": alpha, "m": m}
     )
@@ -222,29 +253,11 @@ def bound_seq_mixed(n: int, p: int, r: int, alpha: int) -> BoundResult:
     """Four-case repeated-sequence floor for base sets of n negative and
     p positive integers (no zero). Cases split on m <= n and m <= p,
     where m is the block index of alpha."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * (n + p) - 1)
-    m = m_index(alpha, r)
-    base = _tri(n) + _tri(p)
-    slack = m * r - alpha
-    if m <= n and m <= p:
-        case, value = "i", r * base + 1
-    elif m <= n:
-        case, value = "ii", r * (base - _tri(m - p)) + (m - p) * slack + 1
-    elif m <= p:
-        case, value = "iii", r * (base - _tri(m - n)) + (m - n) * slack + 1
-    else:
-        case = "iv"
-        value = (
-            r * (base - _tri(m - n) - _tri(m - p))
-            + (2 * m - n - p) * slack
-            + 1
-        )
+    _check_sides(n, p)
+    m = _seq_m(r, alpha, n + p)
+    value = _signed_floor(n, p, 0, r, alpha)
     return BoundResult(
-        T3_2, case, value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
+        T3_2, _case(m, n, p), value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
     )
 
 
@@ -252,51 +265,21 @@ def bound_seq_mixed_zero(n: int, p: int, r: int, alpha: int) -> BoundResult:
     """Four-case repeated-sequence floor for base sets of n negative
     integers, p positive integers, and zero. Same case split as
     bound_seq_mixed with shifted correction terms and coefficients."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * (n + p + 1) - 1)
-    m = m_index(alpha, r)
-    base = _tri(n) + _tri(p)
-    slack = m * r - alpha
-    if m <= n and m <= p:
-        case, value = "i", r * base + 1
-    elif m <= n:
-        case, value = "ii", r * (base - _tri0(m - p)) + (m - p - 1) * slack + 1
-    elif m <= p:
-        case, value = "iii", r * (base - _tri0(m - n)) + (m - n - 1) * slack + 1
-    else:
-        case = "iv"
-        value = (
-            r * (base - _tri0(m - n) - _tri0(m - p))
-            + (2 * m - n - p - 2) * slack
-            + 1
-        )
+    _check_sides(n, p)
+    m = _seq_m(r, alpha, n + p + 1)
+    value = _signed_floor(n, p, 1, r, alpha)
     return BoundResult(
-        C3_3, case, value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
+        C3_3, _case(m, n, p), value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
     )
 
 
 def bound_seq_general(k: int, r: int, alpha: int, has_zero: bool) -> BoundResult:
     """Sign-agnostic repeated-sequence floor for any base set of k >= 3
     integers, split only on zero membership. Case label is the parity of
-    k; floor-division and parity-resolved forms are asserted equal."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * k - 1)
-    m = m_index(alpha, r)
-    if has_zero:
-        value = r * (k * k // 4 - _tri0(m)) + 1
-        parity_core = (k * k - 1) // 4 if k % 2 else k * k // 4
-        parity_value = r * (parity_core - _tri0(m)) + 1
-    else:
-        value = r * ((k + 1) ** 2 // 4 - _tri(m)) + 1
-        parity_core = (k + 1) ** 2 // 4 if k % 2 else ((k + 1) ** 2 - 1) // 4
-        parity_value = r * (parity_core - _tri(m)) + 1
-    assert value == parity_value
+    k."""
+    _check_k(k, 3)
+    m = _seq_m(r, alpha, k)
+    value = _agnostic_floor(k, int(has_zero), r, m)
     case = "odd" if k % 2 else "even"
     return BoundResult(
         C3_4,
@@ -314,7 +297,7 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     _check_alpha(alpha, size)
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    value = min(p, _tri(size) - _tri(alpha) + 1)
+    value = min(p, _signed_floor(0, size, 0, 1, alpha))
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 

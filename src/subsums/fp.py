@@ -37,6 +37,11 @@ from .verifier import (
 # about half a minute, and p = 31 three times that again.
 PRIME_GUARD = 23
 
+# sigma_fp holds k + 1 count layers of p bits each; p = 10^8 with four
+# residues (5 * 10^8 bits) takes about 0.1 s, and one layer near
+# p = 10^9 is 125 MB, so anything above 2^30 bits is refused up front.
+_SIGMA_FP_BITS = 1 << 30
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; ample for the guarded range."""
@@ -103,9 +108,17 @@ def _insert(layers: list[int], x: int, p: int) -> list[int]:
 
 
 def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
-    """Residues reachable as subset sums with at least alpha members."""
+    """Residues reachable as subset sums with at least alpha members.
+    Raises BudgetExceeded before any layer is built when the (k + 1)
+    layers of p bits would exceed 2^30 bits."""
     if not 0 <= alpha <= a.size:
         raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
+    bits = (a.size + 1) * a.p
+    if bits > _SIGMA_FP_BITS:
+        raise BudgetExceeded(
+            f"sigma_fp needs {a.size + 1} count layers of p={a.p} bits, "
+            f"{bits} bits; budget is {_SIGMA_FP_BITS}"
+        )
     layers = [1]
     for x in a.elements:
         layers = _insert(layers, x, a.p)

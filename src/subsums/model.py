@@ -57,6 +57,18 @@ def size_window(alpha: int, total: int, mode: str) -> range:
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def _check_caps(count: int, lo: int, hi: int, limits: Limits) -> None:
+    """Refuse `count` distinct values in [lo, hi] that break the k cap,
+    then the magnitude cap."""
+    if count > limits.max_k:
+        raise ValueError(f"set has {count} elements; cap is {limits.max_k}")
+    worst = max(abs(lo), abs(hi))
+    if worst > limits.max_abs_value:
+        raise ValueError(
+            f"element magnitude {worst} exceeds cap {limits.max_abs_value}"
+        )
+
+
 @dataclass(frozen=True)
 class IntegerSet:
     """Nonempty set of distinct integers, kept sorted ascending."""
@@ -77,13 +89,7 @@ class IntegerSet:
         elems = tuple(sorted({int(v) for v in values}))
         if not elems:
             raise ValueError("integer set must be nonempty")
-        if len(elems) > limits.max_k:
-            raise ValueError(f"set has {len(elems)} elements; cap is {limits.max_k}")
-        worst = max(abs(elems[0]), abs(elems[-1]))
-        if worst > limits.max_abs_value:
-            raise ValueError(
-                f"element magnitude {worst} exceeds cap {limits.max_abs_value}"
-            )
+        _check_caps(len(elems), elems[0], elems[-1], limits)
         return cls(elems)
 
     @property
@@ -262,6 +268,11 @@ def parse_set(text: str, limits: Limits = DEFAULT_LIMITS) -> IntegerSet:
             raise ParseError(f"malformed interval literal: {text!r}") from None
         if hi < lo:
             raise ParseError(f"interval [{lo},{hi}] is empty")
+        # refuse from the endpoints before the range is materialised
+        try:
+            _check_caps(hi - lo + 1, lo, hi, limits)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         return _capped(range(lo, hi + 1), limits)
     raise ParseError(f"unrecognized set literal: {text!r}")
 

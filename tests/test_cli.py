@@ -59,6 +59,14 @@ class TestCompute:
         assert out == ""
         assert "error:" in err
 
+    def test_huge_interval_refused_before_it_is_built(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--set", "[0,1000000000000]", "--alpha", "0"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "set has 1000000000001 elements; cap is 64" in err
+
     def test_bad_literal(self, capsys):
         code, _, err = run(capsys, "compute", "--set", "{1,,2}", "--alpha", "0")
         assert code == EXIT_USAGE

@@ -88,6 +88,17 @@ class TestSigmaFp:
         with pytest.raises(ValueError):
             sigma_fp(FpSubset(7, (1, 2)), -1)
 
+    def test_large_field_within_budget(self):
+        # 5 layers of about 10^8 bits, under the 2^30-bit budget
+        sums = sigma_fp(FpSubset(100_000_007, (1, 2, 3, 5)), 0)
+        assert sums == tuple(range(12))
+
+    def test_oversize_refused_before_any_layer(self, monkeypatch):
+        # two layers of about 10^9 bits; refused before _insert is called
+        monkeypatch.setattr(fp, "_insert", None)
+        with pytest.raises(BudgetExceeded, match="2000000014 bits"):
+            sigma_fp(FpSubset(1_000_000_007, (1,)), 0)
+
     def test_wraparound_differs_from_integers(self):
         # 3 + 4 = 7 == 0 mod 7, so the field sum set wraps
         sums = sigma_fp(FpSubset(7, (3, 4)), 2)

@@ -1,11 +1,13 @@
-"""Golden bytes: campaign reports and record CSVs must not change.
+"""Golden bytes: campaign reports, record CSVs and the floor catalogue
+must not change.
 
 The digests were taken from the set, sequence and prime-field campaigns
 before the set path was folded into the r = 1 sequence path (p = 13
-before the prime-field verifier moved onto cyclic count layers); any change
-to a report body (every field but elapsed_ms) or to the CSV bytes fails
-here, so refactors of the engine, verifier or fp must reproduce them
-exactly.
+before the prime-field verifier moved onto cyclic count layers, the
+floor grid before the ten closed forms were derived from two shared
+expressions); any change to a report body (every field but elapsed_ms),
+to the CSV bytes or to one floor's JSON fails here, so refactors of the
+engine, verifier, fp or bounds must reproduce them exactly.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import json
 
 import pytest
 
+from subsums import bounds
 from subsums.fp import verify_balandraud
 from subsums.verifier import sweep_sequences, sweep_sets, write_records_csv
 
@@ -61,3 +64,52 @@ def test_sequence_sweep(tmp_path):
 )
 def test_prime_field(p, digest):
     assert report_digest(verify_balandraud(p)) == digest
+
+
+def floor_grid():
+    """Every public floor over k <= 25, r <= 6 and n, p <= 9 (each from
+    0, so the size checks fire too), alpha from -1 to one past its top."""
+    ks, rs, sides = range(26), range(7), range(10)
+    for k in ks:
+        for alpha in range(-1, k + 2):
+            yield bounds.bound_disjoint, (k, alpha)
+            yield bounds.bound_zero, (k, alpha)
+            for has_zero in (False, True):
+                yield bounds.bound_general, (k, alpha, has_zero)
+            for p in (1, 2, 7, 13, 1_000_000_007):
+                yield bounds.bound_fp, (k, alpha, p)
+        for r in rs:
+            for alpha in range(-1, r * k + 1):
+                yield bounds.bound_seq_disjoint, (k, r, alpha)
+                yield bounds.bound_seq_zero, (k, r, alpha)
+                for has_zero in (False, True):
+                    yield bounds.bound_seq_general, (k, r, alpha, has_zero)
+    for n in sides:
+        for p in sides:
+            for alpha in range(-1, n + p + 2):
+                yield bounds.bound_mixed, (n, p, alpha)
+            for alpha in range(-1, n + p + 3):
+                yield bounds.bound_mixed_zero, (n, p, alpha)
+            for r in rs:
+                for alpha in range(-1, r * (n + p) + 1):
+                    yield bounds.bound_seq_mixed, (n, p, r, alpha)
+                for alpha in range(-1, r * (n + p + 1) + 1):
+                    yield bounds.bound_seq_mixed_zero, (n, p, r, alpha)
+
+
+def test_floor_catalogue():
+    # one line per call: its name, arguments, and to_json() or the refusal
+    digest = hashlib.sha256()
+    rows = 0
+    for fn, args in floor_grid():
+        try:
+            out = fn(*args).to_json()
+        except ValueError:
+            out = "raised ValueError"
+        line = json.dumps([fn.__name__, args, out], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+        rows += 1
+    assert rows == 77583
+    assert digest.hexdigest() == (
+        "b819ea36af5837454e894fcd22aba76036084e76e351c2b286350057f5fe9054"
+    )

@@ -67,6 +67,17 @@ def test_parse_enforces_k_cap():
     assert parse_set("[1,65]", Limits(max_k=128)).k == 65
 
 
+def test_interval_caps_checked_from_endpoints(monkeypatch):
+    # the k cap, then the magnitude cap, fire before the range is built
+    monkeypatch.setattr(IntegerSet, "from_iterable", None)
+    with pytest.raises(ParseError, match="1000000000001 elements; cap is 64"):
+        parse_set("[0,1000000000000]")
+    with pytest.raises(ParseError, match="1000001 elements; cap is 64"):
+        parse_set("[999990,1999990]")
+    with pytest.raises(ParseError, match="magnitude 1000001 exceeds cap"):
+        parse_set("[999990,1000001]")
+
+
 def test_custom_limits_tighten():
     with pytest.raises(ParseError):
         parse_set("{100}", Limits(max_abs_value=50))
