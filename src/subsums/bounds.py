@@ -289,13 +289,27 @@ def bound_seq_general(k: int, r: int, alpha: int, has_zero: bool) -> BoundResult
     )
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first thirteen prime bases: exact below
+    3.3 * 10^24, a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
+            return False
+    return True
+
+
 def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     """Prime-field floor min(p, size(size+1)/2 - alpha(alpha+1)/2 + 1)
     for subsets of nonzero residues with no self-negation coincidence."""
     if size < 1:
         raise ValueError("size must be >= 1")
     _check_alpha(alpha, size)
-    if p < 2:
+    if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
     value = min(p, _signed_floor(0, size, 0, 1, alpha))
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})

@@ -6,13 +6,12 @@ set-valued entry points wrap their argument at r = 1.
 
 Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
-exactly c terms, where offset is the negated sum of the negative terms.
-Inserting a term x is then a single shift-or per layer, walking layers
-top-down so each term is used at most once; copies of equal value are
-interchangeable, so layer c ends up holding exactly the sums reachable
-with c terms. Intermediate indices never go negative: any partial
-selection's sum stays at or above the sum of the negative terms
-processed so far.
+exactly c terms. `extend_layers` is the one insertion: each copy of a
+term x is a shift-or per layer, top-down so each copy is used at most
+once. `sequence_layers` folds it over the sorted base, r copies each,
+with offset the negated sum of the negative terms, so no index goes
+negative; the verifier's sweep walk extends a parent's layers instead,
+at an offset that covers every instance of the walk.
 
 Thresholded queries union a window of layers; sizes are bit counts of
 that union, and only the sum-valued queries decode it. Folds read one
@@ -37,16 +36,28 @@ from .model import (
 )
 
 
+def extend_layers(layers: list[int], x: int, copies: int) -> list[int]:
+    """A new list of count layers: these plus `copies` copies of term x.
+    Every layer must be nonempty, and the offset must already cover any
+    negative sum the new terms reach."""
+    out = layers + [0] * copies
+    for top in range(len(layers) - 1, len(out) - 1):
+        # the sign test sits outside the layer loop, which it would slow
+        if x >= 0:
+            for c in range(top, -1, -1):
+                out[c + 1] |= out[c] << x
+        else:
+            for c in range(top, -1, -1):
+                out[c + 1] |= out[c] >> -x
+    return out
+
+
 def sequence_layers(s: RepSequence) -> tuple[list[int], int]:
     """Bitmaps of achievable sums per term count; returns (layers, offset)."""
-    terms = sorted(s.base.elements * s.r)
-    offset = -sum(x for x in terms if x < 0)
-    layers = [0] * (len(terms) + 1)
-    layers[0] = 1 << offset
-    for seen, x in enumerate(terms):
-        # layers 0..seen are all nonempty here, so none is skipped
-        for c in range(seen, -1, -1):
-            layers[c + 1] |= layers[c] << x if x >= 0 else layers[c] >> -x
+    offset = -s.r * sum(x for x in s.base.elements if x < 0)
+    layers = [1 << offset]
+    for x in s.base.elements:
+        layers = extend_layers(layers, x, s.r)
     return layers, offset
 
 

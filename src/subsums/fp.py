@@ -21,10 +21,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .bounds import T1_3, bound_fp
+from .bounds import T1_3, bound_fp, is_prime
 from .model import SumSet
 from .verifier import (
-    WITNESS_CAP,
     BudgetExceeded,
     CampaignReport,
     finish_report,
@@ -41,18 +40,6 @@ PRIME_GUARD = 23
 # residues (5 * 10^8 bits) takes about 0.1 s, and one layer near
 # p = 10^9 is 125 MB, so anything above 2^30 bits is refused up front.
 _SIGMA_FP_BITS = 1 << 30
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; ample for the guarded range."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -185,9 +172,8 @@ def verify_balandraud(p: int) -> CampaignReport:
         tuple(bound_fp(size, alpha, p).value for alpha in range(size + 1))
         for size in range(1, half + 1)
     ]
-    # note_minimum keeps a witness of size `got` for a cell iff got is
-    # below that cell's admit entry: its minimum, plus one while the
-    # cell holds fewer than WITNESS_CAP witnesses
+    # a literal is built only when note_minimum would keep it: below the
+    # admit threshold it last returned for the cell
     admit = [[p + 1] * (size + 1) for size in range(half + 1)]
     agg = new_aggregate()
     minima = agg["minima"]
@@ -211,12 +197,9 @@ def verify_balandraud(p: int) -> CampaignReport:
             elif got == floor:
                 tight += 1
             if got < cell_admit[alpha]:
-                if literal is None:
-                    literal = "{" + ",".join(map(str, lows + highs[::-1])) + "}"
-                key = (size, None, alpha)
-                note_minimum(minima, key, got, literal)
-                least, wits = minima[key]
-                cell_admit[alpha] = least + 1 if len(wits) < WITNESS_CAP else least
+                literal = literal or "{" + ",".join(map(str, lows + highs[::-1])) + "}"
+                cell_admit[alpha] = note_minimum(minima, (size, None, alpha), got,
+                                                 literal)
 
     _walk(p, visit)
     if tight:

@@ -1,46 +1,36 @@
 """Exhaustive verification campaigns over bounded universes.
 
-A sweep enumerates every k-subset of [-max_abs, max_abs] (optionally
-crossed with a range of multiplicities), computes the thresholded sum
-set for each alpha under the policy, compares it with every applicable
-floor, and aggregates: violation and tightness tallies plus the
-empirical minimum size per (k, r, alpha) cell with example witnesses.
+A sweep checks every k-subset of [-max_abs, max_abs], crossed with a
+range of multiplicities r for sequences, at each alpha of the policy
+against every applicable floor. It tallies violations and tight floors
+and keeps the least size per (k, r, alpha) cell with example witnesses.
+Sets are r = 1 sequences marked r = None: set floors, and cells with no r.
 
-Sets run as r = 1 sequences through one scan, chunk worker and sweep
-body; r = None marks a set, so it gets the set floors and its minima
-cells no r. Sizes are bit counts of the engine's suffix unions.
+The instances are the nodes of one depth-first walk over the ascending
+universe (`_walk`): a node's count layers are its parent's plus one
+`engine.extend_layers` insertion, and it carries its sign shape, which
+with r fixes k and every floor. Floors come from a per-unit table keyed
+by (r, shape), filled through `applicable_bounds`; tallies run inline.
 
-Floors depend only on the instance's shape: its multiplicity r and the
-sign profile of its base set, which also fixes k. Each instance is
-classified once; its floors for every alpha the policy selects are
-looked up in a table keyed by (r, sign profile). The table belongs to
-one chunk of instances and is filled from `bounds.applicable_bounds` on
-a miss, so it holds at most one chunk's shapes and is dropped with the
-chunk.
-
-`fp` fills the same aggregate and reports through `finish_report`.
-
-Determinism: instances are visited in lexicographic element order
-(ascending k, then ascending r); aggregation is associative and merged
-in instance order, so reports are identical for any worker count apart
-from the elapsed-time field. The process pool is never larger than the
-CPU count or the number of chunks. Work is refused up front, not
-truncated, when the instance-alpha pair count would exceed the budget.
+Determinism: each k's subsets come in combinations order, r ascending;
+with several workers each first-element subtree is a unit, merged in
+subtree order with records kept per k, so reports and record CSVs do not
+depend on the worker count. Work is refused up front when the pair count
+would exceed the budget. `fp` fills the same aggregate and finisher.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from math import comb, inf
+from typing import Callable, Iterable, Sequence
 
-from . import bounds, engine, oracle
+from . import engine, oracle
 from .bounds import BoundResult, applicable_bounds
 from .model import IntegerSet, RepSequence, SumSet
 
@@ -142,7 +132,8 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 
 def new_aggregate() -> dict:
     """Empty campaign tallies: counts, tight floors per theorem, minima
-    keyed by (k, r, alpha) with r None outside sequences, and records."""
+    keyed by (k, r, alpha) with r None outside sequences, and records
+    in lists keyed by k."""
     return {
         "instances": 0,
         "checks": 0,
@@ -150,21 +141,24 @@ def new_aggregate() -> dict:
         "oracle_checked": 0,
         "tight": Counter(),
         "minima": {},
-        "records": [],
+        "records": {},
     }
 
 
-def note_minimum(minima: dict, key: tuple, size: int, literal: str) -> None:
+def note_minimum(minima: dict, key: tuple, size: int, literal: str) -> int:
     """Keep the least size seen for a minima cell and up to WITNESS_CAP
-    literals attaining it, in the order seen."""
+    literals attaining it, in the order seen. Returns the cell's admit
+    threshold: a later literal is kept iff its size is below it."""
     cur = minima.get(key)
     if cur is None or size < cur[0]:
-        minima[key] = (size, [literal])
+        minima[key] = cur = (size, [literal])
     elif size == cur[0] and len(cur[1]) < WITNESS_CAP:
         cur[1].append(literal)
+    return cur[0] + (len(cur[1]) < WITNESS_CAP)
 
 
 def _merge_aggs(dst: dict, src: dict) -> None:
+    """Fold a later walk unit's aggregate into dst."""
     dst["instances"] += src["instances"]
     dst["checks"] += src["checks"]
     dst["violations"] += src["violations"]
@@ -173,7 +167,8 @@ def _merge_aggs(dst: dict, src: dict) -> None:
     for key, (size, wits) in src["minima"].items():
         for literal in wits:
             note_minimum(dst["minima"], key, size, literal)
-    dst["records"].extend(src["records"])
+    for k, recs in src["records"].items():
+        dst["records"].setdefault(k, []).extend(recs)
 
 
 def _alphas(policy, total: int) -> list[int]:
@@ -186,135 +181,128 @@ def _policy_echo(policy) -> object:
     return policy if policy == "all" else sorted(set(policy))
 
 
-# -- per-instance scans ------------------------------------------------
+# -- the depth-first walk ----------------------------------------------
 
-def _floor_rows(
-    table: dict, base: IntegerSet, r: int | None, policy
-) -> tuple[tuple[int, tuple[BoundResult, ...]], ...]:
-    """(alpha, floors) for every alpha the policy selects in [0, total].
+def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
+          mults: Sequence[int], offset: int, visit: Callable) -> None:
+    """Call visit(chosen, layer_sets, shape) on each subset of the ascending
+    values with a size in ks and its least element values[i], i in firsts:
+    depth first, next elements ascending, a node before its children, so
+    each size's subsets come in itertools.combinations order. Per m in
+    mults, a node's layers are its parent's plus m copies of its new
+    element, at an offset of at least max(mults) * max|v| * max(ks). shape
+    is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1 if
+    some x and -x both are. chosen is reused between calls."""
+    last, kmin, kmax = len(values), min(ks), max(ks)
+    tally = [size in ks for size in range(kmax + 1)]
+    chosen: list[int] = []
 
-    The floors depend only on r (None for sets) and the base's sign
-    profile, which also fixes k = n + p + has_zero; a miss fills the rows
-    from `applicable_bounds` on this instance.
-    """
-    key = (r, bounds.classify(base))
-    rows = table.get(key)
-    if rows is None:
-        instance = base if r is None else RepSequence(base, r)
-        rows = tuple(
-            (alpha, tuple(applicable_bounds(instance, alpha)))
-            for alpha in _alphas(policy, base.k * (r or 1))
-        )
-        table[key] = rows
-    return rows
+    def descend(indices: Iterable, layer_sets: list, shape: tuple, negs: int) -> None:
+        # negs has bit -x set for each chosen negative x
+        depth = len(chosen) + 1
+        n, p, zero, meet = shape
+        for i in indices:
+            x = values[i]
+            child = [engine.extend_layers(layers, x, m)
+                     for layers, m in zip(layer_sets, mults)]
+            if x < 0:
+                here, below = (n + 1, p, zero, meet), negs | 1 << -x
+            elif x:
+                here, below = (n, p + 1, zero, meet | negs >> x & 1), negs
+            else:
+                here, below = (n, p, 1, meet), negs
+            chosen.append(x)
+            if tally[depth]:
+                visit(chosen, child, here)
+            if depth < kmax:
+                # a child at index j needs kmin - depth - 1 elements above j
+                stop = min(last, last - kmin + depth + 1)
+                descend(range(i + 1, stop), child, here, below)
+            chosen.pop()
 
-
-def _check_bounds(agg: dict, floors: tuple[BoundResult, ...], size: int
-                  ) -> bool:
-    """Tally one (instance, alpha) pair; True when a floor is violated."""
-    violation = False
-    tight = agg["tight"]
-    for bound in floors:
-        if bound.value > size:
-            violation = True
-        elif bound.value == size:
-            tight[bound.theorem_id] += 1
-    agg["checks"] += len(floors)
-    if violation:
-        agg["violations"] += 1
-    return violation
-
-
-def _bound_checks(floors: tuple[BoundResult, ...], size: int
-                  ) -> tuple[BoundCheck, ...]:
-    return tuple(BoundCheck(bound, bound.value == size) for bound in floors)
+    descend(firsts, [[1 << offset] for _ in mults], (0, 0, 0, 0), 0)
 
 
-def _oracle_suffixes(by_size: list[set[int]]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()] * len(by_size)
-    acc: set[int] = set()
-    for c in range(len(by_size) - 1, -1, -1):
-        acc |= by_size[c]
-        out[c] = tuple(sorted(acc))
-    return out
+def _shape_rows(elems: Sequence[int], r: int | None, policy, collect: bool) -> tuple:
+    """Floors of elems' shape at r (None for a set), via `applicable_bounds`:
+    the checks per instance, and per policy alpha a row (alpha, ((value,
+    theorem_id), ...), BoundResults if records are collected, else None)."""
+    base = IntegerSet(tuple(elems))
+    instance = base if r is None else RepSequence(base, r)
+    rows = []
+    for alpha in _alphas(policy, len(elems) * (r or 1)):
+        floors = tuple(applicable_bounds(instance, alpha))
+        pairs = tuple((b.value, b.theorem_id) for b in floors)
+        rows.append((alpha, pairs, floors if collect else None))
+    return sum(len(row[1]) for row in rows), tuple(rows)
 
 
-def _scan(agg: dict, table: dict, elems: tuple[int, ...], r: int | None,
-          policy, use_oracle: bool, collect: bool) -> None:
-    """Check one instance at every alpha: the set elems when r is None,
-    else elems repeated r times."""
-    base = IntegerSet(elems)
-    seq = RepSequence(base, r or 1)
-    layers, offset = engine.sequence_layers(seq)
-    suffix = engine.suffix_unions(layers)
-    literal = base.literal()
-    expected = None
-    if use_oracle:
-        by_size = (oracle.subset_sums_by_size(base) if r is None
-                   else oracle.sequence_sums_by_size(seq))
-        expected = _oracle_suffixes(by_size)
-    k = len(elems)
-    minima = agg["minima"]
-    records = agg["records"]
-    agg["instances"] += 1
-    for alpha, floors in _floor_rows(table, base, r, policy):
-        bitmap = suffix[alpha]
-        size = bitmap.bit_count()
-        if expected is not None:
-            if SumSet.from_bitmap(bitmap, offset).sums != expected[alpha]:
-                where = literal if r is None else f"{literal} r={r}"
-                raise RuntimeError(
-                    f"engine/oracle mismatch on {where} alpha={alpha}"
-                )
-            agg["oracle_checked"] += 1
-        violation = _check_bounds(agg, floors, size)
-        note_minimum(minima, (k, r, alpha), size, literal)
-        if collect:
-            records.append(
-                VerificationRecord(
-                    literal, r, alpha, size, _bound_checks(floors, size),
-                    use_oracle, violation,
-                )
-            )
+def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
+    """Per alpha, the sorted sums with at least alpha terms, enumerated."""
+    seq = RepSequence(IntegerSet(tuple(elems)), r or 1)
+    out, acc = [], set()
+    for sums in reversed(oracle.sequence_sums_by_size(seq)):
+        acc |= sums
+        out.append(tuple(sorted(acc)))
+    return out[::-1]
 
 
-def _chunk_worker(payload) -> dict:
-    chunk, policy, use_oracle, collect = payload
+def _walk_unit(payload) -> dict:
+    """The aggregate of the subtrees starting at values[i], i in firsts, at
+    every r in rs (None for sets). Floor rows live in a table per r keyed
+    by shape; a literal is built only below its cell's admit threshold."""
+    values, firsts, ks, rs, policy, use_oracle, collect = payload
+    mults = [r or 1 for r in rs]
+    offset = max(mults) * max(ks) * max(map(abs, values), default=0)
     agg = new_aggregate()
-    table: dict = {}
-    for elems, r in chunk:
-        _scan(agg, table, elems, r, policy, use_oracle, collect)
-    return agg
+    minima, tight, by_k = agg["minima"], agg["tight"], agg["records"]
+    tables: list[dict] = [{} for _ in rs]
+    admits: dict[tuple, list] = {}
+    instances = checks = violations = oracle_checked = 0
 
+    def visit(chosen: list[int], layer_sets: list, shape: tuple) -> None:
+        nonlocal instances, checks, violations, oracle_checked
+        k = len(chosen)
+        literal = None
+        if collect or use_oracle:
+            literal = "{" + ",".join(map(str, chosen)) + "}"
+        instances += len(rs)
+        for r, table, layers in zip(rs, tables, layer_sets):
+            entry = table.get(shape)
+            if entry is None:
+                entry = table[shape] = _shape_rows(chosen, r, policy, collect)
+            checks += entry[0]
+            suffix = engine.suffix_unions(layers)
+            admit = admits.setdefault((k, r), [inf] * len(layers))
+            expected = _oracle_suffixes(chosen, r) if use_oracle else None
+            for alpha, pairs, floors in entry[1]:
+                size = suffix[alpha].bit_count()
+                violation = False
+                for value, theorem_id in pairs:
+                    if value > size:
+                        violation = True
+                    elif value == size:
+                        tight[theorem_id] += 1
+                violations += violation
+                if size < admit[alpha]:
+                    literal = literal or "{" + ",".join(map(str, chosen)) + "}"
+                    admit[alpha] = note_minimum(minima, (k, r, alpha), size, literal)
+                if expected is not None:
+                    decoded = SumSet.from_bitmap(suffix[alpha], offset).sums
+                    if decoded != expected[alpha]:
+                        where = literal if r is None else f"{literal} r={r}"
+                        raise RuntimeError(
+                            f"engine/oracle mismatch on {where} alpha={alpha}"
+                        )
+                    oracle_checked += 1
+                if collect:
+                    checked = tuple(BoundCheck(b, b.value == size) for b in floors)
+                    by_k.setdefault(k, []).append(VerificationRecord(
+                        literal, r, alpha, size, checked, use_oracle, violation))
 
-def _chunks(items: Iterable, size: int) -> Iterator[list]:
-    batch: list = []
-    for item in items:
-        batch.append(item)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def _run_chunked(instances, count: int, policy, use_oracle, collect,
-                 workers: int) -> dict:
-    """Scan `count` instances in chunks; the pool never has more processes
-    than CPUs or chunks, since a fork pool starts all of them at once."""
-    agg = new_aggregate()
-    payloads = (
-        (chunk, policy, use_oracle, collect)
-        for chunk in _chunks(instances, _CHUNK)
-    )
-    procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK))
-    if procs <= 1:
-        for payload in payloads:
-            _merge_aggs(agg, _chunk_worker(payload))
-    else:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            for partial in pool.map(_chunk_worker, payloads):
-                _merge_aggs(agg, partial)
+    _walk(values, firsts, ks, mults, offset, visit)
+    agg.update(instances=instances, checks=checks, violations=violations,
+               oracle_checked=oracle_checked)
     return agg
 
 
@@ -354,16 +342,21 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise BudgetExceeded(
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
         )
+    # the pool is never larger than the CPU count, the subtrees or the
+    # count's _CHUNK-instance shares: a fork pool starts all of them at once
     values = range(-max_abs, max_abs + 1)
-    instances = (
-        (elems, r)
-        for k in ks
-        for elems in itertools.combinations(values, k)
-        for r in rs
-    )
     count = sum(subsets.values()) * len(rs)
-    agg = _run_chunked(instances, count, alpha_policy, oracle_check,
-                       collect_records, workers)
+    procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(values))
+    common = (ks, rs, alpha_policy, oracle_check, collect_records)
+    firsts = range(len(values))
+    if procs <= 1:
+        agg = _walk_unit((values, firsts) + common)
+    else:
+        agg = new_aggregate()
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            for part in pool.map(_walk_unit,
+                                 ((values, [i]) + common for i in firsts)):
+                _merge_aggs(agg, part)
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs
@@ -408,7 +401,7 @@ def finish_report(universe: dict, agg: dict, started: float
                   ) -> CampaignReport:
     """The report of a filled aggregate: minima cells in key order, each
     with an r field only when its key has one; elapsed time since
-    `started` (a perf_counter reading)."""
+    `started` (a perf_counter reading); records k by k."""
     minima = []
     for (k, r, alpha) in sorted(agg["minima"]):
         size, wits = agg["minima"][k, r, alpha]
@@ -429,7 +422,7 @@ def finish_report(universe: dict, agg: dict, started: float
         tight_by_theorem=dict(agg["tight"]),
         minima=minima,
         elapsed_ms=elapsed_ms,
-        records=agg["records"],
+        records=[rec for k in sorted(agg["records"]) for rec in agg["records"][k]],
     )
 
 
@@ -455,34 +448,32 @@ def empirical_minimum(
     if zero_policy not in ("any", "require", "forbid"):
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)
-    nonzero = [v for v in range(-max_abs, max_abs + 1) if v != 0]
+    values = range(-max_abs, max_abs + 1)
     if zero_policy == "any":
         count = comb(2 * max_abs + 1, k)
-        candidates: Iterable[Sequence[int]] = itertools.combinations(
-            range(-max_abs, max_abs + 1), k
-        )
     elif zero_policy == "forbid":
         count = comb(2 * max_abs, k)
-        candidates = itertools.combinations(nonzero, k)
+        values = [v for v in values if v]
     else:
         count = comb(2 * max_abs, k - 1)
-        candidates = (
-            tuple(sorted(rest + (0,)))
-            for rest in itertools.combinations(nonzero, k - 1)
-        )
     if count > budget:
         raise BudgetExceeded(
             f"minimum search needs {count} instances; budget is {budget}"
         )
     best: int | None = None
     wits: list[IntegerSet] = []
-    for elems in candidates:
-        inst = IntegerSet(tuple(elems))
-        size = engine.sigma_size(RepSequence(inst, 1), alpha)
+
+    def visit(chosen: list[int], layer_sets: list, shape: tuple) -> None:
+        nonlocal best, wits
+        if zero_policy == "require" and not shape[2]:
+            return
+        size = engine.union_layers(layer_sets[0], range(alpha, k + 1)).bit_count()
         if best is None or size < best:
-            best, wits = size, [inst]
+            best, wits = size, [IntegerSet(tuple(chosen))]
         elif size == best and len(wits) < witness_cap:
-            wits.append(inst)
+            wits.append(IntegerSet(tuple(chosen)))
+
+    _walk(values, range(len(values)), [k], [1], k * max_abs, visit)
     if best is None:
         raise ValueError("universe is empty; increase max_abs or lower k")
     return best, wits

@@ -20,6 +20,7 @@ from subsums.bounds import (
     bound_seq_mixed_zero,
     bound_seq_zero,
     bound_zero,
+    is_prime,
     m_index,
     min_fold_size,
     min_sumset_size,
@@ -329,6 +330,41 @@ class TestPrimeFieldFloor:
             bound_fp(3, 4, 7)
         with pytest.raises(ValueError):
             bound_fp(3, 1, 1)
+
+    @pytest.mark.parametrize("p", [4, 9, 561, (10**9 + 7) * (10**9 + 9)])
+    def test_rejects_composite_p(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            bound_fp(3, 1, p)
+
+    def test_large_prime_accepted(self):
+        assert bound_fp(3, 1, 10**9 + 7).value == 6
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(is_prime(n) == trial(n) for n in range(-3, 20000))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first 1, 2, ..., 12 prime
+        # bases, each shown composite by a factor pair
+        for n, d in [
+            (2047, 23),
+            (1373653, 829),
+            (25326001, 2251),
+            (3215031751, 151),
+            (2152302898747, 6763),
+            (3474749660383, 1303),
+            (341550071728321, 10670053),
+            (3825123056546413051, 149491),
+            (318665857834031151167461, 399165290221),
+        ]:
+            assert n % d == 0 and not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(10**9 + 7) and is_prime(2**61 - 1) and is_prime(2**89 - 1)
 
 
 class TestRangeValidation:

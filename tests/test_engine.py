@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from subsums.engine import (
     add_sets,
+    extend_layers,
     fold_fast,
     h_fold,
     sequence_layers,
@@ -238,6 +239,25 @@ def test_suffix_unions_are_at_least_windows():
         for layer in layers[c:]:
             window |= layer
         assert suffix[c] == window
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+    st.integers(1, 3),
+    st.integers(0, 40),
+)
+def test_extend_layers_at_a_wider_offset(values, r, pad):
+    # a walk extends a parent's layers at an offset wider than the
+    # sequence's own: the layers are the same, shifted by the extra pad
+    s = RepSequence(IntegerSet(tuple(sorted(values))), r)
+    layers, offset = sequence_layers(s)
+    parent = [1 << (offset + pad)]
+    for x in s.base.elements:
+        before = list(parent)
+        child = extend_layers(parent, x, r)
+        assert parent == before  # the parent's list is left as it was
+        parent = child
+    assert parent == [layer << pad for layer in layers]
 
 
 def test_as_sequence():

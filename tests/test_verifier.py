@@ -2,14 +2,16 @@
 refusal, empirical minima, and report serialization."""
 
 import csv
+import itertools
 import json
 
 import pytest
 
-from subsums import verifier
+from subsums import engine, verifier
 from subsums.bounds import applicable_bounds
-from subsums.model import parse_sequence, parse_set
+from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
 from subsums.verifier import (
+    WITNESS_CAP,
     BudgetExceeded,
     CampaignReport,
     empirical_minimum,
@@ -114,6 +116,67 @@ class TestDeterminism:
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
         assert a == b
+
+
+class TestRecordsAcrossWorkers:
+    """The record CSV bytes do not depend on the worker count."""
+
+    @pytest.mark.parametrize("sweep", [
+        lambda workers: sweep_sets(3, range(1, 6), workers=workers,
+                                   collect_records=True),
+        lambda workers: sweep_sequences(2, range(1, 4), range(1, 4),
+                                        workers=workers, collect_records=True),
+    ], ids=["sets", "sequences"])
+    def test_csv_bytes(self, sweep, tmp_path, monkeypatch):
+        # small shares, so two processes each walk several subtrees
+        monkeypatch.setattr(verifier, "_CHUNK", 16)
+        blobs = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.csv"
+            write_records_csv(sweep(workers).records, str(path))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+def brute_force(max_abs, ks, rs):
+    """Minima cells and record keys of a sweep, recomputed per instance:
+    itertools.combinations, then engine.sigma_size at every alpha."""
+    minima, keys = {}, []
+    for k in ks:
+        for elems in itertools.combinations(range(-max_abs, max_abs + 1), k):
+            literal = IntegerSet(elems).literal()
+            for r in rs:
+                seq = RepSequence(IntegerSet(elems), r or 1)
+                for alpha in range(seq.length + 1):
+                    keys.append((literal, r, alpha))
+                    size = engine.sigma_size(seq, alpha)
+                    best, wits = minima.get((k, r, alpha), (size + 1, []))
+                    if size < best:
+                        minima[k, r, alpha] = (size, [literal])
+                    elif size == best and len(wits) < WITNESS_CAP:
+                        wits.append(literal)
+    cells = []
+    for (k, r, alpha), (size, wits) in sorted(minima.items()):
+        cell = {"k": k} if r is None else {"k": k, "r": r}
+        cells.append(dict(cell, alpha=alpha, size=size, witnesses=wits))
+    return cells, keys
+
+
+class TestAgainstBruteForce:
+    """Every minima cell, with its witness list, and the record order
+    (k, combinations, r, alpha) equal a per-instance recomputation."""
+
+    def test_sets(self):
+        rep = sweep_sets(3, range(1, 6), collect_records=True)
+        cells, keys = brute_force(3, range(1, 6), [None])
+        assert rep.minima == cells
+        assert [(rec.instance, rec.r, rec.alpha) for rec in rep.records] == keys
+
+    def test_sequences(self):
+        rep = sweep_sequences(2, range(1, 4), range(1, 5), collect_records=True)
+        cells, keys = brute_force(2, range(1, 4), range(1, 5))
+        assert rep.minima == cells
+        assert [(rec.instance, rec.r, rec.alpha) for rec in rep.records] == keys
 
 
 class _RecordingPool:
