@@ -8,14 +8,14 @@ Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
 exactly c terms. `extend_layers` is the one insertion: each copy of a
 term x is a shift-or per layer, top-down so each copy is used at most
-once. `sequence_layers` folds it over the sorted base, r copies each,
-with offset the negated sum of the negative terms, so no index goes
-negative; the verifier's sweep walk extends a parent's layers instead,
+once. `sequence_layers` folds it over the sorted base, r copies each, up
+to the top layer its caller reads (one bottom-up pass per term when
+r >= top); the verifier's sweep walk extends a parent's layers instead,
 at an offset that covers every instance of the walk.
 
 Thresholded queries union a window of layers; sizes are bit counts of
-that union, and only the sum-valued queries decode it. Folds read one
-layer. All public functions return sums sorted ascending.
+that union, and only the sum-valued queries decode it. A fold of any
+kind reads layer h. All public functions return sums sorted ascending.
 """
 
 from __future__ import annotations
@@ -52,12 +52,37 @@ def extend_layers(layers: list[int], x: int, copies: int) -> list[int]:
     return out
 
 
-def sequence_layers(s: RepSequence) -> tuple[list[int], int]:
-    """Bitmaps of achievable sums per term count; returns (layers, offset)."""
-    offset = -s.r * sum(x for x in s.base.elements if x < 0)
-    layers = [1 << offset]
+def sequence_layers(
+    s: RepSequence, top: int | None = None
+) -> tuple[list[int], int]:
+    """Bitmaps of achievable sums per term count, layers 0..top (default
+    r*k); returns (layers, offset), the offset minus the least sum of at
+    most top terms. When r >= top the multiplicity cap cannot bind, so
+    each term is one ascending pass that reuses it freely."""
+    r = s.r
+    top = s.length if top is None else top
+    if not 0 <= top <= s.length:
+        raise ValueError(f"top={top} out of range [0, {s.length}]")
+    # the i-th least term, if negative, is taken min(r, top - r*i) times
+    offset = -sum(
+        x * min(r, max(top - r * i, 0))
+        for i, x in enumerate(s.base.elements)
+        if x < 0
+    )
+    if r < top:
+        layers = [1 << offset]
+        for x in s.base.elements:
+            # layers above top may drop bits below the offset; they are cut
+            layers = extend_layers(layers, x, r)[: top + 1]
+        return layers, offset
+    layers = [1 << offset] + [0] * top
     for x in s.base.elements:
-        layers = extend_layers(layers, x, s.r)
+        if x >= 0:
+            for c in range(top):
+                layers[c + 1] |= layers[c] << x
+        else:
+            for c in range(top):
+                layers[c + 1] |= layers[c] >> -x
     return layers, offset
 
 
@@ -81,7 +106,7 @@ def suffix_unions(layers: list[int]) -> list[int]:
 
 def _window_bitmap(s: RepSequence, alpha: int, mode: str) -> tuple[int, int]:
     window = size_window(alpha, s.length, mode)
-    layers, offset = sequence_layers(s)
+    layers, offset = sequence_layers(s, window[-1])
     return union_layers(layers, window), offset
 
 
@@ -118,12 +143,9 @@ def h_fold(a: IntegerSet, h: int) -> SumSet:
     """h-term repeated-sum set with unrestricted multiplicity, h >= 1."""
     if h < 1:
         raise ValueError("fold count h must be >= 1 (h = 0 is the zero singleton)")
-    single = SumSet.from_iterable(a.elements)
-    acc = single
-    for _ in range(h - 1):
-        acc = add_sets(acc, single)
-    assert acc.size >= min_fold_size(h, a.k)
-    return acc
+    out = fold_fast(a, h, UNRESTRICTED)
+    assert out.size >= min_fold_size(h, a.k)
+    return out
 
 
 def fold_fast(
@@ -133,14 +155,16 @@ def fold_fast(
 
     kind "unrestricted" allows any multiplicity, "restricted" at most one
     use per element (h <= k), "generalized" at most r uses (h <= r*k).
+    Each is layer h of the count-layer DP; unrestricted runs it at r = h,
+    since h terms never use one element more than h times.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
     if h == 0:
         return SumSet((0,))
     if kind == UNRESTRICTED:
-        return h_fold(a, h)
-    if kind == RESTRICTED:
+        r = h
+    elif kind == RESTRICTED:
         if h > a.k:
             raise ValueError(f"restricted fold needs h <= k, got h={h}, k={a.k}")
         r = 1
@@ -153,5 +177,5 @@ def fold_fast(
             )
     else:
         raise ValueError(f"unknown fold kind {kind!r}")
-    layers, offset = sequence_layers(RepSequence(a, r))
+    layers, offset = sequence_layers(RepSequence(a, r), h)
     return SumSet.from_bitmap(layers[h], offset)

@@ -199,11 +199,14 @@ class SumSet:
         """Decode a bitmap where bit i means sum i - offset is achievable."""
         if bitmap <= 0:
             raise ValueError("bitmap must have at least one bit set")
+        # bits least significant first: one C-level pass over the width,
+        # then one find per sum
+        bits = bin(bitmap)[:1:-1]
         out = []
-        while bitmap:
-            low = bitmap & -bitmap
-            out.append(low.bit_length() - 1 - offset)
-            bitmap ^= low
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i - offset)
+            i = bits.find("1", i + 1)
         return cls(tuple(out))
 
     def to_bitmap(self) -> tuple[int, int]:

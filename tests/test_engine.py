@@ -3,11 +3,14 @@ and the algebraic identities must hold on exhaustive small universes.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from subsums.bounds import min_fold_size
 from subsums.engine import (
     add_sets,
     extend_layers,
@@ -258,6 +261,63 @@ def test_extend_layers_at_a_wider_offset(values, r, pad):
         assert parent == before  # the parent's list is left as it was
         parent = child
     assert parent == [layer << pad for layer in layers]
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+    st.integers(1, 4),
+)
+@example([-6, -5, -4, -3, -2], 4)  # all negative
+@example([-1, 0, 6], 1)
+@example([3], 2)  # k = 1
+def test_capped_layers_are_the_uncapped_ones(values, r):
+    # top <= r takes the ascending pass, top > r the descending one
+    s = RepSequence(IntegerSet(tuple(sorted(values))), r)
+    full, full_offset = sequence_layers(s)
+    for top in range(s.length + 1):
+        layers, offset = sequence_layers(s, top)
+        assert len(layers) == top + 1
+        assert [layer << (full_offset - offset) for layer in layers] == full[
+            : top + 1
+        ]
+        # the offset is the least kept sum's, so some kept layer has bit 0
+        assert any(layer & 1 for layer in layers)
+
+
+def test_sequence_layers_refuses_top_out_of_range():
+    s = RepSequence(iset(-1, 2), 2)
+    for top in (-1, 5):
+        with pytest.raises(ValueError):
+            sequence_layers(s, top)
+
+
+@given(
+    st.sets(st.integers(-6, 6), min_size=2, max_size=4).filter(
+        lambda v: min(v) < 0
+    ),
+    st.integers(1, 6),
+)
+@example({-6, -5}, 6)
+@example({-2, 0, 5}, 4)
+def test_unrestricted_fold_matches_oracle_and_descending_dp(values, h):
+    # the uncapped DP at r = h, k >= 2 inserts each copy with a
+    # descending pass, independent of the ascending one the fold runs
+    a = IntegerSet.from_iterable(values)
+    got = fold_fast(a, h, "unrestricted")
+    assert got == oracle_fold(a, h, "unrestricted")
+    layers, offset = sequence_layers(RepSequence(a, h))
+    assert got == SumSet.from_bitmap(layers[h], offset)
+
+
+def test_unrestricted_fold_k40_h20_within_5s():
+    rng = random.Random(20)
+    a = IntegerSet.from_iterable(rng.sample(range(-(10**4), 10**4 + 1), 40))
+    started = time.perf_counter()
+    out = fold_fast(a, 20, "unrestricted")
+    assert time.perf_counter() - started < 5.0
+    assert (out.min_sum, out.max_sum) == (20 * a.elements[0], 20 * a.elements[-1])
+    assert out.size >= min_fold_size(20, a.k)
+    assert h_fold(a, 20) == out
 
 
 def test_as_sequence():

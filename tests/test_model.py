@@ -1,7 +1,7 @@
 """Domain-type tests: parsing, classification, and SumSet round trips."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subsums.model import (
@@ -207,3 +207,19 @@ def test_sumset_bitmap_round_trip(values):
     bitmap, offset = s.to_bitmap()
     assert SumSet.from_bitmap(bitmap, offset) == s
     assert offset == -s.min_sum
+
+
+@given(
+    st.sets(st.integers(0, 10**6), min_size=1, max_size=12),
+    st.integers(-(10**6), 10**6),
+)
+@example({0, 10**6}, 0)
+@example({10**6}, 10**6)
+@example({0}, -3)
+def test_sumset_from_bitmap_sparse_and_wide(positions, offset):
+    # bits far apart on a wide map, at any offset, not only -min_sum
+    bitmap = sum(1 << i for i in positions)
+    s = SumSet.from_bitmap(bitmap, offset)
+    assert s.sums == tuple(sorted(i - offset for i in positions))
+    low = min(positions)
+    assert s.to_bitmap() == (bitmap >> low, offset - low)
