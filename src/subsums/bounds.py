@@ -1,5 +1,6 @@
-"""Closed-form size floors for thresholded sum sets, plus a dispatcher
-that lists every floor applicable to a given instance.
+"""Closed-form size floors for thresholded sum sets, plus one dispatch,
+keyed by sign shape and r, that lists every floor applicable to an
+instance.
 
 A set is the r = 1 case of a sequence, so the ten set and sequence
 floors come from two shared expressions, with T(x) = x(x+1)/2:
@@ -315,54 +316,77 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 
-def applicable_bounds(
-    instance: IntegerSet | RepSequence, alpha: int
-) -> list[BoundResult]:
-    """Every floor whose hypotheses the instance satisfies at this alpha.
+def shape_floors(
+    n: int, p: int, zero: int, meet: int, r: int | None, alpha: int
+) -> list[tuple[int, str]]:
+    """(value, theorem_id) of every floor whose hypotheses hold at alpha
+    for n negatives, p positives and `zero` zeros (0 or 1), where meet
+    is 1 if some x and -x are both present: a set when r is None, else
+    that base repeated r times. This is the one home of the
+    applicability rules; `applicable_bounds` resolves each pair to its
+    BoundResult.
 
     Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k],
     where the degenerate alpha = r*k query matches no floor and yields
     an empty list (the achievable set is the singleton full sum).
     """
-    if isinstance(instance, RepSequence):
-        return _applicable_seq(instance, alpha)
-    return _applicable_set(instance, alpha)
-
-
-def _applicable_set(a: IntegerSet, alpha: int) -> list[BoundResult]:
-    _check_alpha(alpha, a.k)
-    prof = classify(a)
-    out: list[BoundResult] = []
-    if prof.self_disjoint:
-        out.append(bound_disjoint(a.k, alpha))
-    if prof.self_meet_zero:
-        out.append(bound_zero(a.k, alpha))
-    if prof.n >= 1 and prof.p >= 1:
-        if prof.has_zero:
-            out.append(bound_mixed_zero(prof.n, prof.p, alpha))
-        else:
-            out.append(bound_mixed(prof.n, prof.p, alpha))
-    if a.k >= 2:
-        out.append(bound_general(a.k, alpha, prof.has_zero))
-    return out
-
-
-def _applicable_seq(s: RepSequence, alpha: int) -> list[BoundResult]:
-    _check_alpha(alpha, s.length)
-    if alpha == s.length:
+    k = n + p + zero
+    if k < 1:
+        raise ValueError("a shape needs at least one element")
+    seq = r is not None
+    if seq and r < 1:
+        raise ValueError("r must be >= 1")
+    reps = r if seq else 1
+    _check_alpha(alpha, reps * k)
+    if seq and alpha == reps * k:
         return []
-    prof = classify(s.base)
-    k, r = s.base.k, s.r
-    out: list[BoundResult] = []
-    if k >= 2 and prof.self_disjoint:
-        out.append(bound_seq_disjoint(k, r, alpha))
-    if k >= 2 and prof.self_meet_zero:
-        out.append(bound_seq_zero(k, r, alpha))
-    if prof.n >= 1 and prof.p >= 1:
-        if prof.has_zero:
-            out.append(bound_seq_mixed_zero(prof.n, prof.p, r, alpha))
+    out = []
+    # the disjoint and zero floors need k >= 2 for sequences, k >= 1 for sets
+    if not meet and k > seq:
+        if zero:
+            out.append((_signed_floor(0, k - 1, 1, reps, alpha),
+                        T3_1_ZERO if seq else C2_2))
         else:
-            out.append(bound_seq_mixed(prof.n, prof.p, r, alpha))
-    if k >= 3:
-        out.append(bound_seq_general(k, r, alpha, prof.has_zero))
+            out.append((_signed_floor(0, k, 0, reps, alpha),
+                        T3_1_DISJOINT if seq else T2_1))
+    if n and p:
+        if zero:
+            theorem_id = C3_3 if seq else C2_4
+        else:
+            theorem_id = T3_2 if seq else T2_3
+        out.append((_signed_floor(n, p, zero, reps, alpha), theorem_id))
+    if k > 1 + seq:
+        if seq:
+            out.append((_agnostic_floor(k, zero, r, alpha // r + 1), C3_4))
+        else:
+            out.append((_agnostic_floor(k, zero, 1, alpha), C2_5))
     return out
+
+
+def applicable_bounds(
+    instance: IntegerSet | RepSequence, alpha: int
+) -> list[BoundResult]:
+    """Every floor whose hypotheses the instance satisfies at this alpha:
+    the instance's sign shape through `shape_floors`, each pair built by
+    its public constructor. Alpha ranges as in `shape_floors`."""
+    if isinstance(instance, RepSequence):
+        base, r = instance.base, instance.r
+    else:
+        base, r = instance, None
+    prof = classify(base)
+    k, n, p, has_zero = base.k, prof.n, prof.p, prof.has_zero
+    meet = not (prof.self_disjoint or prof.self_meet_zero)
+    build = {
+        T2_1: lambda: bound_disjoint(k, alpha),
+        C2_2: lambda: bound_zero(k, alpha),
+        T2_3: lambda: bound_mixed(n, p, alpha),
+        C2_4: lambda: bound_mixed_zero(n, p, alpha),
+        C2_5: lambda: bound_general(k, alpha, has_zero),
+        T3_1_DISJOINT: lambda: bound_seq_disjoint(k, r, alpha),
+        T3_1_ZERO: lambda: bound_seq_zero(k, r, alpha),
+        T3_2: lambda: bound_seq_mixed(n, p, r, alpha),
+        C3_3: lambda: bound_seq_mixed_zero(n, p, r, alpha),
+        C3_4: lambda: bound_seq_general(k, r, alpha, has_zero),
+    }
+    floors = shape_floors(n, p, int(has_zero), int(meet), r, alpha)
+    return [build[theorem_id]() for _, theorem_id in floors]

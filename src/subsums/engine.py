@@ -6,10 +6,11 @@ set-valued entry points wrap their argument at r = 1.
 
 Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
-exactly c terms. `extend_layers` is the one insertion: each copy of a
-term x is a shift-or per layer, top-down so each copy is used at most
-once. `sequence_layers` folds it over the sorted base, r copies each, up
-to the top layer its caller reads (one bottom-up pass per term when
+exactly c terms. `extend_layers` is the one insertion: r copies of a
+term x go in as binary parts 1, 2, 4, ..., rest, each one top-down
+shift-or pass over the layers, so bit_length(r) passes per term.
+`sequence_layers` folds it over the sorted base, r copies each, up to
+the top layer its caller reads (one bottom-up pass per term when
 r >= top); the verifier's sweep walk extends a parent's layers instead,
 at an offset that covers every instance of the walk.
 
@@ -39,16 +40,28 @@ from .model import (
 def extend_layers(layers: list[int], x: int, copies: int) -> list[int]:
     """A new list of count layers: these plus `copies` copies of term x.
     Every layer must be nonempty, and the offset must already cover any
-    negative sum the new terms reach."""
+    negative sum the new terms reach.
+
+    The copies go in as binary parts 1, 2, 4, ..., rest, each a
+    top-down pass that adds w copies (w*x, w terms) at most once; every
+    count 0..copies is a sum of distinct parts, so bit_length(copies)
+    passes give the layers of `copies` one-copy passes."""
     out = layers + [0] * copies
-    for top in range(len(layers) - 1, len(out) - 1):
+    top, w = len(layers) - 1, 1
+    while copies:
+        if w > copies:
+            w = copies
+        shift = w * x
         # the sign test sits outside the layer loop, which it would slow
-        if x >= 0:
+        if shift >= 0:
             for c in range(top, -1, -1):
-                out[c + 1] |= out[c] << x
+                out[c + w] |= out[c] << shift
         else:
             for c in range(top, -1, -1):
-                out[c + 1] |= out[c] >> -x
+                out[c + w] |= out[c] >> -shift
+        top += w
+        copies -= w
+        w += w
     return out
 
 

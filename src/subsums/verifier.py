@@ -10,7 +10,9 @@ The instances are the nodes of one depth-first walk over the ascending
 universe (`_walk`): a node's count layers are its parent's plus one
 `engine.extend_layers` insertion, and it carries its sign shape, which
 with r fixes k and every floor. Floors come from a per-unit table keyed
-by (r, shape), filled through `applicable_bounds`; tallies run inline.
+by (r, shape), filled from the shape by `bounds.shape_floors`;
+`applicable_bounds` runs only when records are collected, for their
+BoundResults. Tallies run inline.
 
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
@@ -31,7 +33,7 @@ from math import comb, inf
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
-from .bounds import BoundResult, applicable_bounds
+from .bounds import BoundResult, applicable_bounds, shape_floors
 from .model import IntegerSet, RepSequence, SumSet
 
 DEFAULT_BUDGET = 10**6
@@ -192,7 +194,8 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     mults, a node's layers are its parent's plus m copies of its new
     element, at an offset of at least max(mults) * max|v| * max(ks). shape
     is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1 if
-    some x and -x both are. chosen is reused between calls."""
+    some x and -x both are. Size 0 is the empty subset at the root, visited
+    whatever firsts is. chosen is reused between calls."""
     last, kmin, kmax = len(values), min(ks), max(ks)
     tally = [size in ks for size in range(kmax + 1)]
     chosen: list[int] = []
@@ -220,20 +223,28 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                 descend(range(i + 1, stop), child, here, below)
             chosen.pop()
 
-    descend(firsts, [[1 << offset] for _ in mults], (0, 0, 0, 0), 0)
+    root = [[1 << offset] for _ in mults]
+    if tally[0]:
+        visit(chosen, root, (0, 0, 0, 0))
+    if kmax:
+        descend(firsts, root, (0, 0, 0, 0), 0)
 
 
-def _shape_rows(elems: Sequence[int], r: int | None, policy, collect: bool) -> tuple:
-    """Floors of elems' shape at r (None for a set), via `applicable_bounds`:
-    the checks per instance, and per policy alpha a row (alpha, ((value,
-    theorem_id), ...), BoundResults if records are collected, else None)."""
-    base = IntegerSet(tuple(elems))
-    instance = base if r is None else RepSequence(base, r)
+def _shape_rows(elems: Sequence[int], shape: tuple, r: int | None, policy,
+                collect: bool) -> tuple:
+    """Floors of a shape at r (None for a set): the checks per instance,
+    and per policy alpha a row (alpha, ((value, theorem_id), ...),
+    BoundResults of elems if records are collected, else None)."""
+    if collect:
+        base = IntegerSet(tuple(elems))
+        instance = base if r is None else RepSequence(base, r)
     rows = []
     for alpha in _alphas(policy, len(elems) * (r or 1)):
-        floors = tuple(applicable_bounds(instance, alpha))
-        pairs = tuple((b.value, b.theorem_id) for b in floors)
-        rows.append((alpha, pairs, floors if collect else None))
+        pairs = tuple(shape_floors(*shape, r, alpha))
+        floors = None
+        if collect:
+            floors = tuple(applicable_bounds(instance, alpha))
+        rows.append((alpha, pairs, floors))
     return sum(len(row[1]) for row in rows), tuple(rows)
 
 
@@ -270,7 +281,8 @@ def _walk_unit(payload) -> dict:
         for r, table, layers in zip(rs, tables, layer_sets):
             entry = table.get(shape)
             if entry is None:
-                entry = table[shape] = _shape_rows(chosen, r, policy, collect)
+                entry = table[shape] = _shape_rows(chosen, shape, r, policy,
+                                                    collect)
             checks += entry[0]
             suffix = engine.suffix_unions(layers)
             admit = admits.setdefault((k, r), [inf] * len(layers))
@@ -449,31 +461,32 @@ def empirical_minimum(
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)
     values = range(-max_abs, max_abs + 1)
-    if zero_policy == "any":
-        count = comb(2 * max_abs + 1, k)
-    elif zero_policy == "forbid":
-        count = comb(2 * max_abs, k)
+    size_k, window = k, range(alpha, k + 1)
+    if zero_policy == "forbid":
         values = [v for v in values if v]
-    else:
-        count = comb(2 * max_abs, k - 1)
+    elif zero_policy == "require":
+        # walk the (k-1)-subsets S of the nonzero values: layer c of S + {0}
+        # is S's layers c and c - 1, so its window is S's one layer lower
+        values = [v for v in values if v]
+        size_k, window = k - 1, range(max(alpha - 1, 0), k)
+    count = comb(len(values), size_k)
     if count > budget:
         raise BudgetExceeded(
             f"minimum search needs {count} instances; budget is {budget}"
         )
     best: int | None = None
     wits: list[IntegerSet] = []
+    zeros = [0] if size_k < k else []
 
     def visit(chosen: list[int], layer_sets: list, shape: tuple) -> None:
         nonlocal best, wits
-        if zero_policy == "require" and not shape[2]:
-            return
-        size = engine.union_layers(layer_sets[0], range(alpha, k + 1)).bit_count()
+        size = engine.union_layers(layer_sets[0], window).bit_count()
         if best is None or size < best:
-            best, wits = size, [IntegerSet(tuple(chosen))]
+            best, wits = size, [IntegerSet(tuple(sorted(chosen + zeros)))]
         elif size == best and len(wits) < witness_cap:
-            wits.append(IntegerSet(tuple(chosen)))
+            wits.append(IntegerSet(tuple(sorted(chosen + zeros))))
 
-    _walk(values, range(len(values)), [k], [1], k * max_abs, visit)
+    _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit)
     if best is None:
         raise ValueError("universe is empty; increase max_abs or lower k")
     return best, wits

@@ -1,6 +1,9 @@
 """Closed-form floor evaluation: frozen spot values, case dispatch,
 cross-family identities, and range validation."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,8 +27,9 @@ from subsums.bounds import (
     m_index,
     min_fold_size,
     min_sumset_size,
+    shape_floors,
 )
-from subsums.model import parse_sequence, parse_set
+from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
 from subsums.oracle import oracle_sigma_seq, oracle_sigma_set
 
 
@@ -467,6 +471,58 @@ class TestDispatch:
                 truth = oracle_sigma_seq(s, alpha).size
                 for res in applicable_bounds(s, alpha):
                     assert truth >= res.value, (text, r, alpha, res.label())
+
+
+def shape_grid():
+    """Every sign shape (n, p, zero, meet) with n, p <= 6 that a set can
+    have, with a representative set, crossed with r in {None, 1..6} and
+    every alpha: yields ((n, p, zero, meet, r, alpha), instance)."""
+    for n in range(7):
+        for p in range(7):
+            for zero in (0, 1):
+                for meet in (0, 1) if n and p else (0,):
+                    if n + p + zero == 0:
+                        continue
+                    # -1 and 1 meet; positives above n meet no negative
+                    negs = range(-n, 0)
+                    poss = range(1, p + 1) if meet else range(n + 1, n + p + 1)
+                    base = IntegerSet((*negs, *[0] * zero, *poss))
+                    for r in (None, 1, 2, 3, 4, 5, 6):
+                        inst = base if r is None else RepSequence(base, r)
+                        for alpha in range(base.k * (r or 1) + 1):
+                            yield (n, p, zero, meet, r, alpha), inst
+
+
+class TestShapeDispatch:
+    def test_pairs_equal_applicable_bounds(self):
+        # the digest was taken from applicable_bounds before it was
+        # routed through shape_floors, so both sides are pinned
+        digest = hashlib.sha256()
+        rows = 0
+        for key, inst in shape_grid():
+            floors = applicable_bounds(inst, key[-1])
+            pairs = [(b.value, b.theorem_id) for b in floors]
+            assert shape_floors(*key) == pairs, key
+            digest.update(json.dumps([key, pairs]).encode() + b"\n")
+            rows += 1
+        assert rows == 27077
+        assert digest.hexdigest() == (
+            "b30dc0a340eb719d607e8bcf6cef348510f6a014ff6cc503a27490716d8f4f4d"
+        )
+
+    def test_validation(self):
+        for args in [
+            (0, 0, 0, 0, None, 0),  # no elements
+            (1, 1, 0, 0, 0, 0),  # r < 1
+            (1, 1, 0, 0, None, 3),  # alpha > k
+            (1, 1, 0, 0, 2, 5),  # alpha > r*k
+            (0, 2, 0, 0, None, -1),  # alpha < 0
+        ]:
+            with pytest.raises(ValueError):
+                shape_floors(*args)
+
+    def test_full_alpha_sequence_is_degenerate(self):
+        assert shape_floors(1, 2, 1, 1, 3, 12) == []
 
 
 class TestResultShape:

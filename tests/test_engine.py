@@ -320,6 +320,63 @@ def test_unrestricted_fold_k40_h20_within_5s():
     assert h_fold(a, 20) == out
 
 
+def linear_extend(layers, x, copies):
+    # reference: one copy per top-down pass
+    out = layers + [0] * copies
+    for top in range(len(layers) - 1, len(out) - 1):
+        for c in range(top, -1, -1):
+            out[c + 1] |= out[c] << x if x >= 0 else out[c] >> -x
+    return out
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=3, unique=True),
+    st.integers(-9, 9),
+    st.integers(0, 70),
+)
+@example([-1, 2], -9, 12)  # parts 1, 2, 4, 5
+@example([0, 3], 7, 70)  # parts 1, 2, 4, 8, 16, 32, 7
+@example([], 0, 64)
+def test_extend_layers_binary_parts_match_one_copy_passes(values, x, copies):
+    offset = 6 * len(values) + 9 * copies
+    parent = [1 << offset]
+    for v in values:
+        parent = linear_extend(parent, v, 1)
+    before = list(parent)
+    assert extend_layers(parent, x, copies) == linear_extend(parent, x, copies)
+    assert parent == before
+
+
+@given(st.data())
+def test_extend_layers_matches_enumeration(data):
+    values = data.draw(st.sets(st.integers(-6, 6), min_size=1, max_size=4))
+    # enumeration visits (r + 1)^k multiplicity vectors
+    most = max(c for c in range(71) if (c + 1) ** len(values) <= 10**4)
+    r = data.draw(st.integers(1, most))
+    s = RepSequence(IntegerSet.from_iterable(values), r)
+    offset = 6 * s.length
+    layers = [1 << offset]
+    for x in s.base.elements:
+        layers = extend_layers(layers, x, s.r)
+    assert [SumSet.from_bitmap(layer, offset).sums for layer in layers] == [
+        tuple(sorted(sums)) for sums in sequence_sums_by_size(s)
+    ]
+
+
+def test_sequence_layers_k16_r64_within_half_a_second():
+    # one copy per pass takes about 1 s on 2 vCPUs, binary parts 0.1 s
+    rng = random.Random(16)
+    a = IntegerSet.from_iterable(rng.sample(range(-100, 101), 16))
+    s = RepSequence(a, 64)
+    started = time.perf_counter()
+    layers, offset = sequence_layers(s)
+    assert time.perf_counter() - started < 0.5
+    assert len(layers) == s.length + 1
+    assert layers[0] == 1 << offset
+    assert layers[-1] == 1 << (offset + 64 * sum(a.elements))
+    assert SumSet.from_bitmap(layers[1], offset).sums == a.elements
+
+
 def test_as_sequence():
     s = RepSequence(iset(1, 2), 3)
     assert as_sequence(s) is s

@@ -10,6 +10,7 @@ import pytest
 from subsums import engine, verifier
 from subsums.bounds import applicable_bounds
 from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
+from subsums.oracle import oracle_sigma_set
 from subsums.verifier import (
     WITNESS_CAP,
     BudgetExceeded,
@@ -353,6 +354,46 @@ class TestEmpiricalMinimum:
         best, wits = empirical_minimum(2, 2, 2, "any", witness_cap=3)
         assert best == 1
         assert len(wits) == 3
+
+    @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
+    def test_matches_brute_force(self, policy):
+        keep = {"any": lambda c: True, "require": lambda c: 0 in c,
+                "forbid": lambda c: 0 not in c}[policy]
+        for max_abs in range(4):
+            for k in range(1, 5):
+                combos = [c for c in itertools.combinations(
+                    range(-max_abs, max_abs + 1), k) if keep(c)]
+                for alpha in range(k + 1):
+                    if not combos:
+                        with pytest.raises(ValueError, match="empty"):
+                            empirical_minimum(k, alpha, max_abs, policy)
+                        continue
+                    sizes = [oracle_sigma_set(IntegerSet(c), alpha).size
+                             for c in combos]
+                    best = min(sizes)
+                    wits = [c for c, n in zip(combos, sizes) if n == best]
+                    got, got_wits = empirical_minimum(k, alpha, max_abs, policy,
+                                                      witness_cap=5)
+                    assert got == best, (max_abs, k, alpha)
+                    assert [w.elements for w in got_wits] == wits[:5]
+
+    def test_require_zero_walks_only_subsets_with_zero(self, monkeypatch):
+        # the budget counts C(2M, k - 1) subsets; the walk must not visit
+        # the C(2M + 1, k) - C(2M, k - 1) others
+        calls = 0
+        extend = engine.extend_layers
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extend(*args)
+
+        monkeypatch.setattr(engine, "extend_layers", counted)
+        best, wits = empirical_minimum(2, 0, 1000, "require")
+        assert calls == 2000
+        assert best == 2
+        assert [w.elements for w in wits][:2] == [(-1000, 0), (-999, 0)]
+        assert len(wits) == WITNESS_CAP
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
