@@ -2,14 +2,20 @@
 
 Subcommands: compute, bound, sweep, extremal, fp. Exit codes: 0 on
 success, 1 on usage or parse errors, 2 when a verification or tightness
-check fails, 3 when a sweep or fp run is refused for exceeding its
-budget.
+check fails, 3 when a run is refused for exceeding its budget: a sweep's
+pair count, an fp prime, or a count-layer DP's bits (compute,
+bound --check, extremal).
 All numbers are printed in plain decimal.
+
+The parser is built once per process, on the first `main` call, and
+reused: building it costs far more than parsing one argv, and each parse
+makes a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -239,7 +245,10 @@ def _cmd_fp(args) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: every call returns the same
+    object, so callers parse with it and never modify it."""
     parser = _Parser(
         prog="subsums",
         description=(

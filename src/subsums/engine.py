@@ -14,6 +14,13 @@ the top layer its caller reads (one bottom-up pass per term when
 r >= top); the verifier's sweep walk extends a parent's layers instead,
 at an offset that covers every instance of the walk.
 
+`sequence_layers` runs on the base translated to least element 0, so a
+cluster of values near t costs c*(max - min) bits in layer c, not c*t,
+and places each layer back at the end; a negative outlier far below the
+rest keeps the untranslated DP. Before the first insertion it bounds the
+placed layers' bits in closed form and raises BudgetExceeded above
+LAYER_BITS_BUDGET.
+
 Thresholded queries union a window of layers; sizes are bit counts of
 that union, and only the sum-valued queries decode it. A fold of any
 kind reads layer h. All public functions return sums sorted ascending.
@@ -27,8 +34,10 @@ from operator import or_
 from .bounds import min_fold_size, min_sumset_size
 from .model import (
     AT_LEAST,
+    BudgetExceeded,
     GENERALIZED,
     IntegerSet,
+    LAYER_BITS_BUDGET,
     RESTRICTED,
     RepSequence,
     SumSet,
@@ -71,31 +80,61 @@ def sequence_layers(
     """Bitmaps of achievable sums per term count, layers 0..top (default
     r*k); returns (layers, offset), the offset minus the least sum of at
     most top terms. When r >= top the multiplicity cap cannot bind, so
-    each term is one ascending pass that reuses it freely."""
+    each term is one ascending pass that reuses it freely.
+
+    The DP runs on the base translated by t: term x enters as x - t, so
+    layer c is c*t lower, and each layer is placed back at the end,
+    shifted by c*t plus the offset. t is the least element m when that
+    narrows the layers, so every term is >= 0 and needs no offset; a
+    negative m far below the rest makes -m*top/2 reach the offset, and
+    then t = 0, the untranslated DP at the offset. Placement drops only
+    zero bits, as no sum of c terms lies below minus the offset.
+
+    Raises BudgetExceeded before the first insertion when the placed
+    layers may exceed LAYER_BITS_BUDGET bits: layer c is at most
+    offset + 1 + c*max(x_max, 0) bits wide, and the layers the DP works
+    on are in all no wider than the placed ones."""
     r = s.r
+    elements = s.base.elements
     top = s.length if top is None else top
     if not 0 <= top <= s.length:
         raise ValueError(f"top={top} out of range [0, {s.length}]")
     # the i-th least term, if negative, is taken min(r, top - r*i) times
     offset = -sum(
         x * min(r, max(top - r * i, 0))
-        for i, x in enumerate(s.base.elements)
+        for i, x in enumerate(elements)
         if x < 0
     )
+    bits = (top + 1) * (offset + 1) + max(elements[-1], 0) * top * (top + 1) // 2
+    if bits > LAYER_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"count-layer DP needs up to {bits} layer bits in {top + 1} "
+            f"layers; budget is {LAYER_BITS_BUDGET}"
+        )
+    # against t = 0, t = m narrows layer c by offset + c*m bits; take it
+    # when the total, (top + 1)*offset + m*top*(top + 1)/2, is positive
+    m = elements[0]
+    t = m if 2 * offset > -m * top else 0
+    low = 0 if t else offset
     if r < top:
-        layers = [1 << offset]
-        for x in s.base.elements:
+        layers = [1 << low]
+        for x in elements:
             # layers above top may drop bits below the offset; they are cut
-            layers = extend_layers(layers, x, r)[: top + 1]
-        return layers, offset
-    layers = [1 << offset] + [0] * top
-    for x in s.base.elements:
-        if x >= 0:
-            for c in range(top):
-                layers[c + 1] |= layers[c] << x
-        else:
-            for c in range(top):
-                layers[c + 1] |= layers[c] >> -x
+            layers = extend_layers(layers, x - t, r)[: top + 1]
+    else:
+        layers = [1 << low] + [0] * top
+        for x in elements:
+            y = x - t
+            if y >= 0:
+                for c in range(top):
+                    layers[c + 1] |= layers[c] << y
+            else:
+                for c in range(top):
+                    layers[c + 1] |= layers[c] >> -y
+    if t:
+        for c, layer in enumerate(layers):
+            shift = c * t + offset
+            layers[c] = layer << shift if shift >= 0 else layer >> -shift
     return layers, offset
 
 

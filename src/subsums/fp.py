@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
-from .model import SumSet
+from .model import BudgetExceeded, LAYER_BITS_BUDGET, SumSet
 from .verifier import (
-    BudgetExceeded,
     CampaignReport,
     finish_report,
     new_aggregate,
@@ -35,11 +34,6 @@ from .verifier import (
 # second; p = 29 has 3^14 - 1, 27 times as many, so by extrapolation
 # about half a minute, and p = 31 three times that again.
 PRIME_GUARD = 23
-
-# sigma_fp holds k + 1 count layers of p bits each; p = 10^8 with four
-# residues (5 * 10^8 bits) takes about 0.1 s, and one layer near
-# p = 10^9 is 125 MB, so anything above 2^30 bits is refused up front.
-_SIGMA_FP_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -97,14 +91,16 @@ def _insert(layers: list[int], x: int, p: int) -> list[int]:
 def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     """Residues reachable as subset sums with at least alpha members.
     Raises BudgetExceeded before any layer is built when the (k + 1)
-    layers of p bits would exceed 2^30 bits."""
+    layers of p bits would exceed LAYER_BITS_BUDGET: p = 10^8 with four
+    residues (5 * 10^8 bits) takes about 0.1 s, and one layer near
+    p = 10^9 is 125 MB."""
     if not 0 <= alpha <= a.size:
         raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
     bits = (a.size + 1) * a.p
-    if bits > _SIGMA_FP_BITS:
+    if bits > LAYER_BITS_BUDGET:
         raise BudgetExceeded(
             f"sigma_fp needs {a.size + 1} count layers of p={a.p} bits, "
-            f"{bits} bits; budget is {_SIGMA_FP_BITS}"
+            f"{bits} bits; budget is {LAYER_BITS_BUDGET}"
         )
     layers = [1]
     for x in a.elements:

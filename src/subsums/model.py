@@ -30,6 +30,14 @@ GENERALIZED = "generalized"
 FOLD_KINDS = (UNRESTRICTED, RESTRICTED, GENERALIZED)
 
 
+# Count layers a DP may hold, in bits (2^30 bits is 128 MB).
+LAYER_BITS_BUDGET = 1 << 30
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised before any work starts when a run would exceed its budget."""
+
+
 class ParseError(ValueError):
     """Malformed, empty, duplicated, or out-of-range instance literal."""
 

@@ -34,15 +34,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
 from .bounds import BoundResult, applicable_bounds, shape_floors
-from .model import IntegerSet, RepSequence, SumSet
+from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet
 
 DEFAULT_BUDGET = 10**6
 WITNESS_CAP = 16
 _CHUNK = 512
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised before any work starts when a sweep would be too large."""
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from subsums import cli, engine
 from subsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
@@ -277,6 +278,53 @@ class TestFp:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "fp", "--p", "5", "--p-upto", "7")
         assert code == EXIT_USAGE
+
+
+# 64 values spread over [0, 10^6): at r = 64 the DP's placed layers
+# would hold about 8 * 10^12 bits
+SPREAD_64 = "{" + ",".join(str(v) for v in range(0, 10**6, 15625)) + "}"
+
+
+class TestOnceBuiltParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_flag_does_not_stick(self, capsys):
+        argv = ["compute", "--set", "{1,2,3}", "--alpha", "2"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK and json.loads(out)["size"] == 4
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == ["sums: 3 4 5 6", "size: 4"]
+
+    def test_usage_error_between_good_calls(self, capsys):
+        argv = ["bound", "--set", "[1,4]", "--alpha", "2", "--check"]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, _, err = run(capsys, "bound", "--set", "[1,4]", "--check")
+        assert code == EXIT_USAGE and "--alpha" in err
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("sigma_size: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--set", SPREAD_64, "--r", "64", "--alpha", "1"],
+            ["compute", "--set", SPREAD_64, "--r", "64", "--alpha", "4000",
+             "--mode", "at-most"],
+            ["bound", "--set", SPREAD_64, "--r", "64", "--alpha", "1",
+             "--check"],
+        ],
+    )
+    def test_oversize_dp_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("the DP started")
+
+        monkeypatch.setattr(engine, "extend_layers", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "layer bits" in err and "budget is 1073741824" in err
 
 
 class TestTopLevel:

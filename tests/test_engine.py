@@ -7,10 +7,11 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsums.bounds import min_fold_size
+from subsums import engine
 from subsums.engine import (
     add_sets,
     extend_layers,
@@ -26,7 +27,9 @@ from subsums.engine import (
 from subsums.model import (
     AT_LEAST,
     AT_MOST,
+    BudgetExceeded,
     IntegerSet,
+    LAYER_BITS_BUDGET,
     RepSequence,
     SumSet,
     as_sequence,
@@ -375,6 +378,102 @@ def test_sequence_layers_k16_r64_within_half_a_second():
     assert layers[0] == 1 << offset
     assert layers[-1] == 1 << (offset + 64 * sum(a.elements))
     assert SumSet.from_bitmap(layers[1], offset).sums == a.elements
+
+
+def untranslated_layers(s, top):
+    # reference: the DP on the base as given, every layer at one offset
+    r = s.r
+    offset = -sum(
+        x * min(r, max(top - r * i, 0))
+        for i, x in enumerate(s.base.elements)
+        if x < 0
+    )
+    if r < top:
+        layers = [1 << offset]
+        for x in s.base.elements:
+            layers = extend_layers(layers, x, r)[: top + 1]
+        return layers, offset
+    layers = [1 << offset] + [0] * top
+    for x in s.base.elements:
+        for c in range(top):
+            layers[c + 1] |= layers[c] << x if x >= 0 else layers[c] >> -x
+    return layers, offset
+
+
+near_extremes = st.builds(
+    lambda low, steps: sorted({low + d for d in steps}),
+    st.sampled_from([-(10**6), 10**6 - 30]),
+    st.lists(st.integers(0, 30), min_size=1, max_size=3),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+        near_extremes,
+    ),
+    st.integers(1, 5),
+)
+@example([-6, -4, -1], 3)  # all negative
+@example([1, 2, 6], 3)  # all positive
+@example([-2, 0, 5], 2)  # mixed, zero in the base
+@example([-(10**6), 0, 1, 2], 1)  # far negative: the untranslated DP
+@example([4], 5)  # singleton
+@example([-(10**6), -(10**6) + 7, -(10**6) + 30], 5)
+@example([10**6 - 30, 10**6 - 29, 10**6], 5)
+@settings(deadline=None)  # the reference shifts 10^6-bit layers
+def test_translated_layers_are_the_untranslated_ones(values, r):
+    # top <= r takes the ascending pass, top > r the extend_layers one
+    s = RepSequence(IntegerSet(tuple(sorted(values))), r)
+    x_max = s.base.elements[-1]
+    for top in range(s.length + 1):
+        layers, offset = sequence_layers(s, top)
+        assert (layers, offset) == untranslated_layers(s, top)
+        # the admission estimate bounds the placed layers
+        bits = (top + 1) * (offset + 1) + max(x_max, 0) * top * (top + 1) // 2
+        assert sum(layer.bit_length() for layer in layers) <= bits
+
+
+def test_sequence_layers_near_a_million_within_quarter_second():
+    # the untranslated DP shifts 32 layers by about 10^6 bits each: 0.5 s
+    s = RepSequence(IntegerSet(tuple(range(999985, 1000001))), 2)
+    started = time.perf_counter()
+    layers, offset = sequence_layers(s)
+    assert time.perf_counter() - started < 0.25
+    assert offset == 0 and len(layers) == 33
+    assert layers[-1] == 1 << (2 * sum(s.base.elements))
+    assert SumSet.from_bitmap(layers[1], offset).sums == s.base.elements
+
+
+def test_sequence_layers_far_negative_outlier_within_a_second():
+    # translating by -10^6 would widen layer c by about (c - 1) * 10^6 bits,
+    # 4 s here; the DP at the offset keeps every layer near 10^6 bits
+    s = RepSequence(IntegerSet((-(10**6),) + tuple(range(63))), 1)
+    started = time.perf_counter()
+    layers, offset = sequence_layers(s)
+    assert time.perf_counter() - started < 1.0
+    assert offset == 10**6 and len(layers) == 65
+    assert layers[-1] == 1 << (offset + sum(s.base.elements))
+
+
+SPREAD_64 = IntegerSet(tuple(range(0, 10**6, 15625)))  # 64 values
+
+
+def test_oversize_dp_refused_before_any_insertion(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the DP started")
+
+    monkeypatch.setattr(engine, "extend_layers", no_work)
+    s = RepSequence(SPREAD_64, 64)
+    bits = 4097 + 984375 * 4096 * 4097 // 2
+    assert bits > LAYER_BITS_BUDGET
+    with pytest.raises(BudgetExceeded, match=f"{bits} layer bits in 4097 layers"):
+        sequence_layers(s)
+    with pytest.raises(BudgetExceeded):
+        sigma_size(s, 1)
+    # at r >= top the ascending pass would run: still refused up front
+    with pytest.raises(BudgetExceeded):
+        fold_fast(SPREAD_64, 64, "unrestricted")
 
 
 def test_as_sequence():
