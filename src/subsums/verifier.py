@@ -9,10 +9,19 @@ Sets are r = 1 sequences marked r = None: set floors, and cells with no r.
 The instances are the nodes of one depth-first walk over the ascending
 universe (`_walk`): a node's count layers are its parent's plus one
 `engine.extend_layers` insertion, and it carries its sign shape, which
-with r fixes k and every floor. Floors come from a per-unit table keyed
-by (r, shape), filled from the shape by `bounds.shape_floors`;
-`applicable_bounds` runs only when records are collected, for their
-BoundResults. Tallies run inline.
+with r fixes k and every floor. Floors come from a table per process
+and sweep, keyed by (r, shape), filled from the shape by
+`bounds.shape_floors`; `applicable_bounds` runs only when records are
+collected, for their BoundResults. Tallies run inline.
+
+Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
+for sets and sequences, and the floors are symmetric in n <-> p. So a
+sweep walks only the canonical subsets, A <=lex -A, and counts each with
+weight 2 when A <lex -A (it stands for its mirror too) and 1 when A = -A.
+Each minima cell's witnesses gain the mirrors of its canonical ones,
+re-sorted and capped, which gives exactly the full walk's list. Runs that
+collect records or check the oracle emit or check one row per instance,
+so they walk every subset. `empirical_minimum` takes the same mirror walk.
 
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
@@ -182,19 +191,31 @@ def _policy_echo(policy) -> object:
 # -- the depth-first walk ----------------------------------------------
 
 def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
-          mults: Sequence[int], offset: int, visit: Callable) -> None:
-    """Call visit(chosen, layer_sets, shape) on each subset of the ascending
-    values with a size in ks and its least element values[i], i in firsts:
-    depth first, next elements ascending, a node before its children, so
-    each size's subsets come in itertools.combinations order. Per m in
-    mults, a node's layers are its parent's plus m copies of its new
-    element, at an offset of at least max(mults) * max|v| * max(ks). shape
-    is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1 if
-    some x and -x both are. Size 0 is the empty subset at the root, visited
-    whatever firsts is. chosen is reused between calls."""
+          mults: Sequence[int], offset: int, visit: Callable,
+          mirror: bool) -> None:
+    """Call visit(chosen, layer_sets, shape, weight) on each subset of the
+    ascending values with a size in ks and its least element values[i], i
+    in firsts: depth first, next elements ascending, a node before its
+    children, so each size's subsets come in itertools.combinations order.
+    Per m in mults, a node's layers are its parent's plus m copies of its
+    new element, at an offset of at least max(mults) * max|v| * max(ks).
+    shape is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1
+    if some x and -x both are. Size 0 is the empty subset at the root,
+    visited whatever firsts is. chosen is reused between calls.
+
+    Without mirror every subset is visited with weight 1. With mirror the
+    values must be symmetric about 0, and only the canonical subsets A,
+    those with A <=lex -A, are visited: weight 2 when A <lex -A, standing
+    for A and its mirror, and 1 when A = -A. As elements ascend, A <=lex -A
+    implies max(A) <= -min(A), so a first element v > 0 is skipped and
+    under a first element v no later element exceeds -v; only the ties,
+    max(A) = -min(A), need the full comparison, and those are leaves."""
     last, kmin, kmax = len(values), min(ks), max(ks)
     tally = [size in ks for size in range(kmax + 1)]
     chosen: list[int] = []
+    # per first element: the end of the index range, the element that
+    # makes a tie (None: no ties) and the weight of every other node
+    cap, tie, full = last, None, 1
 
     def descend(indices: Iterable, layer_sets: list, shape: tuple, negs: int) -> None:
         # negs has bit -x set for each chosen negative x
@@ -212,18 +233,37 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                 here, below = (n, p, 1, meet), negs
             chosen.append(x)
             if tally[depth]:
-                visit(chosen, child, here)
+                weight = full
+                if x == tie:
+                    mirrored = [-y for y in reversed(chosen)]
+                    weight = (chosen <= mirrored) + (chosen < mirrored)
+                if weight:
+                    visit(chosen, child, here, weight)
             if depth < kmax:
                 # a child at index j needs kmin - depth - 1 elements above j
-                stop = min(last, last - kmin + depth + 1)
+                stop = min(cap, cap - kmin + depth + 1)
                 descend(range(i + 1, stop), child, here, below)
             chosen.pop()
 
     root = [[1 << offset] for _ in mults]
     if tally[0]:
-        visit(chosen, root, (0, 0, 0, 0))
-    if kmax:
-        descend(firsts, root, (0, 0, 0, 0), 0)
+        visit(chosen, root, (0, 0, 0, 0), 1)
+    for i in firsts if kmax else ():
+        if mirror:
+            if values[i] > 0:
+                continue
+            # values[last - 1 - i] is -values[i]
+            cap, tie, full = last - i, -values[i], 2
+        descend((i,), root, (0, 0, 0, 0), 0)
+
+
+def _with_mirrors(wits: list[tuple], cap: int) -> list[tuple]:
+    """The first cap of wits and their mirrors, ascending. If wits are the
+    first minimizers a mirror walk saw, up to cap, these are the first cap
+    of all minimizers: a canonical subset precedes its mirror, so each of
+    the first cap minimizers is among wits or is the mirror of one."""
+    mirrors = (tuple(-x for x in reversed(w)) for w in wits)
+    return sorted(set(wits).union(mirrors))[:cap]
 
 
 def _shape_rows(elems: Sequence[int], shape: tuple, r: int | None, policy,
@@ -254,32 +294,42 @@ def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
     return out[::-1]
 
 
+# floor rows keyed by r, then by shape: emptied when a sweep starts (its
+# pool's processes start from it), so the walk units one process runs for
+# the sweep share them
+_TABLES: dict[int | None, dict] = {}
+
+
 def _walk_unit(payload) -> dict:
     """The aggregate of the subtrees starting at values[i], i in firsts, at
-    every r in rs (None for sets). Floor rows live in a table per r keyed
-    by shape; a literal is built only below its cell's admit threshold."""
+    every r in rs (None for sets). Unless records are collected or the
+    oracle checks, the walk is the mirror walk: its counts and tallies are
+    weighted and its minima hold only canonical witnesses. Floor rows come
+    from the process's tables; a literal is built only below its cell's
+    admit threshold."""
     values, firsts, ks, rs, policy, use_oracle, collect = payload
     mults = [r or 1 for r in rs]
     offset = max(mults) * max(ks) * max(map(abs, values), default=0)
     agg = new_aggregate()
     minima, tight, by_k = agg["minima"], agg["tight"], agg["records"]
-    tables: list[dict] = [{} for _ in rs]
+    tables = [_TABLES.setdefault(r, {}) for r in rs]
     admits: dict[tuple, list] = {}
     instances = checks = violations = oracle_checked = 0
 
-    def visit(chosen: list[int], layer_sets: list, shape: tuple) -> None:
+    def visit(chosen: list[int], layer_sets: list, shape: tuple,
+              weight: int) -> None:
         nonlocal instances, checks, violations, oracle_checked
         k = len(chosen)
         literal = None
         if collect or use_oracle:
             literal = "{" + ",".join(map(str, chosen)) + "}"
-        instances += len(rs)
+        instances += len(rs) * weight
         for r, table, layers in zip(rs, tables, layer_sets):
             entry = table.get(shape)
             if entry is None:
                 entry = table[shape] = _shape_rows(chosen, shape, r, policy,
                                                     collect)
-            checks += entry[0]
+            checks += entry[0] * weight
             suffix = engine.suffix_unions(layers)
             admit = admits.setdefault((k, r), [inf] * len(layers))
             expected = _oracle_suffixes(chosen, r) if use_oracle else None
@@ -290,8 +340,9 @@ def _walk_unit(payload) -> dict:
                     if value > size:
                         violation = True
                     elif value == size:
-                        tight[theorem_id] += 1
-                violations += violation
+                        tight[theorem_id] += weight
+                if violation:
+                    violations += weight
                 if size < admit[alpha]:
                     literal = literal or "{" + ",".join(map(str, chosen)) + "}"
                     admit[alpha] = note_minimum(minima, (k, r, alpha), size, literal)
@@ -308,7 +359,8 @@ def _walk_unit(payload) -> dict:
                     by_k.setdefault(k, []).append(VerificationRecord(
                         literal, r, alpha, size, checked, use_oracle, violation))
 
-    _walk(values, firsts, ks, mults, offset, visit)
+    _walk(values, firsts, ks, mults, offset, visit,
+          not (collect or use_oracle))
     agg.update(instances=instances, checks=checks, violations=violations,
                oracle_checked=oracle_checked)
     return agg
@@ -350,13 +402,17 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise BudgetExceeded(
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
         )
+    values = range(-max_abs, max_abs + 1)
+    # records and oracle checks are one per instance, so they walk every
+    # subset; other runs walk the mirror half, first elements <= 0
+    mirror = not (collect_records or oracle_check)
+    firsts = range(max_abs + 1 if mirror else len(values))
     # the pool is never larger than the CPU count, the subtrees or the
     # count's _CHUNK-instance shares: a fork pool starts all of them at once
-    values = range(-max_abs, max_abs + 1)
     count = sum(subsets.values()) * len(rs)
-    procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(values))
+    procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
     common = (ks, rs, alpha_policy, oracle_check, collect_records)
-    firsts = range(len(values))
+    _TABLES.clear()
     if procs <= 1:
         agg = _walk_unit((values, firsts) + common)
     else:
@@ -365,6 +421,12 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             for part in pool.map(_walk_unit,
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
+    if mirror:
+        for key, (size, wits) in agg["minima"].items():
+            elems = [tuple(map(int, lit[1:-1].split(","))) for lit in wits]
+            agg["minima"][key] = (size, [
+                "{" + ",".join(map(str, w)) + "}"
+                for w in _with_mirrors(elems, WITNESS_CAP)])
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs
@@ -471,18 +533,22 @@ def empirical_minimum(
             f"minimum search needs {count} instances; budget is {budget}"
         )
     best: int | None = None
-    wits: list[IntegerSet] = []
+    wits: list[tuple] = []
     zeros = [0] if size_k < k else []
 
-    def visit(chosen: list[int], layer_sets: list, shape: tuple) -> None:
+    # every policy's universe is closed under negation, so the mirror walk
+    # sees each minimizer or its mirror
+    def visit(chosen: list[int], layer_sets: list, shape: tuple,
+              weight: int) -> None:
         nonlocal best, wits
         size = engine.union_layers(layer_sets[0], window).bit_count()
         if best is None or size < best:
-            best, wits = size, [IntegerSet(tuple(sorted(chosen + zeros)))]
+            best, wits = size, [tuple(sorted(chosen + zeros))]
         elif size == best and len(wits) < witness_cap:
-            wits.append(IntegerSet(tuple(sorted(chosen + zeros))))
+            wits.append(tuple(sorted(chosen + zeros)))
 
-    _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit)
+    _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit, True)
     if best is None:
         raise ValueError("universe is empty; increase max_abs or lower k")
-    return best, wits
+    # the first minimizer is kept whatever the cap
+    return best, [IntegerSet(w) for w in _with_mirrors(wits, max(witness_cap, 1))]

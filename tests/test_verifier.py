@@ -2,6 +2,7 @@
 refusal, empirical minima, and report serialization."""
 
 import csv
+import functools
 import itertools
 import json
 
@@ -179,6 +180,71 @@ class TestAgainstBruteForce:
         assert rep.minima == cells
         assert [(rec.instance, rec.r, rec.alpha) for rec in rep.records] == keys
 
+    @pytest.fixture(params=[1, 2])
+    def workers(self, request, monkeypatch):
+        if request.param > 1:
+            # an in-process pool with small shares: several walk units
+            monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+            monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+            monkeypatch.setattr(verifier, "_CHUNK", 16)
+            _RecordingPool.sizes = []
+        return request.param
+
+    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
+    @pytest.mark.parametrize("kind", ["sets", "sequences"])
+    def test_mirror_walk_equals_full_walk(self, kind, policy, workers):
+        # without records the walk visits only A <=lex -A and weights it;
+        # the report, witness order included, is the full walk's
+        if kind == "sets":
+            max_abs, ks, rs = 3, range(1, 6), [None]
+            run = functools.partial(sweep_sets, max_abs, ks, policy)
+        else:
+            max_abs, ks, rs = 2, range(1, 4), range(1, 5)
+            run = functools.partial(sweep_sequences, max_abs, ks, rs, policy)
+        half = run(workers=workers).to_json()
+        full = run(workers=workers, collect_records=True).to_json()
+        half.pop("elapsed_ms")
+        full.pop("elapsed_ms")
+        assert half == full
+        cells, _ = brute_force(max_abs, ks, rs)
+        assert half["minima"] == [
+            cell for cell in cells if policy == "all" or cell["alpha"] in policy
+        ]
+        if workers > 1:
+            assert _RecordingPool.sizes == [2, 2]
+
+    def test_mirror_walk_visits_each_canonical_subset_once(self):
+        values = range(-3, 4)
+        seen = []
+
+        def visit(chosen, layer_sets, shape, weight):
+            seen.append((tuple(chosen), weight))
+
+        verifier._walk(values, range(len(values)), range(1, 8), [1], 21,
+                       visit, True)
+        expected = []
+        for k in range(1, 8):
+            for elems in itertools.combinations(values, k):
+                mirror = tuple(-x for x in reversed(elems))
+                if elems <= mirror:
+                    expected.append((elems, 1 if elems == mirror else 2))
+        assert sorted(seen, key=lambda item: len(item[0])) == expected
+        weights = dict(seen)
+        # a tie, min + max = 0, settled by the next pair of elements
+        assert weights[-2, -1, 2] == 2 and (-2, 1, 2) not in weights
+        # a self-mirror subset stands for itself only
+        assert weights[-1, 0, 1] == 1
+        assert sum(w for _, w in seen) == 2**7 - 1
+
+    def test_mirror_walk_weights_violations(self, monkeypatch):
+        # an unreachable floor makes every (instance, alpha) pair violate
+        floors = verifier.shape_floors
+        monkeypatch.setattr(verifier, "shape_floors",
+                            lambda *args: floors(*args) + [(10**9, "X")])
+        half = sweep_sets(2, range(1, 4))
+        full = sweep_sets(2, range(1, 4), collect_records=True)
+        assert half.violations == full.violations == len(full.records) == 80
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the requested size and
@@ -229,6 +295,29 @@ class TestWorkerCount:
         # (C(11,2) + C(11,3)) x 3 multiplicities = 660 instances: two chunks
         sweep_sequences(5, [2, 3], [1, 2, 3], workers=64)
         assert pool.sizes == [2]
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_floor_tables_filled_once_per_process(self, pool, monkeypatch,
+                                                  collect):
+        # floor rows depend only on (r, shape, policy): walk units in one
+        # process share the table instead of refilling it
+        calls = 0
+        floors = verifier.shape_floors
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return floors(*args)
+
+        monkeypatch.setattr(verifier, "shape_floors", counted)
+        counts = []
+        for workers in (1, 2):
+            calls = 0
+            sweep_sequences(4, range(2, 5), range(1, 13), workers=workers,
+                            collect_records=collect)
+            counts.append(calls)
+        assert pool.sizes == [2]
+        assert counts[0] == counts[1] > 0
 
     def test_one_chunk_runs_serial(self, pool, monkeypatch):
         sweep_sets(1, [2], workers=5000)
@@ -377,9 +466,32 @@ class TestEmpiricalMinimum:
                     assert got == best, (max_abs, k, alpha)
                     assert [w.elements for w in got_wits] == wits[:5]
 
+    @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
+    def test_mirror_walk_matches_combinations(self, policy):
+        # the canonical minimizers plus their mirrors, re-sorted, are the
+        # first WITNESS_CAP minimizers in combinations order
+        keep = {"any": lambda c: True, "require": lambda c: 0 in c,
+                "forbid": lambda c: 0 not in c}[policy]
+        for max_abs in range(5):
+            values = range(-max_abs, max_abs + 1)
+            for k in range(1, min(len(values), 5) + 1):
+                combos = [c for c in itertools.combinations(values, k)
+                          if keep(c)]
+                if not combos:
+                    continue
+                for alpha in range(k + 1):
+                    sizes = [engine.sigma_size(RepSequence(IntegerSet(c), 1),
+                                               alpha) for c in combos]
+                    best = min(sizes)
+                    wits = [c for c, n in zip(combos, sizes) if n == best]
+                    got, got_wits = empirical_minimum(k, alpha, max_abs, policy)
+                    assert got == best, (max_abs, k, alpha)
+                    assert [w.elements for w in got_wits] == wits[:WITNESS_CAP]
+
     def test_require_zero_walks_only_subsets_with_zero(self, monkeypatch):
         # the budget counts C(2M, k - 1) subsets; the walk must not visit
-        # the C(2M + 1, k) - C(2M, k - 1) others
+        # the C(2M + 1, k) - C(2M, k - 1) others, and of the C(2M, 1)
+        # singletons the mirror walk visits only the M negative ones
         calls = 0
         extend = engine.extend_layers
 
@@ -390,7 +502,7 @@ class TestEmpiricalMinimum:
 
         monkeypatch.setattr(engine, "extend_layers", counted)
         best, wits = empirical_minimum(2, 0, 1000, "require")
-        assert calls == 2000
+        assert calls == 1000
         assert best == 2
         assert [w.elements for w in wits][:2] == [(-1000, 0), (-999, 0)]
         assert len(wits) == WITNESS_CAP
