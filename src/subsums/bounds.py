@@ -320,11 +320,12 @@ def shape_floors(
     n: int, p: int, zero: int, meet: int, r: int | None, alpha: int
 ) -> list[tuple[int, str]]:
     """(value, theorem_id) of every floor whose hypotheses hold at alpha
-    for n negatives, p positives and `zero` zeros (0 or 1), where meet
-    is 1 if some x and -x are both present: a set when r is None, else
-    that base repeated r times. This is the one home of the
-    applicability rules; `applicable_bounds` resolves each pair to its
-    BoundResult.
+    for the sign shape (n, p, zero, meet) that `model.classify` returns
+    and the sweep walk carries: n negatives, p positives, zero 1 if 0 is
+    present, meet 1 if some nonzero x and -x both are. r None means the
+    set itself, else that base repeated r times. This is the one home of
+    the applicability rules; `applicable_bounds` builds each ID's
+    BoundResult through `build_bound`, and the sweep reads the values.
 
     Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k],
     where the degenerate alpha = r*k query matches no floor and yields
@@ -363,30 +364,41 @@ def shape_floors(
     return out
 
 
+# theorem ID -> (constructor, names of its parameters in call order)
+_BUILDERS = {
+    T2_1: (bound_disjoint, ("k", "alpha")),
+    C2_2: (bound_zero, ("k", "alpha")),
+    T2_3: (bound_mixed, ("n", "p", "alpha")),
+    C2_4: (bound_mixed_zero, ("n", "p", "alpha")),
+    C2_5: (bound_general, ("k", "alpha", "has_zero")),
+    T3_1_DISJOINT: (bound_seq_disjoint, ("k", "r", "alpha")),
+    T3_1_ZERO: (bound_seq_zero, ("k", "r", "alpha")),
+    T3_2: (bound_seq_mixed, ("n", "p", "r", "alpha")),
+    C3_3: (bound_seq_mixed_zero, ("n", "p", "r", "alpha")),
+    C3_4: (bound_seq_general, ("k", "r", "alpha", "has_zero")),
+}
+
+
+def build_bound(theorem_id: str, **params) -> BoundResult:
+    """The set or sequence floor theorem_id, built by its public
+    constructor from the named parameters it takes; others are ignored."""
+    if theorem_id not in _BUILDERS:
+        raise ValueError(f"no set or sequence floor {theorem_id!r}")
+    constructor, names = _BUILDERS[theorem_id]
+    return constructor(*[params[name] for name in names])
+
+
 def applicable_bounds(
     instance: IntegerSet | RepSequence, alpha: int
 ) -> list[BoundResult]:
     """Every floor whose hypotheses the instance satisfies at this alpha:
-    the instance's sign shape through `shape_floors`, each pair built by
-    its public constructor. Alpha ranges as in `shape_floors`."""
-    if isinstance(instance, RepSequence):
-        base, r = instance.base, instance.r
-    else:
-        base, r = instance, None
-    prof = classify(base)
-    k, n, p, has_zero = base.k, prof.n, prof.p, prof.has_zero
-    meet = not (prof.self_disjoint or prof.self_meet_zero)
-    build = {
-        T2_1: lambda: bound_disjoint(k, alpha),
-        C2_2: lambda: bound_zero(k, alpha),
-        T2_3: lambda: bound_mixed(n, p, alpha),
-        C2_4: lambda: bound_mixed_zero(n, p, alpha),
-        C2_5: lambda: bound_general(k, alpha, has_zero),
-        T3_1_DISJOINT: lambda: bound_seq_disjoint(k, r, alpha),
-        T3_1_ZERO: lambda: bound_seq_zero(k, r, alpha),
-        T3_2: lambda: bound_seq_mixed(n, p, r, alpha),
-        C3_3: lambda: bound_seq_mixed_zero(n, p, r, alpha),
-        C3_4: lambda: bound_seq_general(k, r, alpha, has_zero),
-    }
-    floors = shape_floors(n, p, int(has_zero), int(meet), r, alpha)
-    return [build[theorem_id]() for _, theorem_id in floors]
+    the sign shape of its base through `shape_floors`, each floor built
+    by `build_bound`. Alpha ranges as in `shape_floors`."""
+    seq = isinstance(instance, RepSequence)
+    base, r = (instance.base, instance.r) if seq else (instance, None)
+    shape = classify(base)
+    return [
+        build_bound(theorem_id, k=base.k, n=shape.n, p=shape.p, r=r,
+                    alpha=alpha, has_zero=shape.zero)
+        for _, theorem_id in shape_floors(*shape, r, alpha)
+    ]

@@ -72,14 +72,14 @@ def _instance(args) -> IntegerSet | RepSequence:
 
 def _profile_json(inst: IntegerSet | RepSequence) -> dict:
     seq = as_sequence(inst)
-    prof = classify(seq.base)
+    n, p, zero, meet = classify(seq.base)
     out = {
         "k": seq.base.k,
-        "n": prof.n,
-        "p": prof.p,
-        "has_zero": prof.has_zero,
-        "self_disjoint": prof.self_disjoint,
-        "self_meet_zero": prof.self_meet_zero,
+        "n": n,
+        "p": p,
+        "has_zero": bool(zero),
+        "self_disjoint": not (zero or meet),
+        "self_meet_zero": bool(zero) and not meet,
     }
     if seq is inst:
         out["r"] = seq.r

@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
@@ -160,30 +160,31 @@ def as_sequence(inst: IntegerSet | RepSequence) -> RepSequence:
     return inst if isinstance(inst, RepSequence) else RepSequence(inst, 1)
 
 
-@dataclass(frozen=True)
-class SignProfile:
-    """Sign census of a set: negative count, positive count, zero flag,
-    plus the two symmetry predicates the bound dispatcher keys on."""
+class SignProfile(NamedTuple):
+    """Sign shape of a set, the key of every floor: n negatives, p
+    positives, zero 1 if 0 is present, meet 1 if some nonzero x and -x
+    both are."""
 
     n: int
     p: int
-    has_zero: bool
-    self_disjoint: bool
-    self_meet_zero: bool
+    zero: int
+    meet: int
 
 
 def classify(a: IntegerSet) -> SignProfile:
-    """Sign profile of a set. self_disjoint means no element's negation
-    is present; self_meet_zero means zero is the only such coincidence."""
-    elems = set(a.elements)
-    meet = elems & {-x for x in elems}
-    return SignProfile(
-        n=sum(1 for x in a.elements if x < 0),
-        p=sum(1 for x in a.elements if x > 0),
-        has_zero=0 in elems,
-        self_disjoint=not meet,
-        self_meet_zero=meet == {0},
-    )
+    """Sign shape of a set, in one pass over its ascending elements."""
+    n = p = zero = meet = 0
+    negated = set()
+    for x in a.elements:
+        if x < 0:
+            n += 1
+            negated.add(-x)
+        elif x:
+            p += 1
+            meet |= x in negated
+        else:
+            zero = 1
+    return SignProfile(n, p, zero, meet)
 
 
 @dataclass(frozen=True)

@@ -407,9 +407,9 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # subset; other runs walk the mirror half, first elements <= 0
     mirror = not (collect_records or oracle_check)
     firsts = range(max_abs + 1 if mirror else len(values))
-    # the pool is never larger than the CPU count, the subtrees or the
-    # count's _CHUNK-instance shares: a fork pool starts all of them at once
-    count = sum(subsets.values()) * len(rs)
+    # the pool is at most the CPU count, the subtrees and the walk's
+    # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
+    count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
     common = (ks, rs, alpha_policy, oracle_check, collect_records)
     _TABLES.clear()

@@ -25,20 +25,18 @@ NONNEG_INTERVAL_R = "nonneg-interval-r"
 MIXED_PUNCTURED_R = "mixed-punctured-r"
 MIXED_FULL_R = "mixed-full-r"
 
-FAMILY_IDS = (
-    POS_INTERVAL,
-    NONNEG_INTERVAL,
-    MIXED_PUNCTURED,
-    MIXED_FULL,
-    POS_INTERVAL_R,
-    NONNEG_INTERVAL_R,
-    MIXED_PUNCTURED_R,
-    MIXED_FULL_R,
-)
-
-_INTERVAL_FAMILIES = {POS_INTERVAL, NONNEG_INTERVAL, POS_INTERVAL_R, NONNEG_INTERVAL_R}
-_MIXED_FAMILIES = {MIXED_PUNCTURED, MIXED_FULL, MIXED_PUNCTURED_R, MIXED_FULL_R}
-_SEQ_FAMILIES = {POS_INTERVAL_R, NONNEG_INTERVAL_R, MIXED_PUNCTURED_R, MIXED_FULL_R}
+# family -> (the floor it attains, whether it is a repeated sequence)
+_FAMILIES = {
+    POS_INTERVAL: (bounds.T2_1, False),
+    NONNEG_INTERVAL: (bounds.C2_2, False),
+    MIXED_PUNCTURED: (bounds.T2_3, False),
+    MIXED_FULL: (bounds.C2_4, False),
+    POS_INTERVAL_R: (bounds.T3_1_DISJOINT, True),
+    NONNEG_INTERVAL_R: (bounds.T3_1_ZERO, True),
+    MIXED_PUNCTURED_R: (bounds.T3_2, True),
+    MIXED_FULL_R: (bounds.C3_3, True),
+}
+FAMILY_IDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,16 @@ class WitnessFamily:
     r: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family_id not in FAMILY_IDS:
+        if self.family_id not in _FAMILIES:
             raise ValueError(f"unknown family {self.family_id!r}")
-        seq = self.family_id in _SEQ_FAMILIES
+        seq = self.is_sequence
         if seq:
             if self.r is None or self.r < 1:
                 raise ValueError(f"{self.family_id} needs r >= 1")
         elif self.r is not None:
             raise ValueError(f"{self.family_id} takes no r parameter")
-        if self.family_id in _INTERVAL_FAMILIES:
+        # interval families take k, mixed ones n and p
+        if "interval" in self.family_id:
             floor_k = 2 if seq else 1
             if self.k is None or self.k < floor_k:
                 raise ValueError(f"{self.family_id} needs k >= {floor_k}")
@@ -79,7 +78,7 @@ class WitnessFamily:
 
     @property
     def is_sequence(self) -> bool:
-        return self.family_id in _SEQ_FAMILIES
+        return _FAMILIES[self.family_id][1]
 
 
 @dataclass(frozen=True)
@@ -125,21 +124,8 @@ def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
 
 def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
     """The floor this family is claimed to attain, evaluated at alpha."""
-    if fam.family_id == POS_INTERVAL:
-        return bounds.bound_disjoint(fam.k, alpha)
-    if fam.family_id == NONNEG_INTERVAL:
-        return bounds.bound_zero(fam.k, alpha)
-    if fam.family_id == MIXED_PUNCTURED:
-        return bounds.bound_mixed(fam.n, fam.p, alpha)
-    if fam.family_id == MIXED_FULL:
-        return bounds.bound_mixed_zero(fam.n, fam.p, alpha)
-    if fam.family_id == POS_INTERVAL_R:
-        return bounds.bound_seq_disjoint(fam.k, fam.r, alpha)
-    if fam.family_id == NONNEG_INTERVAL_R:
-        return bounds.bound_seq_zero(fam.k, fam.r, alpha)
-    if fam.family_id == MIXED_PUNCTURED_R:
-        return bounds.bound_seq_mixed(fam.n, fam.p, fam.r, alpha)
-    return bounds.bound_seq_mixed_zero(fam.n, fam.p, fam.r, alpha)
+    return bounds.build_bound(_FAMILIES[fam.family_id][0], k=fam.k, n=fam.n,
+                              p=fam.p, r=fam.r, alpha=alpha)
 
 
 def alpha_values(fam: WitnessFamily) -> range:

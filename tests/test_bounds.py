@@ -23,6 +23,7 @@ from subsums.bounds import (
     bound_seq_mixed_zero,
     bound_seq_zero,
     bound_zero,
+    build_bound,
     is_prime,
     m_index,
     min_fold_size,
@@ -523,6 +524,25 @@ class TestShapeDispatch:
 
     def test_full_alpha_sequence_is_degenerate(self):
         assert shape_floors(1, 2, 1, 1, 3, 12) == []
+
+    def test_build_bound_by_id(self):
+        params = dict(k=5, n=2, p=3, r=3, alpha=4, has_zero=1)
+        for theorem_id, direct in [
+            ("T2_1", bound_disjoint(5, 4)),
+            ("C2_2", bound_zero(5, 4)),
+            ("T2_3", bound_mixed(2, 3, 4)),
+            ("C2_4", bound_mixed_zero(2, 3, 4)),
+            ("C2_5", bound_general(5, 4, True)),
+            ("T3_1_disjoint", bound_seq_disjoint(5, 3, 4)),
+            ("T3_1_zero", bound_seq_zero(5, 3, 4)),
+            ("T3_2", bound_seq_mixed(2, 3, 3, 4)),
+            ("C3_3", bound_seq_mixed_zero(2, 3, 3, 4)),
+            ("C3_4", bound_seq_general(5, 3, 4, True)),
+        ]:
+            assert build_bound(theorem_id, **params) == direct
+        for theorem_id in ("T1_3", "X"):
+            with pytest.raises(ValueError, match="no set or sequence floor"):
+                build_bound(theorem_id, **params)
 
 
 class TestResultShape:

@@ -54,6 +54,37 @@ class TestCompute:
         assert payload["r"] is None
         assert payload["profile"]["k"] == 3
 
+    # one of each symmetry: disjoint, zero the only x = -x, and a pair
+    # x, -x present, plus a mixed disjoint set
+    PROFILES = [
+        ("{1,2,4}", '"has_zero": false, "k": 3, "n": 0, "p": 3',
+         '"self_disjoint": true, "self_meet_zero": false',
+         "k=3{r} n=0 p=3 zero=no self_disjoint=yes self_meet_zero=no"),
+        ("{0,1,3}", '"has_zero": true, "k": 3, "n": 0, "p": 2',
+         '"self_disjoint": false, "self_meet_zero": true',
+         "k=3{r} n=0 p=2 zero=yes self_disjoint=no self_meet_zero=yes"),
+        ("{-1,0,1}", '"has_zero": true, "k": 3, "n": 1, "p": 1',
+         '"self_disjoint": false, "self_meet_zero": false',
+         "k=3{r} n=1 p=1 zero=yes self_disjoint=no self_meet_zero=no"),
+        ("{-2,1}", '"has_zero": false, "k": 2, "n": 1, "p": 1',
+         '"self_disjoint": true, "self_meet_zero": false',
+         "k=2{r} n=1 p=1 zero=no self_disjoint=yes self_meet_zero=no"),
+    ]
+
+    @pytest.mark.parametrize("r", [None, 2])
+    @pytest.mark.parametrize("literal, counts, symmetry, line", PROFILES)
+    def test_profile_pinned(self, capsys, literal, counts, symmetry, line, r):
+        argv = ["compute", "--set", literal, "--alpha", "1"]
+        if r is not None:
+            argv += ["--r", str(r)]
+        _, out, _ = run(capsys, *argv, "--json")
+        rkey = "" if r is None else f', "r": {r}'
+        profile = "{" + counts + rkey + ", " + symmetry + "}"
+        assert f'"profile": {profile}' in out
+        _, out, _ = run(capsys, *argv)
+        rtext = "" if r is None else f" r={r}"
+        assert out.splitlines()[-1] == "profile: " + line.format(r=rtext)
+
     def test_alpha_out_of_range(self, capsys):
         code, out, err = run(capsys, "compute", "--set", "{1,2}", "--alpha", "3")
         assert code == EXIT_USAGE

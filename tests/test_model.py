@@ -128,32 +128,33 @@ def test_negate_and_dilate():
 
 
 @pytest.mark.parametrize(
-    "elems, n, p, zero, disjoint, meet_zero",
+    "elems, n, p, zero, meet",
     [
-        ((1, 2, 4), 0, 3, False, True, False),
-        ((-2, -1, 1, 2), 2, 2, False, False, False),
-        ((0, 1, 3), 0, 2, True, False, True),
-        ((0,), 0, 0, True, False, True),
-        ((-1, 0, 1), 1, 1, True, False, False),
-        ((-3, -1,), 2, 0, False, True, False),
-        ((-2, 1), 1, 1, False, True, False),
+        ((1, 2, 4), 0, 3, 0, 0),
+        ((-2, -1, 1, 2), 2, 2, 0, 1),
+        ((0, 1, 3), 0, 2, 1, 0),
+        ((0,), 0, 0, 1, 0),
+        ((-1, 0, 1), 1, 1, 1, 1),
+        ((-3, -1,), 2, 0, 0, 0),
+        ((-2, 1), 1, 1, 0, 0),
+        ((-3, -2, 0, 1, 3), 2, 2, 1, 1),
     ],
 )
-def test_classify(elems, n, p, zero, disjoint, meet_zero):
+def test_classify(elems, n, p, zero, meet):
     prof = classify(IntegerSet(elems))
-    assert (prof.n, prof.p, prof.has_zero) == (n, p, zero)
-    assert prof.self_disjoint == disjoint
-    assert prof.self_meet_zero == meet_zero
+    assert prof == (n, p, zero, meet)
+    assert (prof.n, prof.p, prof.zero, prof.meet) == (n, p, zero, meet)
 
 
 @given(small_sets)
 def test_classify_counts_partition_k(values):
     a = IntegerSet.from_iterable(values)
     prof = classify(a)
-    assert prof.n + prof.p + int(prof.has_zero) == a.k
-    assert not (prof.self_disjoint and prof.has_zero)
-    if prof.self_meet_zero:
-        assert prof.has_zero
+    assert prof.n + prof.p + prof.zero == a.k
+    assert all(type(field) is int for field in prof)
+    assert prof.zero in (0, 1) and prof.meet in (0, 1)
+    # meet is 1 exactly when some nonzero x and -x are both present
+    assert prof.meet == any(-x in a for x in a if x > 0)
 
 
 @given(small_sets)
@@ -161,9 +162,7 @@ def test_classify_negation_swaps_signs(values):
     a = IntegerSet.from_iterable(values)
     prof, neg = classify(a), classify(a.negate())
     assert (prof.n, prof.p) == (neg.p, neg.n)
-    assert prof.has_zero == neg.has_zero
-    assert prof.self_disjoint == neg.self_disjoint
-    assert prof.self_meet_zero == neg.self_meet_zero
+    assert (prof.zero, prof.meet) == (neg.zero, neg.meet)
 
 
 @given(small_sets)

@@ -10,7 +10,9 @@ import pytest
 
 from subsums import engine, verifier
 from subsums.bounds import applicable_bounds
-from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
+from subsums.model import (
+    IntegerSet, RepSequence, classify, parse_sequence, parse_set,
+)
 from subsums.oracle import oracle_sigma_set
 from subsums.verifier import (
     WITNESS_CAP,
@@ -236,6 +238,26 @@ class TestAgainstBruteForce:
         assert weights[-1, 0, 1] == 1
         assert sum(w for _, w in seen) == 2**7 - 1
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_walk_shape_is_classify(self, mirror):
+        # the shape each node carries, built one element at a time, is
+        # the sign shape classify takes of the whole subset
+        values = range(-4, 5)
+        nodes, wrong = 0, []
+
+        def visit(chosen, layer_sets, shape, weight):
+            nonlocal nodes
+            if chosen:
+                nodes += 1
+                if shape != classify(IntegerSet(tuple(chosen))):
+                    wrong.append((tuple(chosen), shape))
+
+        verifier._walk(values, range(len(values)), range(10), [1], 36,
+                       visit, mirror)
+        # 511 nonempty subsets; the 31 symmetric ones are their own mirror
+        assert nodes == (271 if mirror else 511)
+        assert wrong == []
+
     def test_mirror_walk_weights_violations(self, monkeypatch):
         # an unreachable floor makes every (instance, alpha) pair violate
         floors = verifier.shape_floors
@@ -280,21 +302,34 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="workers"):
             sweep_sequences(1, [2], [2], workers=workers)
 
+    # records make the sweep walk every subset, so the clamp counts the
+    # whole universe
     def test_clamped_to_chunks(self, pool):
         # C(17,2) + C(17,3) = 816 instances: two chunks
-        rep = sweep_sets(8, [2, 3], workers=5000)
+        rep = sweep_sets(8, [2, 3], workers=5000, collect_records=True)
         assert pool.sizes == [2]
         assert rep.instances == 816
 
     def test_clamped_to_cpus(self, pool):
         # C(17,4) = 2380 instances: five chunks, four CPUs
-        sweep_sets(8, [4], workers=5000)
+        sweep_sets(8, [4], workers=5000, collect_records=True)
         assert pool.sizes == [4]
 
     def test_sequences_clamped(self, pool):
         # (C(11,2) + C(11,3)) x 3 multiplicities = 660 instances: two chunks
-        sweep_sequences(5, [2, 3], [1, 2, 3], workers=64)
+        sweep_sequences(5, [2, 3], [1, 2, 3], workers=64,
+                        collect_records=True)
         assert pool.sizes == [2]
+
+    def test_mirror_walk_clamped_to_its_half(self, pool):
+        # the mirror walk visits about half of the 816 instances, 408
+        # rounded up: one chunk, so no pool
+        rep = sweep_sets(8, [2, 3], workers=5000)
+        assert pool.sizes == []
+        assert rep.instances == 816
+        # half of C(17,4) = 2380 is 1190: three chunks
+        sweep_sets(8, [4], workers=5000)
+        assert pool.sizes == [3]
 
     @pytest.mark.parametrize("collect", [False, True])
     def test_floor_tables_filled_once_per_process(self, pool, monkeypatch,

@@ -3,6 +3,7 @@ matched floor across full threshold ranges at moderate sizes."""
 
 import pytest
 
+from subsums.bounds import applicable_bounds
 from subsums.engine import sigma_size
 from subsums.model import IntegerSet, RepSequence, as_sequence
 from subsums.witnesses import (
@@ -194,3 +195,9 @@ def test_claimed_bound_matches_family_theorem():
     ]
     for fam, tid in pairs:
         assert claimed_bound(fam, 0).theorem_id == tid
+    # at every alpha the claimed floor's hypotheses hold for the family's
+    # instance: the dispatch lists it, with the same value and case
+    for fam in _moderate_families():
+        inst = witness(fam)
+        for alpha in alpha_values(fam):
+            assert claimed_bound(fam, alpha) in applicable_bounds(inst, alpha)
