@@ -6,13 +6,15 @@ set-valued entry points wrap their argument at r = 1.
 
 Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
-exactly c terms. `extend_layers` is the one insertion: r copies of a
+exactly c terms. `extend_layers` is the DP's insertion: r copies of a
 term x go in as binary parts 1, 2, 4, ..., rest, each one top-down
 shift-or pass over the layers, so bit_length(r) passes per term.
 `sequence_layers` folds it over the sorted base, r copies each, up to
 the top layer its caller reads (one bottom-up pass per term when
-r >= top); the verifier's sweep walk extends a parent's layers instead,
-at an offset that covers every instance of the walk.
+r >= top). The verifier's sweep walk reads only at-least windows, so
+it carries suffix unions (union c holds the sums of at least c terms)
+and extends a parent's with `extend_suffixes`, the same insertion on
+unions, at an offset that covers every instance of the walk.
 
 `sequence_layers` runs on the base translated to least element 0, so a
 cluster of values near t costs c*(max - min) bits in layer c, not c*t,
@@ -68,6 +70,37 @@ def extend_layers(layers: list[int], x: int, copies: int) -> list[int]:
         else:
             for c in range(top, -1, -1):
                 out[c + w] |= out[c] >> -shift
+        top += w
+        copies -= w
+        w += w
+    return out
+
+
+def extend_suffixes(suffix: list[int], x: int, copies: int) -> list[int]:
+    """A new list of suffix unions (see `suffix_unions`): these plus
+    `copies` copies of term x, under the same contract and binary-part
+    schedule as `extend_layers`.
+
+    A part of w copies sends S_c to S_c | S_max(c-w, 0) << w*x: a sum
+    with at least c terms either skips the part or takes it on top of a
+    sum with at least c - w terms. Each pass runs top-down, so every
+    source is still the old union; unions 0..w all take S_0."""
+    out = suffix + [0] * copies
+    top, w = len(suffix) - 1, 1
+    while copies:
+        if w > copies:
+            w = copies
+        shift = w * x
+        if shift >= 0:
+            for c in range(top + w, w, -1):
+                out[c] |= out[c - w] << shift
+            low = out[0] << shift
+        else:
+            for c in range(top + w, w, -1):
+                out[c] |= out[c - w] >> -shift
+            low = out[0] >> -shift
+        for c in range(w + 1):
+            out[c] |= low
         top += w
         copies -= w
         w += w

@@ -7,12 +7,17 @@ and keeps the least size per (k, r, alpha) cell with example witnesses.
 Sets are r = 1 sequences marked r = None: set floors, and cells with no r.
 
 The instances are the nodes of one depth-first walk over the ascending
-universe (`_walk`): a node's count layers are its parent's plus one
-`engine.extend_layers` insertion, and it carries its sign shape, which
-with r fixes k and every floor. Floors come from a table per process
-and sweep, keyed by (r, shape), filled from the shape by
-`bounds.shape_floors`; `applicable_bounds` runs only when records are
-collected, for their BoundResults. Tallies run inline.
+universe (`_walk`): a node's suffix unions (the sums with at least c
+terms, for every c) are its parent's plus one `engine.extend_suffixes`
+insertion, and it carries its sign shape, which with r fixes k and
+every floor. A node's tallies depend only on its profile (r, shape,
+sizes), sizes[alpha] being the bit count of union alpha, so the walk
+only adds each node's weight to its profile and keeps the minima.
+After the merge each distinct profile is compared once with its
+shape's floors from `bounds.shape_floors`, which gives the instance,
+check, violation and tight counts. Runs that collect records take
+their BoundResults from `applicable_bounds`, once per (r, shape) and
+process.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -39,6 +44,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, inf
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
@@ -47,7 +53,15 @@ from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet
 
 DEFAULT_BUDGET = 10**6
 WITNESS_CAP = 16
-_CHUNK = 512
+# canonical instances per pool process. On 2 vCPUs (Python 3.11) a
+# two-process fork pool takes about 10 ms to start and stop with no work,
+# and its workers walk slower at first (copy-on-write faults, cold caches):
+# sweep_sets(8, 2..6), 10,880 canonical instances, took 66 ms serially and
+# 90 ms at workers=2; (9, 2..6), 21,888, broke even at 122 against 125 ms;
+# (10, 2..6), 41,069, won at 235 against 163 ms. Sequence instances cost
+# more each, but their first-element subtrees are less even, and
+# sweep_sequences(6, 2..5, 1..8), 9,464, still lost at 196 against 199 ms.
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -139,8 +153,9 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 
 def new_aggregate() -> dict:
     """Empty campaign tallies: counts, tight floors per theorem, minima
-    keyed by (k, r, alpha) with r None outside sequences, and records
-    in lists keyed by k."""
+    keyed by (k, r, alpha) with r None outside sequences, records in
+    lists keyed by k, and a sweep's instance weight per (r, shape, sizes)
+    profile, which `_resolve_profiles` turns into the first four."""
     return {
         "instances": 0,
         "checks": 0,
@@ -149,6 +164,7 @@ def new_aggregate() -> dict:
         "tight": Counter(),
         "minima": {},
         "records": {},
+        "profiles": Counter(),
     }
 
 
@@ -166,11 +182,8 @@ def note_minimum(minima: dict, key: tuple, size: int, literal: str) -> int:
 
 def _merge_aggs(dst: dict, src: dict) -> None:
     """Fold a later walk unit's aggregate into dst."""
-    dst["instances"] += src["instances"]
-    dst["checks"] += src["checks"]
-    dst["violations"] += src["violations"]
     dst["oracle_checked"] += src["oracle_checked"]
-    dst["tight"].update(src["tight"])
+    dst["profiles"].update(src["profiles"])
     for key, (size, wits) in src["minima"].items():
         for literal in wits:
             note_minimum(dst["minima"], key, size, literal)
@@ -179,9 +192,10 @@ def _merge_aggs(dst: dict, src: dict) -> None:
 
 
 def _alphas(policy, total: int) -> list[int]:
+    """The policy's alphas in [0, total], each once, in policy order."""
     if policy == "all":
         return list(range(total + 1))
-    return [a for a in policy if 0 <= a <= total]
+    return list(dict.fromkeys(a for a in policy if 0 <= a <= total))
 
 
 def _policy_echo(policy) -> object:
@@ -193,12 +207,13 @@ def _policy_echo(policy) -> object:
 def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
           mults: Sequence[int], offset: int, visit: Callable,
           mirror: bool) -> None:
-    """Call visit(chosen, layer_sets, shape, weight) on each subset of the
+    """Call visit(chosen, suffix_sets, shape, weight) on each subset of the
     ascending values with a size in ks and its least element values[i], i
     in firsts: depth first, next elements ascending, a node before its
     children, so each size's subsets come in itertools.combinations order.
-    Per m in mults, a node's layers are its parent's plus m copies of its
-    new element, at an offset of at least max(mults) * max|v| * max(ks).
+    Per m in mults, a node's suffix unions are its parent's plus m copies
+    of its new element (`engine.suffix_unions` of the node repeated m
+    times), at an offset of at least max(mults) * max|v| * max(ks).
     shape is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1
     if some x and -x both are. Size 0 is the empty subset at the root,
     visited whatever firsts is. chosen is reused between calls.
@@ -211,20 +226,20 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     under a first element v no later element exceeds -v; only the ties,
     max(A) = -min(A), need the full comparison, and those are leaves."""
     last, kmin, kmax = len(values), min(ks), max(ks)
+    extend = engine.extend_suffixes
     tally = [size in ks for size in range(kmax + 1)]
     chosen: list[int] = []
     # per first element: the end of the index range, the element that
     # makes a tie (None: no ties) and the weight of every other node
     cap, tie, full = last, None, 1
 
-    def descend(indices: Iterable, layer_sets: list, shape: tuple, negs: int) -> None:
+    def descend(indices: Iterable, suffix_sets: list, shape: tuple, negs: int) -> None:
         # negs has bit -x set for each chosen negative x
         depth = len(chosen) + 1
         n, p, zero, meet = shape
         for i in indices:
             x = values[i]
-            child = [engine.extend_layers(layers, x, m)
-                     for layers, m in zip(layer_sets, mults)]
+            child = [extend(suffix, x, m) for suffix, m in zip(suffix_sets, mults)]
             if x < 0:
                 here, below = (n + 1, p, zero, meet), negs | 1 << -x
             elif x:
@@ -266,22 +281,41 @@ def _with_mirrors(wits: list[tuple], cap: int) -> list[tuple]:
     return sorted(set(wits).union(mirrors))[:cap]
 
 
-def _shape_rows(elems: Sequence[int], shape: tuple, r: int | None, policy,
-                collect: bool) -> tuple:
+def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
     """Floors of a shape at r (None for a set): the checks per instance,
-    and per policy alpha a row (alpha, ((value, theorem_id), ...),
-    BoundResults of elems if records are collected, else None)."""
-    if collect:
-        base = IntegerSet(tuple(elems))
-        instance = base if r is None else RepSequence(base, r)
-    rows = []
-    for alpha in _alphas(policy, len(elems) * (r or 1)):
-        pairs = tuple(shape_floors(*shape, r, alpha))
-        floors = None
-        if collect:
-            floors = tuple(applicable_bounds(instance, alpha))
-        rows.append((alpha, pairs, floors))
-    return sum(len(row[1]) for row in rows), tuple(rows)
+    and per policy alpha a row (alpha, ((value, theorem_id), ...))."""
+    rows = tuple(
+        (alpha, tuple(shape_floors(*shape, r, alpha)))
+        for alpha in _alphas(policy, (shape[0] + shape[1] + shape[2]) * (r or 1))
+    )
+    return sum(len(pairs) for _, pairs in rows), rows
+
+
+def _resolve_profiles(agg: dict, policy) -> None:
+    """Fill a merged sweep aggregate's instance, check, violation and
+    tight counts from its profiles: each distinct (r, shape, sizes) is
+    compared once with its shape's floors, weighted by the instances it
+    stands for."""
+    table: dict[tuple, tuple] = {}
+    tight = agg["tight"]
+    checks = violations = 0
+    for (r, shape, sizes), weight in agg["profiles"].items():
+        entry = table.get((r, shape))
+        if entry is None:
+            entry = table[r, shape] = _shape_rows(shape, r, policy)
+        checks += entry[0] * weight
+        for alpha, pairs in entry[1]:
+            size = sizes[alpha]
+            violation = False
+            for value, theorem_id in pairs:
+                if value > size:
+                    violation = True
+                elif value == size:
+                    tight[theorem_id] += weight
+            if violation:
+                violations += weight
+    agg.update(instances=sum(agg["profiles"].values()), checks=checks,
+               violations=violations)
 
 
 def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
@@ -294,76 +328,89 @@ def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
     return out[::-1]
 
 
-# floor rows keyed by r, then by shape: emptied when a sweep starts (its
-# pool's processes start from it), so the walk units one process runs for
-# the sweep share them
-_TABLES: dict[int | None, dict] = {}
+# BoundResults of record runs per (r, shape): a tuple of (alpha, floors)
+# rows; emptied when a sweep starts (its pool's processes start from it),
+# so the walk units one process runs for the sweep share it
+_RECORD_FLOORS: dict[tuple, tuple] = {}
 
 
 def _walk_unit(payload) -> dict:
     """The aggregate of the subtrees starting at values[i], i in firsts, at
-    every r in rs (None for sets). Unless records are collected or the
-    oracle checks, the walk is the mirror walk: its counts and tallies are
-    weighted and its minima hold only canonical witnesses. Floor rows come
-    from the process's tables; a literal is built only below its cell's
-    admit threshold."""
+    every r in rs (None for sets): profile weights, minima, and records
+    or oracle checks when asked for. Unless records are collected or the
+    oracle checks, the walk is the mirror walk: its weights count mirror
+    pairs twice and its minima hold only canonical witnesses. A literal
+    is built only below its cell's admit threshold."""
     values, firsts, ks, rs, policy, use_oracle, collect = payload
     mults = [r or 1 for r in rs]
     offset = max(mults) * max(ks) * max(map(abs, values), default=0)
     agg = new_aggregate()
-    minima, tight, by_k = agg["minima"], agg["tight"], agg["records"]
-    tables = [_TABLES.setdefault(r, {}) for r in rs]
-    admits: dict[tuple, list] = {}
-    instances = checks = violations = oracle_checked = 0
+    minima, profiles, by_k = agg["minima"], agg["profiles"], agg["records"]
+    # admits[k][i][alpha]: a size at (k, rs[i], alpha) must be below it
+    # to reach note_minimum; alphas outside the policy are never admitted
+    admits = [[] for _ in range(max(ks) + 1)]
+    for k in ks:
+        for r in rs:
+            admit = [0] * (k * (r or 1) + 1)
+            for alpha in _alphas(policy, len(admit) - 1):
+                admit[alpha] = inf
+            admits[k].append(admit)
 
-    def visit(chosen: list[int], layer_sets: list, shape: tuple,
+    def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
-        nonlocal instances, checks, violations, oracle_checked
         k = len(chosen)
         literal = None
-        if collect or use_oracle:
-            literal = "{" + ",".join(map(str, chosen)) + "}"
-        instances += len(rs) * weight
-        for r, table, layers in zip(rs, tables, layer_sets):
-            entry = table.get(shape)
-            if entry is None:
-                entry = table[shape] = _shape_rows(chosen, shape, r, policy,
-                                                    collect)
-            checks += entry[0] * weight
-            suffix = engine.suffix_unions(layers)
-            admit = admits.setdefault((k, r), [inf] * len(layers))
-            expected = _oracle_suffixes(chosen, r) if use_oracle else None
-            for alpha, pairs, floors in entry[1]:
-                size = suffix[alpha].bit_count()
-                violation = False
-                for value, theorem_id in pairs:
-                    if value > size:
-                        violation = True
-                    elif value == size:
-                        tight[theorem_id] += weight
-                if violation:
-                    violations += weight
-                if size < admit[alpha]:
-                    literal = literal or "{" + ",".join(map(str, chosen)) + "}"
-                    admit[alpha] = note_minimum(minima, (k, r, alpha), size, literal)
-                if expected is not None:
+        for r, suffix, admit in zip(rs, suffix_sets, admits[k]):
+            sizes = tuple(map(int.bit_count, suffix))
+            profiles[r, shape, sizes] += weight
+            if any(map(lt, sizes, admit)):
+                literal = literal or "{" + ",".join(map(str, chosen)) + "}"
+                for alpha, size in enumerate(sizes):
+                    if size < admit[alpha]:
+                        admit[alpha] = note_minimum(minima, (k, r, alpha),
+                                                    size, literal)
+
+    def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
+                   weight: int) -> None:
+        visit(chosen, suffix_sets, shape, weight)
+        k = len(chosen)
+        literal = "{" + ",".join(map(str, chosen)) + "}"
+        for r, suffix in zip(rs, suffix_sets):
+            if use_oracle:
+                expected = _oracle_suffixes(chosen, r)
+                alphas = _alphas(policy, len(suffix) - 1)
+                for alpha in alphas:
                     decoded = SumSet.from_bitmap(suffix[alpha], offset).sums
                     if decoded != expected[alpha]:
                         where = literal if r is None else f"{literal} r={r}"
                         raise RuntimeError(
                             f"engine/oracle mismatch on {where} alpha={alpha}"
                         )
-                    oracle_checked += 1
-                if collect:
-                    checked = tuple(BoundCheck(b, b.value == size) for b in floors)
+                agg["oracle_checked"] += len(alphas)
+            if collect:
+                rows = _RECORD_FLOORS.get((r, shape))
+                if rows is None:
+                    rows = _RECORD_FLOORS[r, shape] = _record_rows(chosen, r,
+                                                                   policy)
+                for alpha, floors in rows:
+                    size = suffix[alpha].bit_count()
                     by_k.setdefault(k, []).append(VerificationRecord(
-                        literal, r, alpha, size, checked, use_oracle, violation))
+                        literal, r, alpha, size,
+                        tuple(BoundCheck(b, b.value == size) for b in floors),
+                        use_oracle, any(b.value > size for b in floors)))
 
-    _walk(values, firsts, ks, mults, offset, visit,
+    _walk(values, firsts, ks, mults, offset,
+          visit_each if collect or use_oracle else visit,
           not (collect or use_oracle))
-    agg.update(instances=instances, checks=checks, violations=violations,
-               oracle_checked=oracle_checked)
     return agg
+
+
+def _record_rows(elems: Sequence[int], r: int | None, policy) -> tuple:
+    """Per policy alpha, (alpha, BoundResults of the instance)."""
+    base = IntegerSet(tuple(elems))
+    instance = base if r is None else RepSequence(base, r)
+    return tuple((alpha, tuple(applicable_bounds(instance, alpha)))
+                 for alpha in _alphas(policy, len(elems) * (r or 1)))
 
 
 # -- campaign entry points ---------------------------------------------
@@ -393,8 +440,9 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_max_abs(max_abs)
     subsets = {k: comb(2 * max_abs + 1, k) for k in ks}
+    # an instance is walked even where the policy selects no alpha
     pairs = sum(
-        n * len(_alphas(alpha_policy, k * (r or 1)))
+        n * max(len(_alphas(alpha_policy, k * (r or 1))), 1)
         for k, n in subsets.items()
         for r in rs
     )
@@ -412,7 +460,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
     common = (ks, rs, alpha_policy, oracle_check, collect_records)
-    _TABLES.clear()
+    _RECORD_FLOORS.clear()
     if procs <= 1:
         agg = _walk_unit((values, firsts) + common)
     else:
@@ -421,6 +469,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             for part in pool.map(_walk_unit,
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
+    _resolve_profiles(agg, alpha_policy)
     if mirror:
         for key, (size, wits) in agg["minima"].items():
             elems = [tuple(map(int, lit[1:-1].split(","))) for lit in wits]
@@ -445,7 +494,14 @@ def sweep_sets(
     budget: int = DEFAULT_BUDGET,
     collect_records: bool = False,
 ) -> CampaignReport:
-    """Verify every floor over all k-subsets of [-max_abs, max_abs]."""
+    """Verify every floor over all k-subsets of [-max_abs, max_abs].
+
+    Refused up front with BudgetExceeded when the instance-alpha pairs
+    exceed budget, an instance with no policy alpha counting as one. The
+    count bounds the work: the walk offset is k_max*max_abs, so a
+    k-subset's k + 1 suffix unions hold at most
+    (k + 1)*((k_max + k)*max_abs + 1) bits, built by one insertion from
+    its parent's, and only the current path's unions are kept."""
     return _sweep("sets", max_abs, k_range, None, alpha_policy, oracle_check,
                   workers, budget, collect_records)
 
@@ -462,7 +518,15 @@ def sweep_sequences(
     collect_records: bool = False,
 ) -> CampaignReport:
     """Verify every floor over all base k-subsets of [-max_abs, max_abs]
-    crossed with every multiplicity in r_range."""
+    crossed with every multiplicity in r_range.
+
+    Refused up front with BudgetExceeded when the instance-alpha pairs
+    exceed budget, an instance with no policy alpha counting as one. The
+    count bounds the work: the walk offset is r_max*k_max*max_abs, so an
+    instance (k-subset, r) has r*k + 1 suffix unions of at most
+    (r*k + 1)*((r_max*k_max + r*k)*max_abs + 1) bits in all, built by one
+    insertion of r copies from its parent's, and only the current path's
+    unions are kept."""
     return _sweep("sequences", max_abs, k_range, r_range, alpha_policy,
                   oracle_check, workers, budget, collect_records)
 
@@ -510,6 +574,13 @@ def empirical_minimum(
 
     zero_policy "require" keeps only subsets containing zero, "forbid"
     only those avoiding it, "any" all of them.
+
+    Refused up front with BudgetExceeded when the subsets walked exceed
+    budget: C(2*max_abs + 1, k), or C(2*max_abs, k - 1) under "require"
+    (C(2*max_abs, k) under "forbid"). The count bounds the work: at the
+    walk offset k*max_abs each subset's at most k + 1 suffix unions hold
+    at most (k + 1)*(2*k*max_abs + 1) bits, built by one insertion from
+    its parent's, and only the current path's unions are kept.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -519,14 +590,16 @@ def empirical_minimum(
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)
     values = range(-max_abs, max_abs + 1)
-    size_k, window = k, range(alpha, k + 1)
+    # every subset walked has size_k elements, so its sums with at least
+    # low of them are the window alpha..k
+    size_k, low = k, alpha
     if zero_policy == "forbid":
         values = [v for v in values if v]
     elif zero_policy == "require":
         # walk the (k-1)-subsets S of the nonzero values: layer c of S + {0}
         # is S's layers c and c - 1, so its window is S's one layer lower
         values = [v for v in values if v]
-        size_k, window = k - 1, range(max(alpha - 1, 0), k)
+        size_k, low = k - 1, max(alpha - 1, 0)
     count = comb(len(values), size_k)
     if count > budget:
         raise BudgetExceeded(
@@ -538,10 +611,10 @@ def empirical_minimum(
 
     # every policy's universe is closed under negation, so the mirror walk
     # sees each minimizer or its mirror
-    def visit(chosen: list[int], layer_sets: list, shape: tuple,
+    def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
         nonlocal best, wits
-        size = engine.union_layers(layer_sets[0], window).bit_count()
+        size = suffix_sets[0][low].bit_count()
         if best is None or size < best:
             best, wits = size, [tuple(sorted(chosen + zeros))]
         elif size == best and len(wits) < witness_cap:

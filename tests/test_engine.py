@@ -15,6 +15,7 @@ from subsums import engine
 from subsums.engine import (
     add_sets,
     extend_layers,
+    extend_suffixes,
     fold_fast,
     h_fold,
     sequence_layers,
@@ -348,6 +349,32 @@ def test_extend_layers_binary_parts_match_one_copy_passes(values, x, copies):
     before = list(parent)
     assert extend_layers(parent, x, copies) == linear_extend(parent, x, copies)
     assert parent == before
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=3, unique=True),
+    st.integers(1, 3),
+    st.integers(-9, 9),
+    st.integers(1, 12),
+    st.integers(0, 40),
+)
+@example([-1, 2], 1, -9, 12, 0)  # parts 1, 2, 4, 5, x < 0
+@example([0, 3], 2, 7, 7, 5)  # parts 1, 2, 4
+@example([4], 3, 0, 3, 0)  # x = 0: every union keeps its sums
+@example([], 1, 5, 1, 0)  # from the root alone
+def test_extend_suffixes_is_suffix_unions_of_extend_layers(values, r, x,
+                                                           copies, pad):
+    # the walk's insertion on suffix unions equals the count-layer
+    # insertion followed by suffix_unions, at any offset wide enough
+    offset = 6 * r * len(values) + 9 * copies + pad
+    layers = [1 << offset]
+    for v in values:
+        layers = extend_layers(layers, v, r)
+    suffix = suffix_unions(layers)
+    before = list(suffix)
+    assert extend_suffixes(suffix, x, copies) == suffix_unions(
+        extend_layers(layers, x, copies))
+    assert suffix == before  # the parent's list is left as it was
 
 
 @given(st.data())

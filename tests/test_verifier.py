@@ -5,6 +5,7 @@ import csv
 import functools
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -55,6 +56,29 @@ class TestSetSweep:
         rep = sweep_sets(1, [2], alpha_policy=[0, 2])
         # three instances, two thresholds each
         assert {cell["alpha"] for cell in rep.minima} == {0, 2}
+
+    def test_repeated_policy_alpha_counts_once(self):
+        # the universe echoes the policy as a set, and so do the counts,
+        # minima and records
+        once = sweep_sets(2, [2, 3], alpha_policy=[0, 2],
+                          collect_records=True)
+        twice = sweep_sets(2, [2, 3], alpha_policy=[2, 0, 2, 2],
+                           collect_records=True)
+        a, b = once.to_json(), twice.to_json()
+        a.pop("elapsed_ms")
+        b.pop("elapsed_ms")
+        assert a == b
+        assert len(twice.records) == 2 * twice.instances
+
+    def test_budget_counts_instances_without_policy_alphas(self):
+        # every instance is walked, whether or not the policy selects
+        # one of its alphas
+        with pytest.raises(BudgetExceeded, match="needs 10 instance-alpha"):
+            sweep_sets(2, [2], alpha_policy=[], budget=9)
+        with pytest.raises(BudgetExceeded, match="needs 10 instance-alpha"):
+            sweep_sets(2, [2], alpha_policy=[7], budget=9)
+        rep = sweep_sets(2, [2], alpha_policy=[], budget=10)
+        assert (rep.instances, rep.checks, rep.minima) == (10, 0, [])
 
     def test_rejects_bad_k_range(self):
         with pytest.raises(ValueError):
@@ -142,18 +166,32 @@ class TestRecordsAcrossWorkers:
         assert blobs[0] == blobs[1]
 
 
-def brute_force(max_abs, ks, rs):
-    """Minima cells and record keys of a sweep, recomputed per instance:
-    itertools.combinations, then engine.sigma_size at every alpha."""
+def brute_force(max_abs, ks, rs, policy="all"):
+    """Minima cells, record keys and report counts of a sweep, recomputed
+    per (instance, r, policy alpha): itertools.combinations, then
+    engine.sigma_size against applicable_bounds."""
     minima, keys = {}, []
+    counts = {"instances": 0, "checks": 0, "violations": 0,
+              "oracle_checked": 0}
+    tight = Counter()
     for k in ks:
         for elems in itertools.combinations(range(-max_abs, max_abs + 1), k):
-            literal = IntegerSet(elems).literal()
+            base = IntegerSet(elems)
+            literal = base.literal()
             for r in rs:
-                seq = RepSequence(IntegerSet(elems), r or 1)
+                seq = RepSequence(base, r or 1)
+                counts["instances"] += 1
                 for alpha in range(seq.length + 1):
+                    if policy != "all" and alpha not in policy:
+                        continue
                     keys.append((literal, r, alpha))
                     size = engine.sigma_size(seq, alpha)
+                    floors = applicable_bounds(base if r is None else seq,
+                                               alpha)
+                    counts["checks"] += len(floors)
+                    counts["violations"] += any(b.value > size for b in floors)
+                    tight.update(b.theorem_id for b in floors
+                                 if b.value == size)
                     best, wits = minima.get((k, r, alpha), (size + 1, []))
                     if size < best:
                         minima[k, r, alpha] = (size, [literal])
@@ -163,7 +201,7 @@ def brute_force(max_abs, ks, rs):
     for (k, r, alpha), (size, wits) in sorted(minima.items()):
         cell = {"k": k} if r is None else {"k": k, "r": r}
         cells.append(dict(cell, alpha=alpha, size=size, witnesses=wits))
-    return cells, keys
+    return cells, keys, {"counts": counts, "tight_by_theorem": dict(tight)}
 
 
 class TestAgainstBruteForce:
@@ -172,13 +210,13 @@ class TestAgainstBruteForce:
 
     def test_sets(self):
         rep = sweep_sets(3, range(1, 6), collect_records=True)
-        cells, keys = brute_force(3, range(1, 6), [None])
+        cells, keys, _ = brute_force(3, range(1, 6), [None])
         assert rep.minima == cells
         assert [(rec.instance, rec.r, rec.alpha) for rec in rep.records] == keys
 
     def test_sequences(self):
         rep = sweep_sequences(2, range(1, 4), range(1, 5), collect_records=True)
-        cells, keys = brute_force(2, range(1, 4), range(1, 5))
+        cells, keys, _ = brute_force(2, range(1, 4), range(1, 5))
         assert rep.minima == cells
         assert [(rec.instance, rec.r, rec.alpha) for rec in rep.records] == keys
 
@@ -196,7 +234,9 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("kind", ["sets", "sequences"])
     def test_mirror_walk_equals_full_walk(self, kind, policy, workers):
         # without records the walk visits only A <=lex -A and weights it;
-        # the report, witness order included, is the full walk's
+        # the report, witness order included, is the full walk's, and its
+        # counts and tight floors, resolved per size profile, are those
+        # of a per-instance dispatch
         if kind == "sets":
             max_abs, ks, rs = 3, range(1, 6), [None]
             run = functools.partial(sweep_sets, max_abs, ks, policy)
@@ -208,10 +248,11 @@ class TestAgainstBruteForce:
         half.pop("elapsed_ms")
         full.pop("elapsed_ms")
         assert half == full
-        cells, _ = brute_force(max_abs, ks, rs)
-        assert half["minima"] == [
-            cell for cell in cells if policy == "all" or cell["alpha"] in policy
-        ]
+        cells, _, tallies = brute_force(max_abs, ks, rs, policy)
+        assert half["minima"] == cells
+        for rep in (half, full):
+            assert rep["counts"] == tallies["counts"]
+            assert rep["tight_by_theorem"] == tallies["tight_by_theorem"]
         if workers > 1:
             assert _RecordingPool.sizes == [2, 2]
 
@@ -258,6 +299,34 @@ class TestAgainstBruteForce:
         assert nodes == (271 if mirror else 511)
         assert wrong == []
 
+    @pytest.mark.parametrize("mults", [[1], [1, 2, 3]])
+    def test_walk_unions_within_docstring_bound(self, mults):
+        # an instance (k-subset, m) holds at most
+        # (m*k + 1)*((m_max*k_max + m*k)*max_abs + 1) union bits, and its
+        # unions are suffix_unions of its count layers at the walk offset
+        max_abs, kmax = 3, 4
+        values = range(-max_abs, max_abs + 1)
+        offset = max(mults) * kmax * max_abs
+        nodes = 0
+
+        def visit(chosen, suffix_sets, shape, weight):
+            nonlocal nodes
+            nodes += 1
+            k = len(chosen)
+            for m, suffix in zip(mults, suffix_sets):
+                assert len(suffix) == m * k + 1
+                assert sum(u.bit_length() for u in suffix) <= (m * k + 1) * (
+                    (max(mults) * kmax + m * k) * max_abs + 1)
+                layers = [1 << offset]
+                for x in chosen:
+                    layers = engine.extend_layers(layers, x, m)
+                assert suffix == engine.suffix_unions(layers)
+
+        verifier._walk(values, range(len(values)), range(1, kmax + 1), mults,
+                       offset, visit, True)
+        # 98 nonempty subsets of size <= 4, 10 of them their own mirror
+        assert nodes == (98 + 10) // 2
+
     def test_mirror_walk_weights_violations(self, monkeypatch):
         # an unreachable floor makes every (instance, alpha) pair violate
         floors = verifier.shape_floors
@@ -290,8 +359,10 @@ class _RecordingPool:
 class TestWorkerCount:
     @pytest.fixture
     def pool(self, monkeypatch):
+        # 512-instance shares keep the universes below small
         monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verifier, "_CHUNK", 512)
         _RecordingPool.sizes = []
         return _RecordingPool
 
@@ -334,25 +405,52 @@ class TestWorkerCount:
     @pytest.mark.parametrize("collect", [False, True])
     def test_floor_tables_filled_once_per_process(self, pool, monkeypatch,
                                                   collect):
-        # floor rows depend only on (r, shape, policy): walk units in one
-        # process share the table instead of refilling it
-        calls = 0
-        floors = verifier.shape_floors
+        # floors depend only on (r, shape, alpha): the profiles are
+        # resolved once per key after the merge, and the walk units of a
+        # record run in one process share one table of BoundResults
+        keys = {"shape_floors": [], "applicable_bounds": []}
+        floors, bounds = verifier.shape_floors, verifier.applicable_bounds
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
+        def counted_floors(*args):
+            keys["shape_floors"].append(args)
             return floors(*args)
 
-        monkeypatch.setattr(verifier, "shape_floors", counted)
+        def counted_bounds(inst, alpha):
+            keys["applicable_bounds"].append(
+                (classify(inst.base), inst.r, alpha))
+            return bounds(inst, alpha)
+
+        monkeypatch.setattr(verifier, "shape_floors", counted_floors)
+        monkeypatch.setattr(verifier, "applicable_bounds", counted_bounds)
         counts = []
         for workers in (1, 2):
-            calls = 0
+            for seen in keys.values():
+                seen.clear()
             sweep_sequences(4, range(2, 5), range(1, 13), workers=workers,
                             collect_records=collect)
-            counts.append(calls)
+            for seen in keys.values():
+                assert len(seen) == len(set(seen))
+            counts.append({name: len(seen) for name, seen in keys.items()})
         assert pool.sizes == [2]
-        assert counts[0] == counts[1] > 0
+        assert counts[0] == counts[1]
+        assert counts[0]["shape_floors"] > 0
+        assert (counts[0]["applicable_bounds"] > 0) == collect
+
+    def test_real_chunk_sizes_the_pool(self, monkeypatch):
+        # the pool starts only above _CHUNK canonical instances, where it
+        # pays for its start-up
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+        _RecordingPool.sizes = []
+        # 1,476 canonical instances: lost at workers=2 with 512 per process
+        sweep_sequences(4, range(2, 5), range(1, 13), workers=2)
+        # 10,880: sweep_sets(8, 2..6) lost at workers=2
+        sweep_sets(8, range(2, 7), workers=2)
+        assert _RecordingPool.sizes == []
+        # 21,888, about the break-even: two processes
+        rep = sweep_sets(9, range(2, 7), workers=2)
+        assert _RecordingPool.sizes == [2]
+        assert rep.instances == 43776
 
     def test_one_chunk_runs_serial(self, pool, monkeypatch):
         sweep_sets(1, [2], workers=5000)
@@ -528,14 +626,14 @@ class TestEmpiricalMinimum:
         # the C(2M + 1, k) - C(2M, k - 1) others, and of the C(2M, 1)
         # singletons the mirror walk visits only the M negative ones
         calls = 0
-        extend = engine.extend_layers
+        extend = engine.extend_suffixes
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return extend(*args)
 
-        monkeypatch.setattr(engine, "extend_layers", counted)
+        monkeypatch.setattr(engine, "extend_suffixes", counted)
         best, wits = empirical_minimum(2, 0, 1000, "require")
         assert calls == 1000
         assert best == 2
