@@ -5,34 +5,43 @@ Sums mod p live in count layers: layer c is a p-bit int whose bit s is
 set iff s is a sum of exactly c members, and adding a residue x rotates
 each layer by x into the next. Admissible subsets contain no residue
 together with its additive inverse (which also rules out zero), so they
-have at most (p - 1) / 2 elements. Verification walks them depth first,
-choosing for each inverse pair {x, p - x} either nothing, x, or p - x,
-so every subset's layers extend its parent's by one insertion; sizes
-per alpha are bit counts of suffix unions. It fills the campaign
+have at most (p - 1) / 2 elements. Negation maps them onto admissible
+subsets with the same |Σ_alpha| for every alpha, and none is its own
+mirror, so verification walks only the canonical half: depth first over
+the inverse pairs {x, p - x}, the first chosen pair picking x and every
+later one nothing, x or p - x. Each subset carries its suffix unions,
+union c holding the sums of c or more members, as its parent's plus one
+rotate-or per union; its sizes per alpha are their bit counts. The
+floors are compared once per distinct sizes tuple, weighted by the
+subsets that have it, twice over for the mirrors. It fills the campaign
 aggregate of `verifier` and reports through its finisher, keying minima
 as a set sweep does, where sets run as r = 1 sequences marked r = None:
 the cells carry k and alpha, no r. `oracle.residue_sums_by_size` is the
-enumeration these layers are checked against.
+enumeration these layers and unions are checked against.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
 from .model import BudgetExceeded, LAYER_BITS_BUDGET, SumSet
 from .verifier import (
+    WITNESS_CAP,
     CampaignReport,
     finish_report,
     new_aggregate,
     note_minimum,
 )
 
-# Largest prime verified: p = 23 walks 3^11 - 1 subsets in about a
-# second; p = 29 has 3^14 - 1, 27 times as many, so by extrapolation
-# about half a minute, and p = 31 three times that again.
+# Largest prime verified: p = 23 walks the (3^11 - 1) / 2 canonical
+# subsets in 0.4 to 0.5 s (2 vCPU, Python 3.11); p = 29 has 27 times as
+# many and took 11.7 s with the guard lifted, and p = 31 would take three
+# times that again.
 PRIME_GUARD = 23
 
 
@@ -88,6 +97,19 @@ def _insert(layers: list[int], x: int, p: int) -> list[int]:
     return out
 
 
+def _insert_suffix(suffix: list[int], x: int, p: int) -> list[int]:
+    """Suffix unions after adding residue x: union c gains union c - 1
+    rotated by x, the new top union is the old top rotated, and union 0
+    gains the new union 1."""
+    mask = (1 << p) - 1
+    back = p - x
+    out = suffix + [0]
+    for c, v in enumerate(suffix, 1):
+        out[c] |= (v << x | v >> back) & mask
+    out[0] |= out[1]
+    return out
+
+
 def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     """Residues reachable as subset sums with at least alpha members.
     Raises BudgetExceeded before any layer is built when the (k + 1)
@@ -123,43 +145,58 @@ def check_prime(p: int) -> None:
         )
 
 
-def _walk(p: int, visit: Callable[[list[int], list[int], list[int]], None]
-          ) -> None:
-    """Call visit(layers, lows, highs) on every admissible subset mod p.
+def _walk(p: int, visit: Callable[[list[int], list[int]], None]) -> None:
+    """Call visit(suffix, chosen) on every canonical admissible subset mod
+    p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order.
 
-    The walk goes depth first over the inverse pairs {x, p - x} for
-    x = 1 .. (p - 1) / 2, choosing nothing, x, then p - x, so subsets come in
-    itertools.product((0, 1, 2), repeat=(p - 1) // 2) order, the empty one
-    skipped. A child's layers are its parent's plus one insertion. lows
-    holds the chosen x ascending and highs the chosen p - x descending;
-    both are reused between calls.
+    A subset picks from each inverse pair {x, p - x}, x = 1 .. (p - 1) / 2,
+    nothing (digit 0), x (1) or p - x (2); negation swaps 1 and 2. It is
+    canonical when its first chosen pair picks x, which holds for exactly
+    one of each mirror pair, and no nonempty admissible subset is its own
+    mirror. chosen lists the picks in pair order, x as x and p - x as -x,
+    and is reused between calls. suffix[c] is the p-bit union of the sums
+    of c or more members, a child's its parent's plus one `_insert_suffix`.
+    A node comes before its children, and they add a later pair, the last
+    first, so the visits follow the digit tuples.
     """
     half = (p - 1) // 2
-    lows: list[int] = []
-    highs: list[int] = []
+    chosen: list[int] = []
 
-    def descend(x: int, layers: list[int], picked: int, negated: int) -> None:
-        if x > half:
-            if len(layers) > 1:
-                # picked and negated hold the members and their inverses
-                assert len(layers) - 1 <= half and not picked & negated
-                visit(layers, lows, highs)
-            return
-        descend(x + 1, layers, picked, negated)
-        for y, chosen in ((x, lows), (p - x, highs)):
-            chosen.append(y)
-            descend(x + 1, _insert(layers, y, p),
-                    picked | 1 << y, negated | 1 << p - y)
-            chosen.pop()
+    def descend(suffix: list[int], last: int) -> None:
+        visit(suffix, chosen)
+        for x in range(half, last, -1):
+            for y in (x, -x):
+                chosen.append(y)
+                descend(_insert_suffix(suffix, y % p, p), x)
+                chosen.pop()
 
-    descend(1, [1], 0, 0)
+    for x in range(half, 0, -1):
+        chosen.append(x)
+        descend(_insert_suffix([1], x, p), x)
+        chosen.pop()
+
+
+def _product_key(chosen: tuple[int, ...], half: int) -> list[int]:
+    """The product-order digits of a subset listed as `_walk` lists it."""
+    digits = [0] * half
+    for y in chosen:
+        digits[abs(y) - 1] = 1 if y > 0 else 2
+    return digits
 
 
 def verify_balandraud(p: int) -> CampaignReport:
     """Check the prime-field floor on every admissible subset of residues
     mod p and every alpha. Admissible subsets pick at most one residue
     from each inverse pair {x, p - x}, so there are 3^((p-1)/2) - 1 of
-    them; p above PRIME_GUARD is refused up front."""
+    them; p above PRIME_GUARD is refused up front.
+
+    Negation keeps a subset admissible and every |Σ_alpha|, so the walk
+    visits the canonical half and counts each visit twice. A visit adds
+    one to the count of its sizes, |Σ_alpha| per alpha, and the floors are
+    compared once per distinct sizes afterwards. Each minima cell keeps
+    the first WITNESS_CAP canonical minimizers, then takes them with their
+    mirrors in product order: a canonical subset comes before its mirror,
+    so the first WITNESS_CAP of all minimizers are among these."""
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
@@ -168,37 +205,45 @@ def verify_balandraud(p: int) -> CampaignReport:
         tuple(bound_fp(size, alpha, p).value for alpha in range(size + 1))
         for size in range(1, half + 1)
     ]
-    # a literal is built only when note_minimum would keep it: below the
+    # a witness is kept only when note_minimum would keep it: below the
     # admit threshold it last returned for the cell
     admit = [[p + 1] * (size + 1) for size in range(half + 1)]
     agg = new_aggregate()
     minima = agg["minima"]
-    instances = checks = violations = tight = 0
+    profiles: Counter = Counter()
 
-    def visit(layers: list[int], lows: list[int], highs: list[int]) -> None:
-        nonlocal instances, checks, violations, tight
-        size = len(layers) - 1
-        instances += 1
-        checks += size + 1
-        cell_floors = floors[size]
-        cell_admit = admit[size]
-        literal = None
-        reach = 0
-        for alpha in range(size, -1, -1):
-            reach |= layers[alpha]
-            got = reach.bit_count()
-            floor = cell_floors[alpha]
-            if got < floor:
-                violations += 1
-            elif got == floor:
-                tight += 1
-            if got < cell_admit[alpha]:
-                literal = literal or "{" + ",".join(map(str, lows + highs[::-1])) + "}"
-                cell_admit[alpha] = note_minimum(minima, (size, None, alpha), got,
-                                                 literal)
+    def visit(suffix: list[int], chosen: list[int]) -> None:
+        # not tuple(map(...)): on CPython 3.11, tuple() of an iterator of
+        # unknown length takes a 10-slot tuple and shrinks it, so the free
+        # lists of short tuples fill up, about 1.4 MB held over p = 17, 19
+        sizes = (*map(int.bit_count, suffix),)
+        profiles[sizes] += 1
+        cell_admit = admit[len(sizes) - 1]
+        if any(map(lt, sizes, cell_admit)):
+            size, picks = len(sizes) - 1, tuple(chosen)
+            for alpha, got in enumerate(sizes):
+                if got < cell_admit[alpha]:
+                    cell_admit[alpha] = note_minimum(minima, (size, None, alpha),
+                                                     got, picks)
 
     _walk(p, visit)
+    checks = violations = tight = 0
+    for sizes, count in profiles.items():
+        checks += count * len(sizes)
+        for got, floor in zip(sizes, floors[len(sizes) - 1]):
+            if got < floor:
+                violations += count
+            elif got == floor:
+                tight += count
+    for key, (got, wits) in minima.items():
+        # tuple of a list, as for sizes above
+        both = set(wits).union(tuple([-y for y in w]) for w in wits)
+        first = sorted(both, key=lambda w: _product_key(w, half))[:WITNESS_CAP]
+        minima[key] = got, [
+            "{" + ",".join(map(str, sorted(y % p for y in w))) + "}" for w in first
+        ]
     if tight:
-        agg["tight"][T1_3] = tight
-    agg.update(instances=instances, checks=checks, violations=violations)
+        agg["tight"][T1_3] = 2 * tight
+    agg.update(instances=2 * sum(profiles.values()), checks=2 * checks,
+               violations=2 * violations)
     return finish_report({"kind": "fp", "p": p}, agg, started)

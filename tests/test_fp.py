@@ -2,29 +2,50 @@
 over admissible residue sets."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subsums import fp
+from subsums.bounds import bound_fp
 from subsums.engine import sigma
 from subsums.fp import FpSubset, PRIME_GUARD, is_prime, sigma_fp, verify_balandraud
 from subsums.model import IntegerSet
 from subsums.oracle import residue_sums_by_size
-from subsums.verifier import BudgetExceeded
+from subsums.verifier import WITNESS_CAP, BudgetExceeded
 
 
 def residues(bits):
     return {s for s in range(bits.bit_length()) if bits >> s & 1}
 
 
-def admissible_in_product_order(p):
+def choices_in_product_order(p):
+    """(digits, elements) of every admissible subset mod p: per inverse
+    pair {x, p - x}, digit 0 picks nothing, 1 picks x and 2 picks p - x."""
     half = (p - 1) // 2
     for choice in itertools.product((0, 1, 2), repeat=half):
         picked = [(x, p - x)[c - 1] for x, c in zip(range(1, half + 1), choice) if c]
         if picked:
-            yield tuple(sorted(picked))
+            yield choice, tuple(sorted(picked))
+
+
+def admissible_in_product_order(p):
+    for _, elements in choices_in_product_order(p):
+        yield elements
+
+
+def canonical_in_product_order(p):
+    # the subsets whose first chosen pair picks x; their mirrors pick p - x
+    for choice, elements in choices_in_product_order(p):
+        if next(c for c in choice if c) == 1:
+            yield elements
+
+
+def suffix_residues(by_size):
+    """Per c, the residues reached with c or more members."""
+    return [set().union(*by_size[c:]) for c in range(len(by_size))]
 
 
 class TestPrimality:
@@ -116,24 +137,39 @@ class TestSigmaFp:
 class TestCyclicLayers:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_walk_layers_match_enumeration(self, p):
-        # the depth-first walk visits every admissible subset once, in
-        # product order, and each count layer holds exactly the residues
-        # the enumeration oracle reaches with that many members
+        # the depth-first walk visits every canonical admissible subset
+        # once, in product order, and each suffix union holds exactly the
+        # residues the enumeration oracle reaches with that many members
+        # or more
         seen = []
 
-        def visit(layers, lows, highs):
-            elements = tuple(lows + highs[::-1])
+        def visit(suffix, chosen):
+            elements = tuple(sorted(y % p for y in chosen))
             seen.append(elements)
-            by_size = residue_sums_by_size(elements, p)
-            assert [residues(layer) for layer in layers] == by_size
-            reach = set()
-            for alpha in range(len(elements), -1, -1):
-                reach |= by_size[alpha]
-                assert sigma_fp(FpSubset(p, elements), alpha) == tuple(sorted(reach))
+            unions = suffix_residues(residue_sums_by_size(elements, p))
+            assert [residues(union) for union in suffix] == unions
+            for alpha, union in enumerate(unions):
+                assert sigma_fp(FpSubset(p, elements), alpha) == tuple(sorted(union))
 
         fp._walk(p, visit)
-        assert seen == list(admissible_in_product_order(p))
-        assert len(seen) == 3 ** ((p - 1) // 2) - 1
+        assert seen == list(canonical_in_product_order(p))
+        assert len(seen) == (3 ** ((p - 1) // 2) - 1) // 2
+
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 23]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=8))))
+    @example((23, [22, 21, 20, 19]))  # residues near p wrap nearly every sum
+    @example((13, [12, 0, 1, 12, 11]))  # zero, an inverse pair, a repeat
+    @example((7, [6, 5, 4, 3, 2, 1, 0]))  # the whole field
+    def test_suffix_insertion_is_suffix_unions_of_layers(self, case):
+        # one rotate-or per suffix union gives the suffix unions of the
+        # count layers _insert builds, after every insertion
+        p, xs = case
+        layers, suffix = [1], [1]
+        for x in xs:
+            layers = fp._insert(layers, x, p)
+            suffix = fp._insert_suffix(suffix, x, p)
+            unions = list(itertools.accumulate(reversed(layers), operator.or_))
+            assert suffix == unions[::-1]
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13]),
            st.sets(st.integers(0, 12), min_size=1))
@@ -166,6 +202,44 @@ class TestVerifyBalandraud:
         assert rep.checks == checks
         assert rep.violations == 0
         assert rep.tight_by_theorem == {"T1_3": tight}
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_full_enumeration(self, p):
+        # an independent reference: every admissible subset, its sizes
+        # from the enumeration oracle, each (size, alpha) floor from
+        # bound_fp, and per minima cell the first WITNESS_CAP minimizers
+        # in product order
+        instances = checks = violations = tight = 0
+        cells = {}
+        for elements in admissible_in_product_order(p):
+            k = len(elements)
+            instances += 1
+            unions = suffix_residues(residue_sums_by_size(elements, p))
+            for alpha, union in enumerate(unions):
+                checks += 1
+                got, floor = len(union), bound_fp(k, alpha, p).value
+                violations += got < floor
+                tight += got == floor
+                size, wits = cells.setdefault((k, alpha), (got, []))
+                if got < size:
+                    cells[k, alpha] = got, [elements]
+                elif got == size:
+                    wits.append(elements)
+        expect = {
+            "universe": {"kind": "fp", "p": p},
+            "counts": {"instances": instances, "checks": checks,
+                       "violations": violations, "oracle_checked": 0},
+            "tight_by_theorem": {"T1_3": tight} if tight else {},
+            "minima": [
+                {"k": k, "alpha": alpha, "size": size,
+                 "witnesses": [FpSubset(p, w).literal() for w in wits[:WITNESS_CAP]]}
+                for (k, alpha), (size, wits) in sorted(cells.items())
+            ],
+        }
+        got = verify_balandraud(p).to_json()
+        got.pop("elapsed_ms")
+        assert got == expect
+        assert instances == 3 ** ((p - 1) // 2) - 1
 
     def test_universe_echo(self):
         rep = verify_balandraud(5)

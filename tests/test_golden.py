@@ -3,8 +3,9 @@ must not change.
 
 The digests were taken from the set, sequence and prime-field campaigns
 before the set path was folded into the r = 1 sequence path (p = 13
-before the prime-field verifier moved onto cyclic count layers, the
-floor grid before the ten closed forms were derived from two shared
+before the prime-field verifier moved onto cyclic count layers, p = 17
+to 23 before it walked only the canonical half of the A <-> -A mirror,
+the floor grid before the ten closed forms were derived from two shared
 expressions); any change to a report body (every field but elapsed_ms),
 to the CSV bytes or to one floor's JSON fails here, so refactors of the
 engine, verifier, fp or bounds must reproduce them exactly.
@@ -60,6 +61,9 @@ def test_sequence_sweep(tmp_path):
         (7, "93c4f9452ed828ae8db6e6290130b2c33d392e17e6c49bba01e88c0149d37271"),
         (11, "0d9d948b8f62d7c0ecadef6537f3f3b04c298df94baae78e1b344a5d9695047f"),
         (13, "0afd7c3cd88ca165e27af30d3792ae292e21bb8d395285b92fbdb7f0b9c3677b"),
+        (17, "edf079843324d10ad1ad5f79539638fe527ce51b7eb17d5ac25e7550f35511da"),
+        (19, "64b10e38a01582aea694a4e4f12167a8674cc729e2874e96352c6eddf2bc6b37"),
+        (23, "60f4e0dd80cd0759aad6dc0a9599bb24926b939c42bde60711e7d47d9c251a32"),
     ],
 )
 def test_prime_field(p, digest):
