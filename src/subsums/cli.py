@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: compute, bound, sweep, extremal, fp. Exit codes: 0 on
-success, 1 on usage or parse errors, 2 when a verification or tightness
+success, 1 on usage or parse errors or when stdout closes before the
+output is written (as in `| head`), 2 when a verification or tightness
 check fails, 3 when a run is refused for exceeding its budget: a sweep's
 pair count, an fp prime, or a count-layer DP's bits (compute,
 bound --check, extremal).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import engine, fp, verifier, witnesses
@@ -326,7 +328,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # inside the try, so a reader gone before a short output is
+        # flushed is caught here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so the
+        # flush at interpreter exit stays quiet too, and end with no
+        # traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

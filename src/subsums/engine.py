@@ -24,8 +24,11 @@ placed layers' bits in closed form and raises BudgetExceeded above
 LAYER_BITS_BUDGET.
 
 Thresholded queries union a window of layers; sizes are bit counts of
-that union, and only the sum-valued queries decode it. A fold of any
-kind reads layer h. All public functions return sums sorted ascending.
+that union, and only the sum-valued queries decode it. The decode,
+`SumSet.from_bitmap`, takes one Python step per run of consecutive
+sums, not one per sum, and sum sets are mostly long intervals. A fold
+of any kind reads layer h. All public functions return sums sorted
+ascending.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple
 
 AT_LEAST = "at_least"
@@ -86,7 +88,7 @@ class IntegerSet:
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("integer set must be nonempty")
-        if any(b <= a for a, b in zip(self.elements, self.elements[1:])):
+        if not all(map(lt, self.elements, self.elements[1:])):
             raise ValueError("elements must be strictly increasing")
 
     @classmethod
@@ -196,7 +198,7 @@ class SumSet:
     def __post_init__(self) -> None:
         if not self.sums:
             raise ValueError("sum set must be nonempty")
-        if any(b <= a for a, b in zip(self.sums, self.sums[1:])):
+        if not all(map(lt, self.sums, self.sums[1:])):
             raise ValueError("sums must be strictly increasing")
 
     @classmethod
@@ -208,22 +210,32 @@ class SumSet:
         """Decode a bitmap where bit i means sum i - offset is achievable."""
         if bitmap <= 0:
             raise ValueError("bitmap must have at least one bit set")
-        # bits least significant first: one C-level pass over the width,
-        # then one find per sum
-        bits = bin(bitmap)[:1:-1]
+        # Sum sets are mostly long intervals, so the decode walks runs of
+        # ones: bits holds the map with its low zeros stripped, least
+        # significant first, so it starts and ends with a one. Each run
+        # costs two finds and one C-level extend.
+        low = (bitmap & -bitmap).bit_length() - 1
+        bits = bin(bitmap >> low)[:1:-1]
+        base = low - offset
         out = []
-        i = bits.find("1")
-        while i >= 0:
-            out.append(i - offset)
-            i = bits.find("1", i + 1)
+        i = 0
+        while (j := bits.find("0", i)) >= 0:
+            out.extend(range(base + i, base + j))
+            i = bits.find("1", j)
+        out.extend(range(base + i, base + len(bits)))
         return cls(tuple(out))
 
     def to_bitmap(self) -> tuple[int, int]:
-        """Encode as (bitmap, offset) with offset = -min_sum."""
-        base = self.sums[0]
+        """Encode as (bitmap, offset) with offset = -min_sum, one
+        shift-or per run of consecutive sums."""
+        sums = self.sums
+        base = sums[0]
+        # a run starts at index 0 and wherever a gap precedes a sum
+        starts = [0, *compress(range(1, len(sums)),
+                               map((1).__ne__, map(sub, sums[1:], sums)))]
         bitmap = 0
-        for s in self.sums:
-            bitmap |= 1 << (s - base)
+        for a, b in zip(starts, starts[1:] + [len(sums)]):
+            bitmap |= ((1 << (b - a)) - 1) << (sums[a] - base)
         return bitmap, -base
 
     @property

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from . import bounds, engine
-from .model import AT_LEAST, IntegerSet, RepSequence, as_sequence, size_window
+from .model import IntegerSet, RepSequence, as_sequence
 
 POS_INTERVAL = "pos-interval"
 NONNEG_INTERVAL = "nonneg-interval"
@@ -122,6 +122,13 @@ def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
     return base
 
 
+@functools.lru_cache(maxsize=1)
+def _sequence(fam: WitnessFamily) -> RepSequence:
+    """The family's instance as a sequence, built and validated once for
+    every alpha of the most recent family."""
+    return as_sequence(witness(fam))
+
+
 def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
     """The floor this family is claimed to attain, evaluated at alpha."""
     return bounds.build_bound(_FAMILIES[fam.family_id][0], k=fam.k, n=fam.n,
@@ -131,7 +138,7 @@ def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
 def alpha_values(fam: WitnessFamily) -> range:
     """Thresholds covered by the matched floor: [0, k] for sets and
     [0, r*k - 1] for sequences (k counts distinct base elements)."""
-    length = as_sequence(witness(fam)).length
+    length = _sequence(fam).length
     return range(0, length if fam.is_sequence else length + 1)
 
 
@@ -139,14 +146,16 @@ def alpha_values(fam: WitnessFamily) -> range:
 def _sizes(fam: WitnessFamily) -> tuple[int, ...]:
     """sizes[alpha] is the number of sums with at least alpha terms, for
     every alpha, from one DP; a run over all alphas reuses it."""
-    layers, _ = engine.sequence_layers(as_sequence(witness(fam)))
+    layers, _ = engine.sequence_layers(_sequence(fam))
     return tuple(u.bit_count() for u in engine.suffix_unions(layers))
 
 
 def check_tightness(fam: WitnessFamily, alpha: int) -> TightnessReport:
     """Compare the engine-computed size against the claimed floor."""
-    # refuses an alpha out of range before any DP runs
-    size_window(alpha, as_sequence(witness(fam)).length, AT_LEAST)
+    alphas = alpha_values(fam)
+    # refuses an alpha outside the floor's range before any DP runs
+    if alpha not in alphas:
+        raise ValueError(f"alpha={alpha} out of range [0, {alphas[-1]}]")
     size = _sizes(fam)[alpha]
     bound = claimed_bound(fam, alpha)
     return TightnessReport(fam, alpha, size, bound, size == bound.value)

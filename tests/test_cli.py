@@ -1,6 +1,9 @@
 """Command-line behavior: output of each subcommand, JSON shapes, and
 the exit-code contract (0 ok, 1 usage, 2 violation, 3 budget)."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -237,6 +240,48 @@ class TestExtremal:
         for rep in reports:
             assert rep["size"] == engine.sigma_size(inst, rep["alpha"])
 
+    # sha256 of the full `--alpha all --json` stdout, taken before each
+    # family's instance was built once per call instead of once per alpha
+    @pytest.mark.parametrize("argv, digest", [
+        (("pos-interval", "--k", "5"),
+         "fe94cab026c8a4b5ab41261802e19767d368f5c9225f46d34221fbb436303a7c"),
+        (("nonneg-interval", "--k", "5"),
+         "a9a4404a93c255b29908a1fa4caec34f26287c641381b5bf6d983dfda98e71ea"),
+        (("mixed-punctured", "--n", "2", "--p", "3"),
+         "671c256787b19ff90b3c09c8053f0ad5bd7caddc9278ccce25d47f06bf6f8f75"),
+        (("mixed-full", "--n", "2", "--p", "3"),
+         "eaee03e07dda20117c7e6c8a9d4263eac1b3476d0f5a1f6d068e5991103fd968"),
+        (("pos-interval-r", "--k", "4", "--r", "2"),
+         "1de9202e61af2345bb9a0033ef485664a17baea80c1b6e8c3ff1fa103803825d"),
+        (("nonneg-interval-r", "--k", "4", "--r", "2"),
+         "409d32b428bc9374af23758877efaf7b809765b3bbda1498527c95359a4263f4"),
+        (("mixed-punctured-r", "--n", "2", "--p", "2", "--r", "2"),
+         "2913b738d7ee6f60d44479dcbd2e6dd43c56445a0487bf77a54e7866c3d68171"),
+        (("mixed-full-r", "--n", "2", "--p", "2", "--r", "2"),
+         "5f787957420699d7c6933f0f73850a6ce9b2d59a1a567e80ec8c1812a20dbf8d"),
+        (("pos-interval-r", "--k", "6", "--r", "5"),
+         "e91ef7f5d408772119ea1d803f7a787b3a2a938d2bb5f846a96c7f37c7d9528f"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v[:8])
+    def test_all_alphas_json_unchanged(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "extremal", "--family", *argv, "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_out_of_range_alpha_refused_before_dp(self, capsys, monkeypatch):
+        from subsums import witnesses
+
+        def no_dp(s):
+            raise AssertionError("DP ran for a refused alpha")
+
+        witnesses._sizes.cache_clear()
+        monkeypatch.setattr(engine, "sequence_layers", no_dp)
+        for alpha in ("-1", "8"):  # r*k = 8 terms, alphas 0..7
+            code, out, err = run(capsys, "extremal", "--family",
+                                 "pos-interval-r", "--k", "4", "--r", "2",
+                                 "--alpha", alpha)
+            assert code == EXIT_USAGE
+            assert out == "" and "out of range" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "extremal", "--family", "pos-ray", "--k", "3")
         assert code == EXIT_USAGE
@@ -377,3 +422,28 @@ class TestTopLevel:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout.splitlines()[0] == "sums: 0 1 2 3"
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # about 220 kB of JSON, more than a pipe holds, so the write is
+        # still pending when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subsums.cli", "compute", "--set",
+             "[1,64]", "--r", "16", "--alpha", "1", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{"alpha": '
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert err == b""
+
+    def test_in_process_string_stdout(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["compute", "--set", "[1,64]", "--r", "16",
+                         "--alpha", "1", "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(buf.getvalue())
+        assert payload["sums"] == list(range(1, 16 * 2080 + 1))

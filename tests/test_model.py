@@ -113,6 +113,21 @@ def test_integer_set_structural_validation():
         IntegerSet((1, 1))
 
 
+@pytest.mark.parametrize("cls", [IntegerSet, SumSet])
+@pytest.mark.parametrize(
+    "values", [(), (2, 1), (1, 1), (0, 2, 2, 5), (-3, 4, 1), (1, 2, 3, 3)]
+)
+def test_rejects_empty_equal_and_decreasing(cls, values):
+    with pytest.raises(ValueError):
+        cls(values)
+
+
+@pytest.mark.parametrize("cls", [IntegerSet, SumSet])
+@pytest.mark.parametrize("values", [(7,), (-3, 0), (-5, -1, 2, 9)])
+def test_accepts_strictly_increasing(cls, values):
+    assert tuple(cls(values)) == values
+
+
 def test_rep_sequence_requires_positive_r():
     with pytest.raises(ValueError):
         RepSequence(IntegerSet((1,)), 0)
@@ -222,3 +237,51 @@ def test_sumset_from_bitmap_sparse_and_wide(positions, offset):
     assert s.sums == tuple(sorted(i - offset for i in positions))
     low = min(positions)
     assert s.to_bitmap() == (bitmap >> low, offset - low)
+
+
+def per_bit(bitmap, offset):
+    """Reference decode, one bit at a time."""
+    return [i - offset for i in range(bitmap.bit_length()) if bitmap >> i & 1]
+
+
+@given(
+    st.integers(0, 300),
+    st.lists(st.tuples(st.integers(1, 200), st.integers(1, 50)),
+             min_size=1, max_size=20),
+    st.integers(-(10**4), 10**4),
+)
+def test_from_bitmap_by_runs_matches_per_bit(low, runs, offset):
+    # runs of ones of length 1..200 apart by gaps of 1..50 zeros, above
+    # `low` zero bits
+    bitmap, pos = 0, low
+    for length, gap in runs:
+        bitmap |= ((1 << length) - 1) << pos
+        pos += length + gap
+    s = SumSet.from_bitmap(bitmap, offset)
+    assert list(s.sums) == per_bit(bitmap, offset)
+    assert s.to_bitmap() == (bitmap >> low, offset - low)
+
+
+@pytest.mark.parametrize(
+    "bitmap, offset, sums",
+    [
+        (1 << 37, 5, (32,)),  # a single bit
+        (1, 0, (0,)),  # bit 0 alone
+        (0b1011, 0, (0, 1, 3)),  # bit 0 starts a run
+        ((1 << 100) - 1, 50, tuple(range(-50, 50))),  # one run to the top
+        (0b10101, 2, (-2, 0, 2)),  # runs of one, gaps of exactly one zero
+        (0b1101101100, 0, (2, 3, 5, 6, 8, 9)),  # runs of two, one-zero gaps
+    ],
+)
+def test_from_bitmap_run_edges(bitmap, offset, sums):
+    s = SumSet.from_bitmap(bitmap, offset)
+    assert s.sums == sums
+    assert list(sums) == per_bit(bitmap, offset)
+    low = (bitmap & -bitmap).bit_length() - 1
+    assert s.to_bitmap() == (bitmap >> low, offset - low)
+
+
+@pytest.mark.parametrize("bitmap", [0, -1, -(1 << 40)])
+def test_from_bitmap_rejects_empty_and_negative(bitmap):
+    with pytest.raises(ValueError):
+        SumSet.from_bitmap(bitmap, 0)
