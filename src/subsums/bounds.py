@@ -25,6 +25,7 @@ are stable strings that appear verbatim in JSON and CSV reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .model import IntegerSet, RepSequence, classify
 
@@ -316,20 +317,22 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 
-def shape_floors(
-    n: int, p: int, zero: int, meet: int, r: int | None, alpha: int
-) -> list[tuple[int, str]]:
-    """(value, theorem_id) of every floor whose hypotheses hold at alpha
-    for the sign shape (n, p, zero, meet) that `model.classify` returns
-    and the sweep walk carries: n negatives, p positives, zero 1 if 0 is
-    present, meet 1 if some nonzero x and -x both are. r None means the
-    set itself, else that base repeated r times. This is the one home of
-    the applicability rules; `applicable_bounds` builds each ID's
-    BoundResult through `build_bound`, and the sweep reads the values.
+def shape_floor_rows(
+    n: int, p: int, zero: int, meet: int, r: int | None, alphas: Sequence[int]
+) -> list[tuple[str, list[int | None]]]:
+    """(theorem_id, row) of every floor whose hypotheses hold for the
+    sign shape (n, p, zero, meet) that `model.classify` returns and the
+    sweep walk carries: n negatives, p positives, zero 1 if 0 is present,
+    meet 1 if some nonzero x and -x both are. r None means the set
+    itself, else that base repeated r times. row[i] is the floor's value
+    at alphas[i]. This is the one home of the applicability rules: which
+    floors hold is decided once per (shape, r), and only the degenerate
+    alpha = r*k of a sequence, whose achievable set is the singleton full
+    sum, matches no floor. Entries at that alpha are None, and alphas
+    holding no other alpha give no rows. Values are not clamped: floors
+    <= 1 are vacuous.
 
-    Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k],
-    where the degenerate alpha = r*k query matches no floor and yields
-    an empty list (the achievable set is the singleton full sum).
+    Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k].
     """
     k = n + p + zero
     if k < 1:
@@ -338,30 +341,51 @@ def shape_floors(
     if seq and r < 1:
         raise ValueError("r must be >= 1")
     reps = r if seq else 1
-    _check_alpha(alpha, reps * k)
-    if seq and alpha == reps * k:
+    top = reps * k
+    if alphas and not 0 <= min(alphas) <= max(alphas) <= top:
+        for alpha in alphas:
+            _check_alpha(alpha, top)
+    if seq and alphas.count(top) == len(alphas):
         return []
-    out = []
+    rows = []
     # the disjoint and zero floors need k >= 2 for sequences, k >= 1 for sets
     if not meet and k > seq:
         if zero:
-            out.append((_signed_floor(0, k - 1, 1, reps, alpha),
-                        T3_1_ZERO if seq else C2_2))
+            rows.append((T3_1_ZERO if seq else C2_2,
+                         [_signed_floor(0, k - 1, 1, reps, a) for a in alphas]))
         else:
-            out.append((_signed_floor(0, k, 0, reps, alpha),
-                        T3_1_DISJOINT if seq else T2_1))
+            rows.append((T3_1_DISJOINT if seq else T2_1,
+                         [_signed_floor(0, k, 0, reps, a) for a in alphas]))
     if n and p:
         if zero:
             theorem_id = C3_3 if seq else C2_4
         else:
             theorem_id = T3_2 if seq else T2_3
-        out.append((_signed_floor(n, p, zero, reps, alpha), theorem_id))
+        rows.append((theorem_id,
+                     [_signed_floor(n, p, zero, reps, a) for a in alphas]))
     if k > 1 + seq:
         if seq:
-            out.append((_agnostic_floor(k, zero, r, alpha // r + 1), C3_4))
+            rows.append((C3_4, [_agnostic_floor(k, zero, r, a // r + 1)
+                                for a in alphas]))
         else:
-            out.append((_agnostic_floor(k, zero, 1, alpha), C2_5))
-    return out
+            rows.append((C2_5, [_agnostic_floor(k, zero, 1, a) for a in alphas]))
+    if seq and top in alphas:
+        for _, row in rows:
+            for i, alpha in enumerate(alphas):
+                if alpha == top:
+                    row[i] = None
+    return rows
+
+
+def shape_floors(
+    n: int, p: int, zero: int, meet: int, r: int | None, alpha: int
+) -> list[tuple[int, str]]:
+    """(value, theorem_id) of every floor of the shape at one alpha:
+    `shape_floor_rows` at alphas (alpha,), so the degenerate alpha = r*k
+    of a sequence yields an empty list. `applicable_bounds` builds each
+    ID's BoundResult through `build_bound`."""
+    return [(row[0], theorem_id)
+            for theorem_id, row in shape_floor_rows(n, p, zero, meet, r, (alpha,))]
 
 
 # theorem ID -> (constructor, names of its parameters in call order)

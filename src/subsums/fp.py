@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import lt
+from operator import eq, lt
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
@@ -229,12 +229,10 @@ def verify_balandraud(p: int) -> CampaignReport:
     _walk(p, visit)
     checks = violations = tight = 0
     for sizes, count in profiles.items():
+        row = floors[len(sizes) - 1]
         checks += count * len(sizes)
-        for got, floor in zip(sizes, floors[len(sizes) - 1]):
-            if got < floor:
-                violations += count
-            elif got == floor:
-                tight += count
+        violations += count * sum(map(lt, sizes, row))
+        tight += count * sum(map(eq, sizes, row))
     for key, (got, wits) in minima.items():
         # tuple of a list, as for sizes above
         both = set(wits).union(tuple([-y for y in w]) for w in wits)

@@ -12,21 +12,25 @@ terms, for every c) are its parent's plus one `engine.extend_suffixes`
 insertion, and it carries its sign shape, which with r fixes k and
 every floor. A node's tallies depend only on its profile (r, shape,
 sizes), sizes[alpha] being the bit count of union alpha, so the walk
-only adds each node's weight to its profile and keeps the minima.
-After the merge each distinct profile is compared once with its
-shape's floors from `bounds.shape_floors`, which gives the instance,
-check, violation and tight counts. Runs that collect records take
-their BoundResults from `applicable_bounds`, once per (r, shape) and
-process.
+only adds each node's weight to its profile and keeps the minima, each
+witness a tuple of elements. After the merge each (r, shape) takes its
+floors once from `bounds.shape_floor_rows`, as one vector over alpha
+per theorem and their greatest, and each distinct profile is compared
+with them by C-level counts (`sum(map(lt, ...))`), which gives the
+instance, check, violation and tight counts. Witnesses become report
+literals last, each distinct one formatted once. Runs that collect
+records take their BoundResults from `applicable_bounds`, once per
+(r, shape) and process.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
 sweep walks only the canonical subsets, A <=lex -A, and counts each with
 weight 2 when A <lex -A (it stands for its mirror too) and 1 when A = -A.
-Each minima cell's witnesses gain the mirrors of its canonical ones,
-re-sorted and capped, which gives exactly the full walk's list. Runs that
-collect records or check the oracle emit or check one row per instance,
-so they walk every subset. `empirical_minimum` takes the same mirror walk.
+Each distinct witness list of the minima cells gains the mirrors of its
+canonical witnesses once, re-sorted and capped, which gives exactly the
+full walk's list. Runs that collect records or check the oracle emit or
+check one row per instance, so they walk every subset.
+`empirical_minimum` takes the same mirror walk.
 
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
@@ -44,11 +48,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, inf
-from operator import lt
+from operator import eq, lt
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
-from .bounds import BoundResult, applicable_bounds, shape_floors
+from .bounds import BoundResult, applicable_bounds, shape_floor_rows
 from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet
 
 DEFAULT_BUDGET = 10**6
@@ -168,15 +172,16 @@ def new_aggregate() -> dict:
     }
 
 
-def note_minimum(minima: dict, key: tuple, size: int, literal: str) -> int:
+def note_minimum(minima: dict, key: tuple, size: int, witness: tuple) -> int:
     """Keep the least size seen for a minima cell and up to WITNESS_CAP
-    literals attaining it, in the order seen. Returns the cell's admit
-    threshold: a later literal is kept iff its size is below it."""
+    witnesses attaining it, in the order seen. Witnesses stay tuples of
+    elements until the report formats them. Returns the cell's admit
+    threshold: a later witness is kept iff its size is below it."""
     cur = minima.get(key)
     if cur is None or size < cur[0]:
-        minima[key] = cur = (size, [literal])
+        minima[key] = cur = (size, [witness])
     elif size == cur[0] and len(cur[1]) < WITNESS_CAP:
-        cur[1].append(literal)
+        cur[1].append(witness)
     return cur[0] + (len(cur[1]) < WITNESS_CAP)
 
 
@@ -185,8 +190,8 @@ def _merge_aggs(dst: dict, src: dict) -> None:
     dst["oracle_checked"] += src["oracle_checked"]
     dst["profiles"].update(src["profiles"])
     for key, (size, wits) in src["minima"].items():
-        for literal in wits:
-            note_minimum(dst["minima"], key, size, literal)
+        for witness in wits:
+            note_minimum(dst["minima"], key, size, witness)
     for k, recs in src["records"].items():
         dst["records"].setdefault(k, []).extend(recs)
 
@@ -272,7 +277,12 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
         descend((i,), root, (0, 0, 0, 0), 0)
 
 
-def _with_mirrors(wits: list[tuple], cap: int) -> list[tuple]:
+def _literal(elems: Iterable[int]) -> str:
+    """The report literal of a subset, as in {-2,0,3}."""
+    return "{" + ",".join(map(str, elems)) + "}"
+
+
+def _with_mirrors(wits: Sequence[tuple], cap: int) -> list[tuple]:
     """The first cap of wits and their mirrors, ascending. If wits are the
     first minimizers a mirror walk saw, up to cap, these are the first cap
     of all minimizers: a canonical subset precedes its mirror, so each of
@@ -282,20 +292,33 @@ def _with_mirrors(wits: list[tuple], cap: int) -> list[tuple]:
 
 
 def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
-    """Floors of a shape at r (None for a set): the checks per instance,
-    and per policy alpha a row (alpha, ((value, theorem_id), ...))."""
-    rows = tuple(
-        (alpha, tuple(shape_floors(*shape, r, alpha)))
-        for alpha in _alphas(policy, (shape[0] + shape[1] + shape[2]) * (r or 1))
-    )
-    return sum(len(pairs) for _, pairs in rows), rows
+    """Floors of a shape at r (None for a set) as vectors over alpha =
+    0 .. r*k: the checks per instance, the greatest floor per alpha
+    (`top`) and per theorem (theorem_id, floor per alpha). Entries are 0
+    where no floor applies or the policy skips the alpha; sizes are at
+    least 1, so a 0 is never tight and never violated."""
+    total = (shape[0] + shape[1] + shape[2]) * (r or 1)
+    alphas = _alphas(policy, total)
+    checks, vecs = 0, []
+    for theorem_id, row in shape_floor_rows(*shape, r, alphas):
+        vec = [0] * (total + 1)
+        for alpha, value in zip(alphas, row):
+            if value is not None:
+                vec[alpha] = value
+                checks += 1
+        vecs.append((theorem_id, vec))
+    # no floors: zip() is empty, and so is top
+    top = list(map(max, zip(*(vec for _, vec in vecs))))
+    return checks, top, vecs
 
 
 def _resolve_profiles(agg: dict, policy) -> None:
     """Fill a merged sweep aggregate's instance, check, violation and
     tight counts from its profiles: each distinct (r, shape, sizes) is
-    compared once with its shape's floors, weighted by the instances it
-    stands for."""
+    compared once with its shape's floor vectors from `_shape_rows`,
+    weighted by the instances it stands for. A pair violates when its
+    size is below the greatest floor, and a theorem is tight where its
+    floor equals the size; `tight` gains only theorems with a hit."""
     table: dict[tuple, tuple] = {}
     tight = agg["tight"]
     checks = violations = 0
@@ -303,17 +326,13 @@ def _resolve_profiles(agg: dict, policy) -> None:
         entry = table.get((r, shape))
         if entry is None:
             entry = table[r, shape] = _shape_rows(shape, r, policy)
-        checks += entry[0] * weight
-        for alpha, pairs in entry[1]:
-            size = sizes[alpha]
-            violation = False
-            for value, theorem_id in pairs:
-                if value > size:
-                    violation = True
-                elif value == size:
-                    tight[theorem_id] += weight
-            if violation:
-                violations += weight
+        per_instance, top, vecs = entry
+        checks += per_instance * weight
+        violations += weight * sum(map(lt, sizes, top))
+        for theorem_id, vec in vecs:
+            hits = sum(map(eq, sizes, vec))
+            if hits:
+                tight[theorem_id] += weight * hits
     agg.update(instances=sum(agg["profiles"].values()), checks=checks,
                violations=violations)
 
@@ -339,8 +358,8 @@ def _walk_unit(payload) -> dict:
     every r in rs (None for sets): profile weights, minima, and records
     or oracle checks when asked for. Unless records are collected or the
     oracle checks, the walk is the mirror walk: its weights count mirror
-    pairs twice and its minima hold only canonical witnesses. A literal
-    is built only below its cell's admit threshold."""
+    pairs twice and its minima hold only canonical witnesses. A witness
+    tuple is built only below its cell's admit threshold."""
     values, firsts, ks, rs, policy, use_oracle, collect = payload
     mults = [r or 1 for r in rs]
     offset = max(mults) * max(ks) * max(map(abs, values), default=0)
@@ -359,22 +378,22 @@ def _walk_unit(payload) -> dict:
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
         k = len(chosen)
-        literal = None
+        witness = None
         for r, suffix, admit in zip(rs, suffix_sets, admits[k]):
             sizes = tuple(map(int.bit_count, suffix))
             profiles[r, shape, sizes] += weight
             if any(map(lt, sizes, admit)):
-                literal = literal or "{" + ",".join(map(str, chosen)) + "}"
+                witness = witness or tuple(chosen)
                 for alpha, size in enumerate(sizes):
                     if size < admit[alpha]:
                         admit[alpha] = note_minimum(minima, (k, r, alpha),
-                                                    size, literal)
+                                                    size, witness)
 
     def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
                    weight: int) -> None:
         visit(chosen, suffix_sets, shape, weight)
         k = len(chosen)
-        literal = "{" + ",".join(map(str, chosen)) + "}"
+        literal = _literal(chosen)
         for r, suffix in zip(rs, suffix_sets):
             if use_oracle:
                 expected = _oracle_suffixes(chosen, r)
@@ -470,12 +489,18 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
     _resolve_profiles(agg, alpha_policy)
-    if mirror:
-        for key, (size, wits) in agg["minima"].items():
-            elems = [tuple(map(int, lit[1:-1].split(","))) for lit in wits]
-            agg["minima"][key] = (size, [
-                "{" + ",".join(map(str, w)) + "}"
-                for w in _with_mirrors(elems, WITNESS_CAP)])
+    # many cells share one witness list: each distinct list is mirrored
+    # and each distinct witness formatted once
+    lists: dict[tuple, list[str]] = {}
+    literals: dict[tuple, str] = {}
+    for key, (size, wits) in agg["minima"].items():
+        wits = tuple(wits)
+        out = lists.get(wits)
+        if out is None:
+            out = lists[wits] = [
+                literals.get(w) or literals.setdefault(w, _literal(w))
+                for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
+        agg["minima"][key] = size, out[:]
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs

@@ -28,6 +28,7 @@ from subsums.bounds import (
     m_index,
     min_fold_size,
     min_sumset_size,
+    shape_floor_rows,
     shape_floors,
 )
 from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
@@ -543,6 +544,79 @@ class TestShapeDispatch:
         for theorem_id in ("T1_3", "X"):
             with pytest.raises(ValueError, match="no set or sequence floor"):
                 build_bound(theorem_id, **params)
+
+
+def valid_shapes():
+    """Every sign shape (n, p, zero, meet) with n, p <= 6 that a set can
+    have: meet needs a negative and a positive."""
+    for n in range(7):
+        for p in range(7):
+            for zero in (0, 1):
+                for meet in (0, 1) if n and p else (0,):
+                    if n + p + zero:
+                        yield n, p, zero, meet
+
+
+class TestShapeFloorRows:
+    """The row form of the dispatch that sweeps read: one row per
+    applicable theorem over a list of alphas."""
+
+    def test_rows_match_one_alpha_dispatch(self):
+        points = 0
+        lowest = {"C2_5": 2, "C3_4": 2}
+        for n, p, zero, meet in valid_shapes():
+            k = n + p + zero
+            for r in (None, 1, 2, 3, 4, 5, 6):
+                top = k * (r or 1)
+                alphas = range(top + 1)
+                rows = shape_floor_rows(n, p, zero, meet, r, alphas)
+                for alpha in alphas:
+                    points += 1
+                    pairs = shape_floors(n, p, zero, meet, r, alpha)
+                    assert pairs == [(row[alpha], theorem_id)
+                                     for theorem_id, row in rows
+                                     if row[alpha] is not None]
+                    for value, theorem_id in pairs:
+                        # the public constructor gives the same value
+                        built = build_bound(theorem_id, k=k, n=n, p=p, r=r,
+                                            alpha=alpha, has_zero=zero)
+                        assert built.value == value
+                        if theorem_id in lowest:
+                            lowest[theorem_id] = min(lowest[theorem_id], value)
+                # which floors hold is decided per (shape, r): only the
+                # degenerate alpha = r*k of a sequence has no entries
+                blank = {alpha for _, row in rows
+                         for alpha, value in zip(alphas, row) if value is None}
+                assert blank == ({top} if r is not None and rows else set())
+                if r is not None:
+                    assert shape_floor_rows(n, p, zero, meet, r, [top]) == []
+                # a list policy's alphas, in its own order, read the same
+                picked = [top, 0, top // 2, 0]
+                assert shape_floor_rows(n, p, zero, meet, r, picked) == [
+                    (theorem_id, [row[alpha] for alpha in picked])
+                    for theorem_id, row in rows]
+        assert points == 27077
+        # vacuous points keep their values, far below 1
+        assert lowest["C2_5"] < 0 and lowest["C3_4"] < 0
+
+    def test_out_of_range_alpha_refused_as_one_alpha(self):
+        for n, p, zero, meet in valid_shapes():
+            k = n + p + zero
+            for r in (None, 1, 3):
+                top = k * (r or 1)
+                for bad in (-1, top + 1):
+                    message = rf"^alpha={bad} out of range \[0, {top}\]$"
+                    with pytest.raises(ValueError, match=message):
+                        shape_floor_rows(n, p, zero, meet, r, [0, bad])
+                    with pytest.raises(ValueError, match=message):
+                        shape_floors(n, p, zero, meet, r, bad)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            shape_floor_rows(0, 0, 0, 0, None, [0])
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            shape_floor_rows(1, 1, 0, 0, 0, [0])
+        assert shape_floor_rows(1, 1, 0, 0, 2, []) == []
 
 
 class TestResultShape:

@@ -1,6 +1,7 @@
 """Prime-field thresholded subset sums and the exhaustive floor check
 over admissible residue sets."""
 
+import dataclasses
 import itertools
 import operator
 
@@ -203,12 +204,20 @@ class TestVerifyBalandraud:
         assert rep.violations == 0
         assert rep.tight_by_theorem == {"T1_3": tight}
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_matches_full_enumeration(self, p):
+    @pytest.mark.parametrize("p, lift", [(3, 0), (5, 0), (7, 0), (11, 0),
+                                         (13, 0), (11, 1)],
+                             ids=["3", "5", "7", "11", "13", "11-lifted"])
+    def test_matches_full_enumeration(self, p, lift, monkeypatch):
         # an independent reference: every admissible subset, its sizes
         # from the enumeration oracle, each (size, alpha) floor from
         # bound_fp, and per minima cell the first WITNESS_CAP minimizers
-        # in product order
+        # in product order. lift raises the floors at odd alpha by one,
+        # so tight pairs there become violations and the tallies split
+        def floor_of(size, alpha, p):
+            res = bound_fp(size, alpha, p)
+            return dataclasses.replace(res, value=res.value + lift * (alpha % 2))
+
+        monkeypatch.setattr(fp, "bound_fp", floor_of)
         instances = checks = violations = tight = 0
         cells = {}
         for elements in admissible_in_product_order(p):
@@ -217,7 +226,7 @@ class TestVerifyBalandraud:
             unions = suffix_residues(residue_sums_by_size(elements, p))
             for alpha, union in enumerate(unions):
                 checks += 1
-                got, floor = len(union), bound_fp(k, alpha, p).value
+                got, floor = len(union), floor_of(k, alpha, p).value
                 violations += got < floor
                 tight += got == floor
                 size, wits = cells.setdefault((k, alpha), (got, []))
@@ -240,6 +249,7 @@ class TestVerifyBalandraud:
         got.pop("elapsed_ms")
         assert got == expect
         assert instances == 3 ** ((p - 1) // 2) - 1
+        assert (violations > 0) == bool(lift)
 
     def test_universe_echo(self):
         rep = verify_balandraud(5)

@@ -6,7 +6,8 @@ before the set path was folded into the r = 1 sequence path (p = 13
 before the prime-field verifier moved onto cyclic count layers, p = 17
 to 23 before it walked only the canonical half of the A <-> -A mirror,
 the floor grid before the ten closed forms were derived from two shared
-expressions); any change to a report body (every field but elapsed_ms),
+expressions, the mirror-walk sweeps before their floors were resolved
+as per-theorem rows over alpha); any change to a report body (every field but elapsed_ms),
 to the CSV bytes or to one floor's JSON fails here, so refactors of the
 engine, verifier, fp or bounds must reproduce them exactly.
 """
@@ -52,6 +53,21 @@ def test_sequence_sweep(tmp_path):
     )
     assert csv_digest(rep, tmp_path) == (
         "23bbf73b5fe2b96f10d7c991e95b76eab8bf39bbebdf56d9ad658578e1beba84"
+    )
+
+
+def test_mirror_walk_sweeps():
+    # the mirror walk, with profile tallies and mirrored witnesses: the
+    # perfbench sweep digests, and a list policy that skips alphas
+    assert report_digest(sweep_sets(8, range(2, 7))) == (
+        "d8160b708bec6bcdfa1079a2d1ebe0bb6de9ebd645570c8cdde390c898a04697"
+    )
+    assert report_digest(sweep_sequences(4, range(2, 5), range(1, 13))) == (
+        "a6899bccbce013504bc77759a00b01c8b1940820d71f8c1668a056f75afe9a68"
+    )
+    rep = sweep_sequences(3, range(1, 5), range(1, 7), [0, 2, 7])
+    assert report_digest(rep) == (
+        "79c6a61a6023cab177426277ca1506259bff0c1f4d954e9e6a1945f241049dd4"
     )
 
 

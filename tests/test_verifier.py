@@ -8,9 +8,11 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subsums import engine, verifier
-from subsums.bounds import applicable_bounds
+from subsums.bounds import applicable_bounds, shape_floors
 from subsums.model import (
     IntegerSet, RepSequence, classify, parse_sequence, parse_set,
 )
@@ -329,9 +331,10 @@ class TestAgainstBruteForce:
 
     def test_mirror_walk_weights_violations(self, monkeypatch):
         # an unreachable floor makes every (instance, alpha) pair violate
-        floors = verifier.shape_floors
-        monkeypatch.setattr(verifier, "shape_floors",
-                            lambda *args: floors(*args) + [(10**9, "X")])
+        rows = verifier.shape_floor_rows
+        monkeypatch.setattr(
+            verifier, "shape_floor_rows",
+            lambda *args: rows(*args) + [("X", [10**9] * len(args[-1]))])
         half = sweep_sets(2, range(1, 4))
         full = sweep_sets(2, range(1, 4), collect_records=True)
         assert half.violations == full.violations == len(full.records) == 80
@@ -408,19 +411,20 @@ class TestWorkerCount:
         # floors depend only on (r, shape, alpha): the profiles are
         # resolved once per key after the merge, and the walk units of a
         # record run in one process share one table of BoundResults
-        keys = {"shape_floors": [], "applicable_bounds": []}
-        floors, bounds = verifier.shape_floors, verifier.applicable_bounds
+        keys = {"shape_floor_rows": [], "applicable_bounds": []}
+        rows, bounds = verifier.shape_floor_rows, verifier.applicable_bounds
 
-        def counted_floors(*args):
-            keys["shape_floors"].append(args)
-            return floors(*args)
+        def counted_rows(*args):
+            # the shape and r; the alphas follow from them and the policy
+            keys["shape_floor_rows"].append(args[:5])
+            return rows(*args)
 
         def counted_bounds(inst, alpha):
             keys["applicable_bounds"].append(
                 (classify(inst.base), inst.r, alpha))
             return bounds(inst, alpha)
 
-        monkeypatch.setattr(verifier, "shape_floors", counted_floors)
+        monkeypatch.setattr(verifier, "shape_floor_rows", counted_rows)
         monkeypatch.setattr(verifier, "applicable_bounds", counted_bounds)
         counts = []
         for workers in (1, 2):
@@ -433,7 +437,7 @@ class TestWorkerCount:
             counts.append({name: len(seen) for name, seen in keys.items()})
         assert pool.sizes == [2]
         assert counts[0] == counts[1]
-        assert counts[0]["shape_floors"] > 0
+        assert counts[0]["shape_floor_rows"] > 0
         assert (counts[0]["applicable_bounds"] > 0) == collect
 
     def test_real_chunk_sizes_the_pool(self, monkeypatch):
@@ -499,6 +503,73 @@ class TestFloorTable:
         _assert_records_match_dispatch(
             rep, lambda rec: parse_sequence(rec.instance, rec.r)
         )
+
+
+def _reference_resolve(profiles, policy):
+    """Counts and tight floors of sweep profiles, pair by pair: each
+    policy alpha of each profile against the one-alpha dispatch."""
+    tight = Counter()
+    checks = violations = 0
+    for (r, shape, sizes), weight in profiles.items():
+        for alpha in verifier._alphas(policy, len(sizes) - 1):
+            pairs = shape_floors(*shape, r, alpha)
+            checks += len(pairs) * weight
+            violations += weight * any(value > sizes[alpha]
+                                       for value, _ in pairs)
+            for value, theorem_id in pairs:
+                if value == sizes[alpha]:
+                    tight[theorem_id] += weight
+    return checks, violations, tight
+
+
+@st.composite
+def sweep_profiles(draw):
+    """Profile weights as a sweep leaves them: sizes of at least 1 drawn
+    next to each alpha's floors, so tight, violated and vacuous (<= 0)
+    floors all occur."""
+    profiles = Counter()
+    for _ in range(draw(st.integers(1, 8))):
+        r = draw(st.sampled_from([None, 1, 2, 3]))
+        n, p, zero = draw(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(0, 1)).filter(any))
+        meet = draw(st.integers(0, 1)) if n and p else 0
+        total = (n + p + zero) * (r or 1)
+        sizes = []
+        for alpha in range(total + 1):
+            near = [value + d for value, _ in shape_floors(n, p, zero, meet, r,
+                                                           alpha)
+                    for d in (-1, 0, 1)]
+            sizes.append(max(1, draw(st.sampled_from(near + [1, 2 * total]))))
+        profiles[r, (n, p, zero, meet), tuple(sizes)] += draw(
+            st.integers(1, 3))
+    return profiles
+
+
+class TestResolveProfiles:
+    """Per-profile vector tallies equal a pair-by-pair reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles=sweep_profiles(),
+           policy=st.one_of(st.just("all"),
+                            st.lists(st.integers(-2, 14), max_size=6)))
+    # a set of two, T2_1 tight at every alpha: size 1 at alpha = k,
+    # where C2_5 is 0
+    @example(profiles=Counter({(None, (0, 2, 0, 0), (4, 3, 1)): 2}),
+             policy="all")
+    # T2_3 violated at alphas 2 and 3, tight at 4; C2_5 tight at 2 and
+    # 3 (value 1), -3 at 4; the policy skips 0 and 1 and names 9
+    @example(profiles=Counter({(None, (2, 2, 0, 1), (9, 7, 4, 1, 1)): 1}),
+             policy=[4, 3, 2, 9])
+    def test_equals_pair_loop(self, profiles, policy):
+        agg = verifier.new_aggregate()
+        agg["profiles"].update(profiles)
+        verifier._resolve_profiles(agg, policy)
+        checks, violations, tight = _reference_resolve(profiles, policy)
+        assert agg["instances"] == sum(profiles.values())
+        assert (agg["checks"], agg["violations"]) == (checks, violations)
+        assert agg["tight"] == tight
+        # no theorem is entered without a tight pair
+        assert all(agg["tight"].values())
 
 
 class TestReportShape:
