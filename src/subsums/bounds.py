@@ -377,17 +377,6 @@ def shape_floor_rows(
     return rows
 
 
-def shape_floors(
-    n: int, p: int, zero: int, meet: int, r: int | None, alpha: int
-) -> list[tuple[int, str]]:
-    """(value, theorem_id) of every floor of the shape at one alpha:
-    `shape_floor_rows` at alphas (alpha,), so the degenerate alpha = r*k
-    of a sequence yields an empty list. `applicable_bounds` builds each
-    ID's BoundResult through `build_bound`."""
-    return [(row[0], theorem_id)
-            for theorem_id, row in shape_floor_rows(n, p, zero, meet, r, (alpha,))]
-
-
 # theorem ID -> (constructor, names of its parameters in call order)
 _BUILDERS = {
     T2_1: (bound_disjoint, ("k", "alpha")),
@@ -416,13 +405,14 @@ def applicable_bounds(
     instance: IntegerSet | RepSequence, alpha: int
 ) -> list[BoundResult]:
     """Every floor whose hypotheses the instance satisfies at this alpha:
-    the sign shape of its base through `shape_floors`, each floor built
-    by `build_bound`. Alpha ranges as in `shape_floors`."""
+    the sign shape of its base through `shape_floor_rows` at alphas
+    (alpha,), each floor built by `build_bound`. Alpha ranges as there,
+    and the degenerate alpha = r*k of a sequence has no floors."""
     seq = isinstance(instance, RepSequence)
     base, r = (instance.base, instance.r) if seq else (instance, None)
     shape = classify(base)
     return [
         build_bound(theorem_id, k=base.k, n=shape.n, p=shape.p, r=r,
                     alpha=alpha, has_zero=shape.zero)
-        for _, theorem_id in shape_floors(*shape, r, alpha)
+        for theorem_id, _ in shape_floor_rows(*shape, r, (alpha,))
     ]

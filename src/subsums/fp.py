@@ -1,23 +1,24 @@
 """Thresholded subset sums over a prime field, and the exhaustive
 verifier for the prime-field size floor.
 
-Sums mod p live in count layers: layer c is a p-bit int whose bit s is
-set iff s is a sum of exactly c members, and adding a residue x rotates
-each layer by x into the next. Admissible subsets contain no residue
-together with its additive inverse (which also rules out zero), so they
-have at most (p - 1) / 2 elements. Negation maps them onto admissible
-subsets with the same |Σ_alpha| for every alpha, and none is its own
-mirror, so verification walks only the canonical half: depth first over
-the inverse pairs {x, p - x}, the first chosen pair picking x and every
-later one nothing, x or p - x. Each subset carries its suffix unions,
-union c holding the sums of c or more members, as its parent's plus one
-rotate-or per union; its sizes per alpha are their bit counts. The
-floors are compared once per distinct sizes tuple, weighted by the
-subsets that have it, twice over for the mirrors. It fills the campaign
-aggregate of `verifier` and reports through its finisher, keying minima
-as a set sweep does, where sets run as r = 1 sequences marked r = None:
-the cells carry k and alpha, no r. `oracle.residue_sums_by_size` is the
-enumeration these layers and unions are checked against.
+Sums mod p live in suffix unions: union c is a p-bit int whose bit s
+is set iff s is a sum of c or more members, and adding a residue x ors
+each union, rotated by x, into the next (`_insert_suffix`); `sigma_fp`
+reads one union. Admissible subsets contain no residue together with
+its additive inverse (which also rules out zero), so they have at most
+(p - 1) / 2 elements. Negation maps them onto admissible subsets with
+the same |Σ_alpha| for every alpha, and none is its own mirror, so
+verification walks only the canonical half: depth first over the
+inverse pairs {x, p - x}, the first chosen pair picking x and every
+later one nothing, x or p - x. Each subset carries its suffix unions as
+its parent's plus one insertion; its sizes per alpha are their bit
+counts. The floors are compared once per distinct sizes tuple, weighted
+by the subsets that have it, twice over for the mirrors. It fills the
+campaign aggregate of `verifier` and reports through its finisher,
+keying minima as a set sweep does, where sets run as r = 1 sequences
+marked r = None: the cells carry k and alpha, no r.
+`oracle.residue_sums_by_size` is the enumeration these unions are
+checked against.
 """
 
 from __future__ import annotations
@@ -86,17 +87,6 @@ class FpSubset:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
 
-def _insert(layers: list[int], x: int, p: int) -> list[int]:
-    """Count layers after adding residue x: layer c, rotated by x, joins
-    layer c + 1."""
-    mask = (1 << p) - 1
-    back = p - x
-    out = layers + [0]
-    for c, v in enumerate(layers):
-        out[c + 1] |= ((v << x) | (v >> back)) & mask
-    return out
-
-
 def _insert_suffix(suffix: list[int], x: int, p: int) -> list[int]:
     """Suffix unions after adding residue x: union c gains union c - 1
     rotated by x, the new top union is the old top rotated, and union 0
@@ -112,10 +102,11 @@ def _insert_suffix(suffix: list[int], x: int, p: int) -> list[int]:
 
 def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     """Residues reachable as subset sums with at least alpha members.
-    Raises BudgetExceeded before any layer is built when the (k + 1)
-    layers of p bits would exceed LAYER_BITS_BUDGET: p = 10^8 with four
-    residues (5 * 10^8 bits) takes about 0.1 s, and one layer near
-    p = 10^9 is 125 MB."""
+    This is suffix union alpha after inserting every member. Raises
+    BudgetExceeded before any union is built when the (k + 1) unions of
+    p bits would exceed LAYER_BITS_BUDGET: p = 10^8 with four residues
+    (5 * 10^8 bits) takes about 0.1 s, and one union near p = 10^9 is
+    125 MB."""
     if not 0 <= alpha <= a.size:
         raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
     bits = (a.size + 1) * a.p
@@ -124,13 +115,10 @@ def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
             f"sigma_fp needs {a.size + 1} count layers of p={a.p} bits, "
             f"{bits} bits; budget is {LAYER_BITS_BUDGET}"
         )
-    layers = [1]
+    suffix = [1]
     for x in a.elements:
-        layers = _insert(layers, x, a.p)
-    reach = 0
-    for layer in layers[alpha:]:
-        reach |= layer
-    return SumSet.from_bitmap(reach, 0).sums
+        suffix = _insert_suffix(suffix, x, a.p)
+    return SumSet.from_bitmap(suffix[alpha], 0).sums
 
 
 def check_prime(p: int) -> None:

@@ -19,8 +19,9 @@ per theorem and their greatest, and each distinct profile is compared
 with them by C-level counts (`sum(map(lt, ...))`), which gives the
 instance, check, violation and tight counts. Witnesses become report
 literals last, each distinct one formatted once. Runs that collect
-records take their BoundResults from `applicable_bounds`, once per
-(r, shape) and process.
+records keep one plain row (elements, r, shape, sizes) per instance and
+r; after the merge each (r, shape) takes its BoundResults from
+`applicable_bounds` once per sweep, and the rows become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -34,9 +35,10 @@ check one row per instance, so they walk every subset.
 
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
-subtree order with records kept per k, so reports and record CSVs do not
-depend on the worker count. Work is refused up front when the pair count
-would exceed the budget. `fp` fills the same aggregate and finisher.
+subtree order with record rows kept per k, so reports and record CSVs do
+not depend on the worker count; walk units evaluate no floors. Work is
+refused up front when the pair count would exceed the budget. `fp` fills
+the same aggregate and finisher.
 """
 
 from __future__ import annotations
@@ -157,9 +159,10 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 
 def new_aggregate() -> dict:
     """Empty campaign tallies: counts, tight floors per theorem, minima
-    keyed by (k, r, alpha) with r None outside sequences, records in
-    lists keyed by k, and a sweep's instance weight per (r, shape, sizes)
-    profile, which `_resolve_profiles` turns into the first four."""
+    keyed by (k, r, alpha) with r None outside sequences, records (in a
+    sweep's walk units, record rows) in lists keyed by k, and a sweep's
+    instance weight per (r, shape, sizes) profile, which
+    `_resolve_profiles` turns into the first four."""
     return {
         "instances": 0,
         "checks": 0,
@@ -347,19 +350,17 @@ def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
     return out[::-1]
 
 
-# BoundResults of record runs per (r, shape): a tuple of (alpha, floors)
-# rows; emptied when a sweep starts (its pool's processes start from it),
-# so the walk units one process runs for the sweep share it
-_RECORD_FLOORS: dict[tuple, tuple] = {}
-
-
 def _walk_unit(payload) -> dict:
     """The aggregate of the subtrees starting at values[i], i in firsts, at
-    every r in rs (None for sets): profile weights, minima, and records
-    or oracle checks when asked for. Unless records are collected or the
-    oracle checks, the walk is the mirror walk: its weights count mirror
-    pairs twice and its minima hold only canonical witnesses. A witness
-    tuple is built only below its cell's admit threshold."""
+    every r in rs (None for sets): profile weights, minima, and oracle
+    checks or record rows when asked for. A record row is the plain tuple
+    (elements, r, shape, sizes) of one instance, sizes[alpha] the bit
+    count of union alpha, kept per k; a unit evaluates no floors, and
+    `_sweep` builds the records after the merge. Unless records are
+    collected or the oracle checks, the walk is the mirror walk: its
+    weights count mirror pairs twice and its minima hold only canonical
+    witnesses. A witness tuple is built only below its cell's admit
+    threshold."""
     values, firsts, ks, rs, policy, use_oracle, collect = payload
     mults = [r or 1 for r in rs]
     offset = max(mults) * max(ks) * max(map(abs, values), default=0)
@@ -392,8 +393,6 @@ def _walk_unit(payload) -> dict:
     def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
                    weight: int) -> None:
         visit(chosen, suffix_sets, shape, weight)
-        k = len(chosen)
-        literal = _literal(chosen)
         for r, suffix in zip(rs, suffix_sets):
             if use_oracle:
                 expected = _oracle_suffixes(chosen, r)
@@ -401,22 +400,15 @@ def _walk_unit(payload) -> dict:
                 for alpha in alphas:
                     decoded = SumSet.from_bitmap(suffix[alpha], offset).sums
                     if decoded != expected[alpha]:
+                        literal = _literal(chosen)
                         where = literal if r is None else f"{literal} r={r}"
                         raise RuntimeError(
                             f"engine/oracle mismatch on {where} alpha={alpha}"
                         )
                 agg["oracle_checked"] += len(alphas)
             if collect:
-                rows = _RECORD_FLOORS.get((r, shape))
-                if rows is None:
-                    rows = _RECORD_FLOORS[r, shape] = _record_rows(chosen, r,
-                                                                   policy)
-                for alpha, floors in rows:
-                    size = suffix[alpha].bit_count()
-                    by_k.setdefault(k, []).append(VerificationRecord(
-                        literal, r, alpha, size,
-                        tuple(BoundCheck(b, b.value == size) for b in floors),
-                        use_oracle, any(b.value > size for b in floors)))
+                by_k.setdefault(len(chosen), []).append(
+                    (tuple(chosen), r, shape, tuple(map(int.bit_count, suffix))))
 
     _walk(values, firsts, ks, mults, offset,
           visit_each if collect or use_oracle else visit,
@@ -479,7 +471,6 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
     common = (ks, rs, alpha_policy, oracle_check, collect_records)
-    _RECORD_FLOORS.clear()
     if procs <= 1:
         agg = _walk_unit((values, firsts) + common)
     else:
@@ -501,6 +492,23 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                 literals.get(w) or literals.setdefault(w, _literal(w))
                 for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
         agg["minima"][key] = size, out[:]
+    # each (r, shape) takes its BoundResults once per sweep
+    floors: dict[tuple, tuple] = {}
+    for k, rows in agg["records"].items():
+        recs = agg["records"][k] = []
+        for chosen, r, shape, sizes in rows:
+            per_alpha = floors.get((r, shape))
+            if per_alpha is None:
+                per_alpha = floors[r, shape] = _record_rows(chosen, r,
+                                                            alpha_policy)
+            literal = literals.get(chosen) or literals.setdefault(
+                chosen, _literal(chosen))
+            for alpha, bounds in per_alpha:
+                size = sizes[alpha]
+                recs.append(VerificationRecord(
+                    literal, r, alpha, size,
+                    tuple(BoundCheck(b, b.value == size) for b in bounds),
+                    oracle_check, any(b.value > size for b in bounds)))
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs

@@ -29,7 +29,6 @@ from subsums.bounds import (
     min_fold_size,
     min_sumset_size,
     shape_floor_rows,
-    shape_floors,
 )
 from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
 from subsums.oracle import oracle_sigma_seq, oracle_sigma_set
@@ -495,16 +494,22 @@ def shape_grid():
                             yield (n, p, zero, meet, r, alpha), inst
 
 
+def floor_pairs(n, p, zero, meet, r, alpha):
+    """(value, theorem_id) of every floor of the shape at one alpha."""
+    rows = shape_floor_rows(n, p, zero, meet, r, (alpha,))
+    return [(row[0], theorem_id) for theorem_id, row in rows]
+
+
 class TestShapeDispatch:
     def test_pairs_equal_applicable_bounds(self):
         # the digest was taken from applicable_bounds before it was
-        # routed through shape_floors, so both sides are pinned
+        # routed through shape_floor_rows, so both sides are pinned
         digest = hashlib.sha256()
         rows = 0
         for key, inst in shape_grid():
             floors = applicable_bounds(inst, key[-1])
             pairs = [(b.value, b.theorem_id) for b in floors]
-            assert shape_floors(*key) == pairs, key
+            assert floor_pairs(*key) == pairs, key
             digest.update(json.dumps([key, pairs]).encode() + b"\n")
             rows += 1
         assert rows == 27077
@@ -521,10 +526,10 @@ class TestShapeDispatch:
             (0, 2, 0, 0, None, -1),  # alpha < 0
         ]:
             with pytest.raises(ValueError):
-                shape_floors(*args)
+                floor_pairs(*args)
 
     def test_full_alpha_sequence_is_degenerate(self):
-        assert shape_floors(1, 2, 1, 1, 3, 12) == []
+        assert floor_pairs(1, 2, 1, 1, 3, 12) == []
 
     def test_build_bound_by_id(self):
         params = dict(k=5, n=2, p=3, r=3, alpha=4, has_zero=1)
@@ -572,7 +577,7 @@ class TestShapeFloorRows:
                 rows = shape_floor_rows(n, p, zero, meet, r, alphas)
                 for alpha in alphas:
                     points += 1
-                    pairs = shape_floors(n, p, zero, meet, r, alpha)
+                    pairs = floor_pairs(n, p, zero, meet, r, alpha)
                     assert pairs == [(row[alpha], theorem_id)
                                      for theorem_id, row in rows
                                      if row[alpha] is not None]
@@ -609,7 +614,7 @@ class TestShapeFloorRows:
                     with pytest.raises(ValueError, match=message):
                         shape_floor_rows(n, p, zero, meet, r, [0, bad])
                     with pytest.raises(ValueError, match=message):
-                        shape_floors(n, p, zero, meet, r, bad)
+                        floor_pairs(n, p, zero, meet, r, bad)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one element"):

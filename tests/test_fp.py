@@ -3,7 +3,6 @@ over admissible residue sets."""
 
 import dataclasses
 import itertools
-import operator
 
 import pytest
 from hypothesis import example, given
@@ -116,8 +115,9 @@ class TestSigmaFp:
         assert sums == tuple(range(12))
 
     def test_oversize_refused_before_any_layer(self, monkeypatch):
-        # two layers of about 10^9 bits; refused before _insert is called
-        monkeypatch.setattr(fp, "_insert", None)
+        # two unions of about 10^9 bits; refused before _insert_suffix
+        # is called
+        monkeypatch.setattr(fp, "_insert_suffix", None)
         with pytest.raises(BudgetExceeded, match="2000000014 bits"):
             sigma_fp(FpSubset(1_000_000_007, (1,)), 0)
 
@@ -162,15 +162,15 @@ class TestCyclicLayers:
     @example((13, [12, 0, 1, 12, 11]))  # zero, an inverse pair, a repeat
     @example((7, [6, 5, 4, 3, 2, 1, 0]))  # the whole field
     def test_suffix_insertion_is_suffix_unions_of_layers(self, case):
-        # one rotate-or per suffix union gives the suffix unions of the
-        # count layers _insert builds, after every insertion
+        # one rotate-or per suffix union gives, after every insertion, the
+        # suffix unions of the residues the enumeration oracle reaches
+        # with each number of members of the prefix inserted so far
         p, xs = case
-        layers, suffix = [1], [1]
-        for x in xs:
-            layers = fp._insert(layers, x, p)
+        suffix = [1]
+        for i, x in enumerate(xs, 1):
             suffix = fp._insert_suffix(suffix, x, p)
-            unions = list(itertools.accumulate(reversed(layers), operator.or_))
-            assert suffix == unions[::-1]
+            unions = suffix_residues(residue_sums_by_size(tuple(xs[:i]), p))
+            assert [residues(union) for union in suffix] == unions
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13]),
            st.sets(st.integers(0, 12), min_size=1))

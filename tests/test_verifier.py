@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsums import engine, verifier
-from subsums.bounds import applicable_bounds, shape_floors
+from subsums.bounds import applicable_bounds, shape_floor_rows
 from subsums.model import (
     IntegerSet, RepSequence, classify, parse_sequence, parse_set,
 )
@@ -111,6 +111,17 @@ class TestSequenceSweep:
         assert cell["k"] == 2 and cell["r"] == 2 and cell["alpha"] == 0
         assert cell["size"] == 3
         assert cell["witnesses"] == ["{-1,0}", "{0,1}"]
+
+    def test_oracle_mismatch_names_the_instance(self, monkeypatch):
+        # the instance literal is formatted only for this message
+        monkeypatch.setattr(verifier, "_oracle_suffixes",
+                            lambda elems, r: [()] * (len(elems) * (r or 1) + 1))
+        with pytest.raises(RuntimeError,
+                           match=r"^engine/oracle mismatch on \{-1,0\} r=2 alpha=0$"):
+            sweep_sequences(1, [2], [2], oracle_check=True)
+        with pytest.raises(RuntimeError,
+                           match=r"^engine/oracle mismatch on \{-1\} alpha=0$"):
+            sweep_sets(1, [1], oracle_check=True)
 
     def test_rejects_bad_r_range(self):
         with pytest.raises(ValueError):
@@ -406,11 +417,11 @@ class TestWorkerCount:
         assert pool.sizes == [3]
 
     @pytest.mark.parametrize("collect", [False, True])
-    def test_floor_tables_filled_once_per_process(self, pool, monkeypatch,
-                                                  collect):
-        # floors depend only on (r, shape, alpha): the profiles are
-        # resolved once per key after the merge, and the walk units of a
-        # record run in one process share one table of BoundResults
+    def test_floor_tables_filled_once_per_sweep(self, pool, monkeypatch,
+                                                collect):
+        # floors depend only on (r, shape, alpha): after the merge the
+        # profiles are resolved once per key, and a record run takes its
+        # BoundResults once per key for the whole sweep
         keys = {"shape_floor_rows": [], "applicable_bounds": []}
         rows, bounds = verifier.shape_floor_rows, verifier.applicable_bounds
 
@@ -439,6 +450,40 @@ class TestWorkerCount:
         assert counts[0] == counts[1]
         assert counts[0]["shape_floor_rows"] > 0
         assert (counts[0]["applicable_bounds"] > 0) == collect
+
+    def test_record_floors_taken_in_the_parent(self, monkeypatch):
+        # a real two-process pool: the walk units return plain rows, and
+        # the parent asks applicable_bounds once per (r, shape, alpha),
+        # as a serial run does; calls made in a worker are not seen here
+        calls = []
+        bounds, real_pool = verifier.applicable_bounds, verifier.ProcessPoolExecutor
+        sizes = []
+
+        def counted_bounds(inst, alpha):
+            calls.append((classify(inst.base), inst.r, alpha))
+            return bounds(inst, alpha)
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(verifier, "applicable_bounds", counted_bounds)
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        # (7 + 21 + 35) x 2 multiplicities = 126 instances: two shares
+        monkeypatch.setattr(verifier, "_CHUNK", 64)
+        reps, counts = [], []
+        for workers in (1, 2):
+            calls.clear()
+            reps.append(sweep_sequences(3, range(1, 4), range(1, 3), [0, 2, 4],
+                                        workers=workers, collect_records=True))
+            assert len(calls) == len(set(calls))
+            counts.append(len(calls))
+        assert sizes == [2]
+        assert counts[1] == counts[0] > 0
+        assert reps[1].records == reps[0].records
+        assert reps[1].to_json() | {"elapsed_ms": 0} == reps[0].to_json() | {
+            "elapsed_ms": 0}
 
     def test_real_chunk_sizes_the_pool(self, monkeypatch):
         # the pool starts only above _CHUNK canonical instances, where it
@@ -484,7 +529,8 @@ class TestFloorTable:
     @pytest.fixture(params=[1, 2])
     def workers(self, request, monkeypatch):
         if request.param > 1:
-            # small chunks, so several tables are built across processes
+            # small chunks, so a real pool walks the units and the
+            # parent builds records from their rows
             monkeypatch.setattr(verifier, "_CHUNK", 32)
         return request.param
 
@@ -512,7 +558,8 @@ def _reference_resolve(profiles, policy):
     checks = violations = 0
     for (r, shape, sizes), weight in profiles.items():
         for alpha in verifier._alphas(policy, len(sizes) - 1):
-            pairs = shape_floors(*shape, r, alpha)
+            pairs = [(row[0], theorem_id) for theorem_id, row
+                     in shape_floor_rows(*shape, r, (alpha,))]
             checks += len(pairs) * weight
             violations += weight * any(value > sizes[alpha]
                                        for value, _ in pairs)
@@ -536,8 +583,8 @@ def sweep_profiles(draw):
         total = (n + p + zero) * (r or 1)
         sizes = []
         for alpha in range(total + 1):
-            near = [value + d for value, _ in shape_floors(n, p, zero, meet, r,
-                                                           alpha)
+            near = [row[0] + d for _, row in shape_floor_rows(n, p, zero, meet,
+                                                              r, (alpha,))
                     for d in (-1, 0, 1)]
             sizes.append(max(1, draw(st.sampled_from(near + [1, 2 * total]))))
         profiles[r, (n, p, zero, meet), tuple(sizes)] += draw(
