@@ -17,6 +17,14 @@ floors come from two shared expressions, with T(x) = x(x+1)/2:
 The index i of the sign-agnostic floor and of the mixed-floor case
 labels is alpha for sets and m for sequences; that is why C2_5 (i =
 alpha) and C3_4 (i = m) differ at r = 1 while the signed floors agree.
+
+Both expressions are written once, as block helpers: within a block
+m = alpha//r + 1 (r = 1 for sets) a floor is base + d*(m*r - alpha), an
+arithmetic progression in alpha, with d = dn + dp for the sign-aware
+floor and d = 0 for the sign-agnostic one. `shape_floor_rows` fills a
+row over the full range of alphas one block at a time, and every
+single-alpha value reads the same helper.
+
 All arithmetic is exact integer arithmetic. A boundary index equal to n
 or p always falls into the <= branch. Identifiers such as T2_1 or C3_4
 are stable strings that appear verbatim in JSON and CSV reports.
@@ -136,19 +144,20 @@ def _seq_m(r: int, alpha: int, k: int) -> int:
     return alpha // r + 1
 
 
-def _signed_floor(n: int, p: int, zero: int, r: int, alpha: int) -> int:
-    """Sign-aware floor for n negative values, p positive values and
-    `zero` zeros, each repeated r times, counting sums of at least alpha
-    terms. The blocks m = alpha//r + 1 beyond each side's reach, dn and
-    dp, lose their triangular term and pay back the slack m*r - alpha."""
-    m = alpha // r + 1
+def _signed_block(n: int, p: int, zero: int, r: int, m: int) -> tuple[int, int]:
+    """(base, d) of the sign-aware floor for n negative values, p positive
+    values and `zero` zeros, each repeated r times, in block m: at alpha
+    in [(m-1)*r, m*r) the floor counting sums of at least alpha terms is
+    base + d*(m*r - alpha). The blocks beyond each side's reach, dn and
+    dp, lose their triangular term and pay back the slack m*r - alpha at
+    d = dn + dp per alpha."""
     # max(x, 0) without calling max(), which would double this body's cost
     dn = m - n - zero if m > n + zero else 0
     dp = m - p - zero if m > p + zero else 0
     # T(n) + T(p) - T(dn) - T(dp), doubled so that one exact halving
     # replaces four calls of _tri
     twice = n * (n + 1) + p * (p + 1) - dn * (dn + 1) - dp * (dp + 1)
-    return r * twice // 2 + (dn + dp) * (m * r - alpha) + 1
+    return r * twice // 2 + 1, dn + dp
 
 
 def _agnostic_floor(k: int, zero: int, r: int, i: int) -> int:
@@ -160,6 +169,26 @@ def _agnostic_floor(k: int, zero: int, r: int, i: int) -> int:
     core = j * j // 4
     assert core == ((j * j - 1) // 4 if j % 2 else j * j // 4)
     return r * (core - _tri(i - zero)) + 1
+
+
+def _agnostic_block(k: int, zero: int, lag: int, r: int, m: int) -> tuple[int, int]:
+    """(base, 0) of the sign-agnostic floor in block m, where it is
+    constant: its index is m - lag, lag 1 for sets (index alpha = m - 1)
+    and 0 for sequences (index m)."""
+    return _agnostic_floor(k, zero, r, m - lag), 0
+
+
+def _at(block, params: tuple, r: int, alpha: int) -> int:
+    """The floor with block helper `block` at alpha: base + d*(m*r - alpha)
+    in its block m = alpha//r + 1."""
+    m = alpha // r + 1
+    base, d = block(*params, r, m)
+    return base + d * (m * r - alpha)
+
+
+def _signed_floor(n: int, p: int, zero: int, r: int, alpha: int) -> int:
+    """Sign-aware floor at alpha (see `_signed_block`)."""
+    return _at(_signed_block, (n, p, zero), r, alpha)
 
 
 def _case(i: int, n: int, p: int) -> str:
@@ -332,6 +361,13 @@ def shape_floor_rows(
     holding no other alpha give no rows. Values are not clamped: floors
     <= 1 are vacuous.
 
+    Each floor is an arithmetic progression in alpha within a block
+    m = alpha//r + 1 (r = 1 for sets): the sign-aware floors fall by a
+    fixed step there and the sign-agnostic one is constant. When alphas
+    is the full range(top + 1), as a sweep's "all" policy passes, each
+    row is filled one block at a time; any other alphas are evaluated one
+    at a time from the same block helper.
+
     Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k].
     """
     k = n + p + zero
@@ -342,38 +378,47 @@ def shape_floor_rows(
         raise ValueError("r must be >= 1")
     reps = r if seq else 1
     top = reps * k
-    if alphas and not 0 <= min(alphas) <= max(alphas) <= top:
-        for alpha in alphas:
-            _check_alpha(alpha, top)
-    if seq and alphas.count(top) == len(alphas):
-        return []
-    rows = []
+    full = alphas == range(top + 1)
+    if not full:
+        if alphas and not 0 <= min(alphas) <= max(alphas) <= top:
+            for alpha in alphas:
+                _check_alpha(alpha, top)
+        if seq and alphas.count(top) == len(alphas):
+            return []
+    # (theorem_id, block helper, its leading parameters)
+    floors = []
     # the disjoint and zero floors need k >= 2 for sequences, k >= 1 for sets
     if not meet and k > seq:
         if zero:
-            rows.append((T3_1_ZERO if seq else C2_2,
-                         [_signed_floor(0, k - 1, 1, reps, a) for a in alphas]))
+            floors.append((T3_1_ZERO if seq else C2_2, _signed_block,
+                           (0, k - 1, 1)))
         else:
-            rows.append((T3_1_DISJOINT if seq else T2_1,
-                         [_signed_floor(0, k, 0, reps, a) for a in alphas]))
+            floors.append((T3_1_DISJOINT if seq else T2_1, _signed_block,
+                           (0, k, 0)))
     if n and p:
         if zero:
             theorem_id = C3_3 if seq else C2_4
         else:
             theorem_id = T3_2 if seq else T2_3
-        rows.append((theorem_id,
-                     [_signed_floor(n, p, zero, reps, a) for a in alphas]))
+        floors.append((theorem_id, _signed_block, (n, p, zero)))
     if k > 1 + seq:
-        if seq:
-            rows.append((C3_4, [_agnostic_floor(k, zero, r, a // r + 1)
-                                for a in alphas]))
+        floors.append((C3_4 if seq else C2_5, _agnostic_block,
+                       (k, zero, 1 - seq)))
+    rows = []
+    for theorem_id, block, params in floors:
+        if full:
+            row = []
+            # blocks 1 .. k cover alpha 0 .. top - 1
+            for m in range(1, k + 1):
+                base, d = block(*params, reps, m)
+                row += range(base + d * reps, base, -d) if d else [base] * reps
+            row.append(None if seq else _at(block, params, reps, top))
         else:
-            rows.append((C2_5, [_agnostic_floor(k, zero, 1, a) for a in alphas]))
-    if seq and top in alphas:
-        for _, row in rows:
-            for i, alpha in enumerate(alphas):
-                if alpha == top:
-                    row[i] = None
+            row = []
+            for alpha in alphas:
+                row.append(None if seq and alpha == top
+                           else _at(block, params, reps, alpha))
+        rows.append((theorem_id, row))
     return rows
 
 

@@ -223,7 +223,11 @@ class SumSet:
             out.extend(range(base + i, base + j))
             i = bits.find("1", j)
         out.extend(range(base + i, base + len(bits)))
-        return cls(tuple(out))
+        # the runs ascend and bitmap > 0, so the sums are nonempty and
+        # strictly increasing: skip __post_init__, which would check both
+        decoded = object.__new__(cls)
+        object.__setattr__(decoded, "sums", tuple(out))
+        return decoded
 
     def to_bitmap(self) -> tuple[int, int]:
         """Encode as (bitmap, offset) with offset = -min_sum, one

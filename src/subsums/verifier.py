@@ -15,13 +15,15 @@ sizes), sizes[alpha] being the bit count of union alpha, so the walk
 only adds each node's weight to its profile and keeps the minima, each
 witness a tuple of elements. After the merge each (r, shape) takes its
 floors once from `bounds.shape_floor_rows`, as one vector over alpha
-per theorem and their greatest, and each distinct profile is compared
-with them by C-level counts (`sum(map(lt, ...))`), which gives the
-instance, check, violation and tight counts. Witnesses become report
-literals last, each distinct one formatted once. Runs that collect
-records keep one plain row (elements, r, shape, sizes) per instance and
-r; after the merge each (r, shape) takes its BoundResults from
-`applicable_bounds` once per sweep, and the rows become records.
+per theorem and their greatest; under the "all" policy `_alphas` is the
+full range, so each vector is a row filled one block m = alpha//r + 1
+at a time. Each distinct profile is compared with them by C-level
+counts (`sum(map(lt, ...))`), which gives the instance, check,
+violation and tight counts. Witnesses become report literals last,
+each distinct one formatted once. Runs that collect records keep one
+plain row (elements, r, shape, sizes) per instance and r; after the merge each (r, shape) takes its BoundResults from
+`applicable_bounds` once per sweep, each (r, shape, alpha, size) its
+checks and violation flag once, and the rows become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -49,6 +51,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 from math import comb, inf
 from operator import eq, lt
 from typing import Callable, Iterable, Sequence
@@ -136,23 +139,19 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
                 "violation",
             ]
         )
+        writerow = writer.writerow
         for rec in records:
-            head = [rec.instance, "" if rec.r is None else rec.r, rec.alpha,
-                    rec.sigma_size]
+            instance, alpha, size = rec.instance, rec.alpha, rec.sigma_size
+            r = "" if rec.r is None else rec.r
+            violation = int(rec.violation)
             if not rec.bounds:
-                writer.writerow(head + ["", "", "", "", int(rec.violation)])
+                writerow((instance, r, alpha, size, "", "", "", "", violation))
                 continue
             for chk in rec.bounds:
-                writer.writerow(
-                    head
-                    + [
-                        chk.bound.theorem_id,
-                        chk.bound.case_label or "",
-                        chk.bound.value,
-                        int(chk.tight),
-                        int(rec.violation),
-                    ]
-                )
+                bound = chk.bound
+                writerow((instance, r, alpha, size, bound.theorem_id,
+                          bound.case_label or "", bound.value, int(chk.tight),
+                          violation))
 
 
 # -- aggregation -------------------------------------------------------
@@ -199,10 +198,11 @@ def _merge_aggs(dst: dict, src: dict) -> None:
         dst["records"].setdefault(k, []).extend(recs)
 
 
-def _alphas(policy, total: int) -> list[int]:
-    """The policy's alphas in [0, total], each once, in policy order."""
+def _alphas(policy, total: int) -> Sequence[int]:
+    """The policy's alphas in [0, total], each once, in policy order: the
+    full range(total + 1) for "all"."""
     if policy == "all":
-        return list(range(total + 1))
+        return range(total + 1)
     return list(dict.fromkeys(a for a in policy if 0 <= a <= total))
 
 
@@ -299,16 +299,25 @@ def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
     0 .. r*k: the checks per instance, the greatest floor per alpha
     (`top`) and per theorem (theorem_id, floor per alpha). Entries are 0
     where no floor applies or the policy skips the alpha; sizes are at
-    least 1, so a 0 is never tight and never violated."""
+    least 1, so a 0 is never tight and never violated. Under "all" each
+    row of `shape_floor_rows`, filled block by block over the full range,
+    is its vector as it stands, its None entries made 0."""
     total = (shape[0] + shape[1] + shape[2]) * (r or 1)
     alphas = _alphas(policy, total)
     checks, vecs = 0, []
     for theorem_id, row in shape_floor_rows(*shape, r, alphas):
-        vec = [0] * (total + 1)
-        for alpha, value in zip(alphas, row):
-            if value is not None:
-                vec[alpha] = value
-                checks += 1
+        if policy == "all":
+            vec = row
+            checks += len(row) - row.count(None)
+            # over the full range only the last alpha, r*k, can be None
+            if row[-1] is None:
+                row[-1] = 0
+        else:
+            vec = [0] * (total + 1)
+            for alpha, value in zip(alphas, row):
+                if value is not None:
+                    vec[alpha] = value
+                    checks += 1
         vecs.append((theorem_id, vec))
     # no floors: zip() is empty, and so is top
     top = list(map(max, zip(*(vec for _, vec in vecs))))
@@ -383,12 +392,14 @@ def _walk_unit(payload) -> dict:
         for r, suffix, admit in zip(rs, suffix_sets, admits[k]):
             sizes = tuple(map(int.bit_count, suffix))
             profiles[r, shape, sizes] += weight
+            # most visits admit nothing, and any() costs them less than
+            # building the compress; the lazy map reads admit[alpha]
+            # before that entry is updated
             if any(map(lt, sizes, admit)):
                 witness = witness or tuple(chosen)
-                for alpha, size in enumerate(sizes):
-                    if size < admit[alpha]:
-                        admit[alpha] = note_minimum(minima, (k, r, alpha),
-                                                    size, witness)
+                for alpha in compress(range(len(sizes)), map(lt, sizes, admit)):
+                    admit[alpha] = note_minimum(minima, (k, r, alpha),
+                                                sizes[alpha], witness)
 
     def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
                    weight: int) -> None:
@@ -492,23 +503,30 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                 literals.get(w) or literals.setdefault(w, _literal(w))
                 for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
         agg["minima"][key] = size, out[:]
-    # each (r, shape) takes its BoundResults once per sweep
-    floors: dict[tuple, tuple] = {}
+    # each (r, shape) takes its BoundResults once per sweep, and each
+    # (r, shape, alpha, size) its checks and violation flag, kept per
+    # alpha by size and shared by every record with that key
+    floors: dict[tuple, list] = {}
     for k, rows in agg["records"].items():
         recs = agg["records"][k] = []
         for chosen, r, shape, sizes in rows:
             per_alpha = floors.get((r, shape))
             if per_alpha is None:
-                per_alpha = floors[r, shape] = _record_rows(chosen, r,
-                                                            alpha_policy)
+                per_alpha = floors[r, shape] = [
+                    (alpha, bounds, {}) for alpha, bounds
+                    in _record_rows(chosen, r, alpha_policy)]
             literal = literals.get(chosen) or literals.setdefault(
                 chosen, _literal(chosen))
-            for alpha, bounds in per_alpha:
+            for alpha, bounds, by_size in per_alpha:
                 size = sizes[alpha]
-                recs.append(VerificationRecord(
-                    literal, r, alpha, size,
-                    tuple(BoundCheck(b, b.value == size) for b in bounds),
-                    oracle_check, any(b.value > size for b in bounds)))
+                found = by_size.get(size)
+                if found is None:
+                    found = by_size[size] = (
+                        tuple(BoundCheck(b, b.value == size) for b in bounds),
+                        any(b.value > size for b in bounds))
+                checks, violation = found
+                recs.append(VerificationRecord(literal, r, alpha, size, checks,
+                                               oracle_check, violation))
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs

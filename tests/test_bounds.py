@@ -5,7 +5,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsums.bounds import (
@@ -604,6 +604,37 @@ class TestShapeFloorRows:
         # vacuous points keep their values, far below 1
         assert lowest["C2_5"] < 0 and lowest["C3_4"] < 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 32), p=st.integers(0, 32), zero=st.integers(0, 1),
+           meet=st.integers(0, 1), r=st.none() | st.integers(1, 64),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    # long blocks, a repeated and out-of-order list, the degenerate alpha
+    @example(n=3, p=2, zero=1, meet=1, r=64, picks=[384, 5, 5, 0, 64, 383])
+    @example(n=0, p=32, zero=0, meet=0, r=None, picks=[32, 31, 31, 0])
+    def test_full_range_rows_equal_per_alpha_path(self, n, p, zero, meet, r,
+                                                  picks):
+        assume(n + p + zero)
+        meet = meet if n and p else 0
+        k = n + p + zero
+        top = k * (r or 1)
+        # range(top + 1) is filled block by block, a list alpha by alpha
+        rows = shape_floor_rows(n, p, zero, meet, r, range(top + 1))
+        assert rows == shape_floor_rows(n, p, zero, meet, r,
+                                        list(range(top + 1)))
+        alphas = [pick % (top + 1) for pick in picks]
+        picked = shape_floor_rows(n, p, zero, meet, r, alphas)
+        if r is not None and set(alphas) == {top}:
+            assert picked == []
+        else:
+            assert picked == [(theorem_id, [row[alpha] for alpha in alphas])
+                              for theorem_id, row in rows]
+        for theorem_id, row in rows:
+            for alpha in set(alphas):
+                if row[alpha] is not None:
+                    built = build_bound(theorem_id, k=k, n=n, p=p, r=r,
+                                        alpha=alpha, has_zero=zero)
+                    assert built.value == row[alpha]
+
     def test_out_of_range_alpha_refused_as_one_alpha(self):
         for n, p, zero, meet in valid_shapes():
             k = n + p + zero
@@ -622,6 +653,47 @@ class TestShapeFloorRows:
         with pytest.raises(ValueError, match="r must be >= 1"):
             shape_floor_rows(1, 1, 0, 0, 0, [0])
         assert shape_floor_rows(1, 1, 0, 0, 2, []) == []
+
+
+class TestVacuousPoints:
+    """The sign-agnostic floor r((k + 1 - zero)^2 // 4 - T(i - zero)) + 1
+    is at most 1 exactly where T(i - zero) reaches the core
+    (k + 1 - zero)^2 // 4, and at most 0 where it passes it. Those points
+    are kept with their values, not clamped."""
+
+    @pytest.mark.parametrize("theorem_id,ks,rs,counts,lowest", [
+        ("C2_5", range(2, 30), [None], (266, 259), -209),
+        ("C3_4", range(3, 12), [1, 2, 3, 4], (410, 380), -119),
+    ])
+    def test_exactly_the_predicted_points(self, theorem_id, ks, rs, counts,
+                                          lowest):
+        found, predicted = (set(), set()), (set(), set())
+        values = []
+        for k in ks:
+            for zero in (0, 1):
+                core = (k + 1 - zero) ** 2 // 4
+                for r in rs:
+                    top = k * (r or 1)
+                    rows = dict(shape_floor_rows(0, k - zero, zero, 0, r,
+                                                 range(top + 1)))
+                    for alpha, value in enumerate(rows[theorem_id]):
+                        if value is None:
+                            continue
+                        i = alpha if r is None else alpha // r + 1
+                        tri = (i - zero) * (i - zero + 1) // 2
+                        point = (k, zero, r, alpha)
+                        if value <= 1:
+                            found[0].add(point)
+                            values.append(value)
+                        if value <= 0:
+                            found[1].add(point)
+                        if tri >= core:
+                            predicted[0].add(point)
+                        if tri > core:
+                            predicted[1].add(point)
+        assert (len(found[0]), len(found[1])) == counts
+        assert found == predicted
+        assert min(values) == lowest
 
 
 class TestResultShape:
