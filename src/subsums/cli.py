@@ -202,7 +202,7 @@ def _cmd_extremal(args) -> int:
         try:
             alphas = [int(args.alpha)]
         except ValueError:
-            raise UsageError(f"--alpha expects an integer or 'all'") from None
+            raise UsageError("--alpha expects an integer or 'all'") from None
     reports = [witnesses.check_tightness(fam, alpha) for alpha in alphas]
     failed = [rep for rep in reports if not rep.tight]
     if args.json:

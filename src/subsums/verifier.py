@@ -10,10 +10,16 @@ The instances are the nodes of one depth-first walk over the ascending
 universe (`_walk`): a node's suffix unions (the sums with at least c
 terms, for every c) are its parent's plus one `engine.extend_suffixes`
 insertion, and it carries its sign shape, which with r fixes k and
-every floor. A node's tallies depend only on its profile (r, shape,
-sizes), sizes[alpha] being the bit count of union alpha, so the walk
-only adds each node's weight to its profile and keeps the minima, each
-witness a tuple of elements. After the merge each (r, shape) takes its
+every floor. A subset N + {0} + P, N negative and nonempty and P
+positive, takes no insertion: 0 adds terms but no sum, so its unions are
+those of its twin N + P with union 0 repeated r times in front. It must
+still be visited before N + P, as combinations order asks, so the walk
+visits the twin as it walks N's positive subtree and keeps the visits of
+that subtree's own nodes in a list until the twins are done. A node's
+tallies depend only on its profile (r, shape, sizes), sizes[alpha]
+being the bit count of union alpha, so the walk only adds each node's
+weight to its profile and keeps the minima, each witness a tuple of
+elements. After the merge each (r, shape) takes its
 floors once from `bounds.shape_floor_rows`, as one vector over alpha
 per theorem and their greatest; under the "all" policy `_alphas` is the
 full range, so each vector is a row filled one block m = alpha//r + 1
@@ -21,9 +27,10 @@ at a time. Each distinct profile is compared with them by C-level
 counts (`sum(map(lt, ...))`), which gives the instance, check,
 violation and tight counts. Witnesses become report literals last,
 each distinct one formatted once. Runs that collect records keep one
-plain row (elements, r, shape, sizes) per instance and r; after the merge each (r, shape) takes its BoundResults from
-`applicable_bounds` once per sweep, each (r, shape, alpha, size) its
-checks and violation flag once, and the rows become records.
+plain row (elements, r, shape, sizes) per instance and r; after the
+merge each (r, shape) takes its BoundResults from `applicable_bounds`
+once per sweep, each (r, shape, alpha, size) its checks and violation
+flag once, and the rows become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -53,7 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, inf
-from operator import eq, lt
+from operator import eq, lt, or_
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
@@ -217,14 +224,29 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
           mirror: bool) -> None:
     """Call visit(chosen, suffix_sets, shape, weight) on each subset of the
     ascending values with a size in ks and its least element values[i], i
-    in firsts: depth first, next elements ascending, a node before its
-    children, so each size's subsets come in itertools.combinations order.
-    Per m in mults, a node's suffix unions are its parent's plus m copies
-    of its new element (`engine.suffix_unions` of the node repeated m
-    times), at an offset of at least max(mults) * max|v| * max(ks).
-    shape is (n, p, zero, meet): negatives, positives, 1 if 0 is chosen, 1
-    if some x and -x both are. Size 0 is the empty subset at the root,
-    visited whatever firsts is. chosen is reused between calls.
+    in firsts, each size's subsets in itertools.combinations order. Per m
+    in mults, a subset's suffix unions are `engine.suffix_unions` of its
+    elements repeated m times, at an offset of at least
+    max(mults) * max|v| * max(ks). shape is (n, p, zero, meet): negatives,
+    positives, 1 if 0 is chosen, 1 if some x and -x both are. Size 0 is
+    the empty subset at the root, visited whatever firsts is. visit only
+    reads chosen: a list reused between calls, or a tuple.
+
+    The walk is depth first, next elements ascending, a node before its
+    children, and a node's unions are its parent's plus one
+    `engine.extend_suffixes` insertion of m copies of its new element,
+    with one exception. Let N be a nonempty all-negative node with the
+    child 0. Its subset N + {0} + P, P positive, is the twin of N + P: m
+    zeros add terms but no sum, so union c of the twin is union
+    max(c - m, 0) of N + P, and the twin's unions are [s[0]] * m + s.
+    At each size combinations order puts every N + {0} + P before every
+    N + P. So at N the walk visits N + {0}, then walks the positive
+    subtree, each node pruned as its twin, one larger, would be: it
+    visits each node's twin and keeps the node's own visit, a tuple of
+    visit's arguments, in a replay list, visited last. That list holds
+    at most the subsets of size in ks among N plus the positives, and
+    only one is alive at a time. Under a first element 0 every node is
+    inserted.
 
     Without mirror every subset is visited with weight 1. With mirror the
     values must be symmetric about 0, and only the canonical subsets A,
@@ -232,40 +254,73 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     for A and its mirror, and 1 when A = -A. As elements ascend, A <=lex -A
     implies max(A) <= -min(A), so a first element v > 0 is skipped and
     under a first element v no later element exceeds -v; only the ties,
-    max(A) = -min(A), need the full comparison, and those are leaves."""
+    max(A) = -min(A), need the full comparison, and those are leaves.
+    Adding 0 to A and to -A keeps their order, so a twin has the weight
+    of its N + P."""
     last, kmin, kmax = len(values), min(ks), max(ks)
     extend = engine.extend_suffixes
-    tally = [size in ks for size in range(kmax + 1)]
+    # tally[size]: size is visited. A positive node of size s under N is
+    # kept when s or its twin's s + 1 is; one of size kmax has no twin
+    tally = [size in ks for size in range(kmax + 2)]
+    either = list(map(or_, tally, tally[1:] + [False]))
     chosen: list[int] = []
     # per first element: the end of the index range, the element that
     # makes a tie (None: no ties) and the weight of every other node
     cap, tie, full = last, None, 1
 
-    def descend(indices: Iterable, suffix_sets: list, shape: tuple, negs: int) -> None:
-        # negs has bit -x set for each chosen negative x
+    def descend(indices: Iterable, suffix_sets: list, shape: tuple, negs: int,
+                replay: list | None = None) -> None:
+        # negs has bit -x set for each chosen negative x. Given replay,
+        # the nodes are N + P, N = chosen[:n], and visit their twins
         depth = len(chosen) + 1
         n, p, zero, meet = shape
+        keep, need = (tally, kmin) if replay is None else (either, kmin - 1)
         for i in indices:
             x = values[i]
-            child = [extend(suffix, x, m) for suffix, m in zip(suffix_sets, mults)]
             if x < 0:
                 here, below = (n + 1, p, zero, meet), negs | 1 << -x
             elif x:
                 here, below = (n, p + 1, zero, meet | negs >> x & 1), negs
+            elif n:
+                # chosen is N: N + {0}, then the rest of indices, its
+                # positive children, whose first level runs to the stop
+                # of the 0-child's children
+                if tally[depth]:
+                    chosen.append(0)
+                    visit(chosen,
+                          [[s[0]] * m + s for s, m in zip(suffix_sets, mults)],
+                          (n, 0, 1, 0), full)
+                    chosen.pop()
+                replay = []
+                descend(range(i + 1, min(cap, cap - kmin + depth + 1)),
+                        suffix_sets, shape, negs, replay)
+                for args in replay:
+                    visit(*args)
+                return
             else:
                 here, below = (n, p, 1, meet), negs
+            child = [extend(suffix, x, m) for suffix, m in zip(suffix_sets, mults)]
             chosen.append(x)
-            if tally[depth]:
+            if keep[depth]:
                 weight = full
                 if x == tie:
                     mirrored = [-y for y in reversed(chosen)]
                     weight = (chosen <= mirrored) + (chosen < mirrored)
-                if weight:
+                if weight and replay is None:
                     visit(chosen, child, here, weight)
+                elif weight:
+                    if tally[depth + 1]:
+                        chosen.insert(n, 0)
+                        visit(chosen,
+                              [[s[0]] * m + s for s, m in zip(child, mults)],
+                              (n, p + 1, 1, here[3]), weight)
+                        del chosen[n]
+                    if tally[depth]:
+                        replay.append((tuple(chosen), child, here, weight))
             if depth < kmax:
-                # a child at index j needs kmin - depth - 1 elements above j
-                stop = min(cap, cap - kmin + depth + 1)
-                descend(range(i + 1, stop), child, here, below)
+                # a child at index j needs need - depth - 1 elements above j
+                stop = min(cap, cap - need + depth + 1)
+                descend(range(i + 1, stop), child, here, below, replay)
             chosen.pop()
 
     root = [[1 << offset] for _ in mults]
@@ -658,7 +713,7 @@ def empirical_minimum(
         )
     best: int | None = None
     wits: list[tuple] = []
-    zeros = [0] if size_k < k else []
+    zeros = (0,) if size_k < k else ()
 
     # every policy's universe is closed under negation, so the mirror walk
     # sees each minimizer or its mirror
@@ -667,9 +722,9 @@ def empirical_minimum(
         nonlocal best, wits
         size = suffix_sets[0][low].bit_count()
         if best is None or size < best:
-            best, wits = size, [tuple(sorted(chosen + zeros))]
+            best, wits = size, [tuple(sorted((*chosen, *zeros)))]
         elif size == best and len(wits) < witness_cap:
-            wits.append(tuple(sorted(chosen + zeros)))
+            wits.append(tuple(sorted((*chosen, *zeros))))
 
     _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit, True)
     if best is None:

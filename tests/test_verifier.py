@@ -350,6 +350,75 @@ class TestAgainstBruteForce:
         full = sweep_sets(2, range(1, 4), collect_records=True)
         assert half.violations == full.violations == len(full.records) == 80
 
+    @settings(max_examples=300, deadline=None)
+    @given(max_abs=st.integers(0, 4),
+           ks=st.lists(st.integers(2, 7), min_size=1, unique=True).map(sorted),
+           mults=st.lists(st.integers(1, 4), min_size=1, unique=True).map(sorted),
+           mirror=st.booleans(), data=st.data())
+    @example(max_abs=3, ks=[2, 3, 4], mults=[1, 2], mirror=True, data=None)
+    @example(max_abs=4, ks=[3, 5], mults=[3], mirror=False, data=None)
+    def test_walk_stream_is_combinations_reference(self, max_abs, ks, mults,
+                                                   mirror, data):
+        # every visit, in order within each size, against a reference
+        # that builds each subset's unions from scratch: subsets holding 0
+        # take their unions from a zero-free twin, so this pins the twin
+        # unions, shapes and weights, the pruning one size lower, and
+        # combinations order at every size
+        values = range(-max_abs, max_abs + 1)
+        first = None if data is None else data.draw(
+            st.one_of(st.none(), st.integers(0, len(values) - 1)))
+        # a pool unit passes one first element
+        firsts = range(len(values)) if first is None else [first]
+        offset = max(mults) * max_abs * max(ks)
+        stream = []
+
+        def visit(chosen, suffix_sets, shape, weight):
+            stream.append((tuple(chosen), shape, weight,
+                           [list(suffix) for suffix in suffix_sets]))
+
+        verifier._walk(values, firsts, ks, mults, offset, visit, mirror)
+        expected = []
+        for k in ks:
+            for elems in itertools.combinations(values, k):
+                if elems[0] - values[0] not in firsts:
+                    continue
+                weight = 1
+                if mirror:
+                    mirrored = tuple(-x for x in reversed(elems))
+                    if elems > mirrored:
+                        continue
+                    weight = 1 if elems == mirrored else 2
+                unions = []
+                for m in mults:
+                    layers = [1 << offset]
+                    for x in elems:
+                        layers = engine.extend_layers(layers, x, m)
+                    unions.append(engine.suffix_unions(layers))
+                expected.append((elems, tuple(classify(IntegerSet(elems))),
+                                 weight, unions))
+        assert [item for k in ks for item in stream if len(item[0]) == k] \
+            == expected
+        assert len(stream) == len(expected)
+
+    def test_subsets_with_zero_take_no_insertion(self, monkeypatch):
+        # a subset that holds 0 below its first element takes its unions
+        # from its zero-free twin; inserting 0 again raises both counts
+        # (to 12,885 and 1,860)
+        calls = 0
+        extend = engine.extend_suffixes
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extend(*args)
+
+        monkeypatch.setattr(engine, "extend_suffixes", counted)
+        sweep_sets(8, range(2, 7))
+        assert calls == 8893
+        calls = 0
+        sweep_sequences(4, range(2, 5), range(1, 13))
+        assert calls == 1212
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the requested size and
