@@ -10,10 +10,12 @@ its additive inverse (which also rules out zero), so they have at most
 the same |Σ_alpha| for every alpha, and none is its own mirror, so
 verification walks only the canonical half: depth first over the
 inverse pairs {x, p - x}, the first chosen pair picking x and every
-later one nothing, x or p - x. Each subset carries its suffix unions as
-its parent's plus one insertion; its sizes per alpha are their bit
-counts. The floors are compared once per distinct sizes tuple, weighted
-by the subsets that have it, twice over for the mirrors. It fills the
+later one nothing, x or p - x. The walk keeps a subset's suffix unions
+as lanes of one int (`_lanes`), its parent's plus one insertion: a fixed
+number of big-int operations whatever the depth. Its sizes per alpha,
+the lanes' bit counts, are read all at once through a byte popcount
+table. The floors are compared once per distinct sizes, weighted by the
+subsets that have them, twice over for the mirrors. It fills the
 campaign aggregate of `verifier` and reports through its finisher,
 keying minima as a set sweep does, where sets run as r = 1 sequences
 marked r = None: the cells carry k and alpha, no r.
@@ -40,10 +42,14 @@ from .verifier import (
 )
 
 # Largest prime verified: p = 23 walks the (3^11 - 1) / 2 canonical
-# subsets in 0.4 to 0.5 s (2 vCPU, Python 3.11); p = 29 has 27 times as
-# many and took 11.7 s with the guard lifted, and p = 31 would take three
-# times that again.
+# subsets in 0.2 s, 0.3 to 0.5 s from the CLI (2 vCPU, Python 3.11);
+# p = 29 has 27 times as many and took 5.8 s from the CLI with the guard
+# lifted, and p = 31 would take three times that again.
 PRIME_GUARD = 23
+
+# Popcount of each byte value: a bytes translate through it counts the
+# set bits of every byte of an int at once
+_POP = bytes(b.bit_count() for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -133,34 +139,78 @@ def check_prime(p: int) -> None:
         )
 
 
-def _walk(p: int, visit: Callable[[list[int], list[int]], None]) -> None:
-    """Call visit(suffix, chosen) on every canonical admissible subset mod
-    p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order.
+def _lanes(p: int) -> tuple[Callable[[int, int], int],
+                            Callable[[int, int], bytes]]:
+    """(insert, sizes) on suffix unions mod p packed as lanes of one int.
+
+    Lane c, bits c*F to c*F + p - 1 with F = 8 * ceil(p / 8), holds union
+    c; its F - p top bits stay clear. insert(v, z) is `_insert_suffix` of
+    residue z, for up to (p - 1) / 2 insertions: every union, rotated by
+    z, is or-ed into the next lane by two masked shifts of the whole int,
+    then lane 1 into lane 0. sizes(v, n) is the bit count of each of the
+    first n lanes, as bytes: every byte of v becomes its popcount, and one
+    multiply adds the B = F / 8 counts of each lane into its top byte.
+    """
+    # a lane's count, at most p, is read from one byte; any F consecutive
+    # bits of v hold at most p set bits, so no byte of the sum carries
+    assert p <= 255, f"lane counts are single bytes, so p <= 255, got {p}"
+    width = -(-p // 8)
+    lane = 8 * width
+    low = (1 << lane) - 1
+    rep = sum(1 << c * lane for c in range((p - 1) // 2))
+    # per residue z, masks over every lane and their shifts: the low p - z
+    # bits of a union move up a lane and z bits, and its top z bits, which
+    # wrap past p, move up a lane less p - z bits
+    steps = [(((1 << p - z) - 1) * rep, lane + z,
+              ((1 << z) - 1 << p - z) * rep, lane - p + z) for z in range(p)]
+    spread = sum(1 << 8 * j for j in range(width))
+    top = width - 1
+
+    def insert(v: int, z: int) -> int:
+        stay, up, wrap, down = steps[z]
+        w = v | (v & stay) << up | (v & wrap) << down
+        return w | w >> lane & low
+
+    def sizes(v: int, n: int) -> bytes:
+        nbytes = n * width
+        counts = int.from_bytes(v.to_bytes(nbytes, "little").translate(_POP),
+                                "little") * spread
+        return counts.to_bytes(nbytes + top, "little")[top::width]
+
+    return insert, sizes
+
+
+def _walk(p: int, visit: Callable[[int, bytes, list[int]], None]) -> None:
+    """Call visit(lanes, sizes, chosen) on every canonical admissible subset
+    mod p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order.
 
     A subset picks from each inverse pair {x, p - x}, x = 1 .. (p - 1) / 2,
     nothing (digit 0), x (1) or p - x (2); negation swaps 1 and 2. It is
     canonical when its first chosen pair picks x, which holds for exactly
     one of each mirror pair, and no nonempty admissible subset is its own
     mirror. chosen lists the picks in pair order, x as x and p - x as -x,
-    and is reused between calls. suffix[c] is the p-bit union of the sums
-    of c or more members, a child's its parent's plus one `_insert_suffix`.
-    A node comes before its children, and they add a later pair, the last
-    first, so the visits follow the digit tuples.
+    and is reused between calls. lanes packs the suffix unions as `_lanes`
+    lays them out, lane c the union of the sums of c or more members, a
+    child's its parent's plus one insertion; sizes is the bit count of
+    each of its len(chosen) + 1 lanes. A node comes before its children,
+    and they add a later pair, the last first, so the visits follow the
+    digit tuples.
     """
     half = (p - 1) // 2
+    insert, sizes = _lanes(p)
     chosen: list[int] = []
 
-    def descend(suffix: list[int], last: int) -> None:
-        visit(suffix, chosen)
+    def descend(v: int, n: int, last: int) -> None:
+        visit(v, sizes(v, n), chosen)
         for x in range(half, last, -1):
             for y in (x, -x):
                 chosen.append(y)
-                descend(_insert_suffix(suffix, y % p, p), x)
+                descend(insert(v, y % p), n + 1, x)
                 chosen.pop()
 
     for x in range(half, 0, -1):
         chosen.append(x)
-        descend(_insert_suffix([1], x, p), x)
+        descend(insert(1, x), 2, x)
         chosen.pop()
 
 
@@ -200,11 +250,8 @@ def verify_balandraud(p: int) -> CampaignReport:
     minima = agg["minima"]
     profiles: Counter = Counter()
 
-    def visit(suffix: list[int], chosen: list[int]) -> None:
-        # not tuple(map(...)): on CPython 3.11, tuple() of an iterator of
-        # unknown length takes a 10-slot tuple and shrinks it, so the free
-        # lists of short tuples fill up, about 1.4 MB held over p = 17, 19
-        sizes = (*map(int.bit_count, suffix),)
+    def visit(lanes: int, sizes: bytes, chosen: list[int]) -> None:
+        # sizes, one byte per alpha, is the profile key as it stands
         profiles[sizes] += 1
         cell_admit = admit[len(sizes) - 1]
         if any(map(lt, sizes, cell_admit)):
@@ -222,7 +269,7 @@ def verify_balandraud(p: int) -> CampaignReport:
         violations += count * sum(map(lt, sizes, row))
         tight += count * sum(map(eq, sizes, row))
     for key, (got, wits) in minima.items():
-        # tuple of a list, as for sizes above
+        # tuple() of a list, whose length it knows, sizes the tuple once
         both = set(wits).union(tuple([-y for y in w]) for w in wits)
         first = sorted(both, key=lambda w: _product_key(w, half))[:WITNESS_CAP]
         minima[key] = got, [

@@ -497,6 +497,11 @@ def _check_max_abs(max_abs: int) -> None:
         raise ValueError(f"max_abs must be >= 0, got {max_abs}")
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def _span(values: Iterable[int], name: str) -> list[int]:
     out = sorted(set(int(v) for v in values))
     if not out or out[0] < 1:
@@ -516,6 +521,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_max_abs(max_abs)
+    _check_budget(budget)
     subsets = {k: comb(2 * max_abs + 1, k) for k in ks}
     # an instance is walked even where the policy selects no alpha
     pairs = sum(
@@ -695,6 +701,7 @@ def empirical_minimum(
     if zero_policy not in ("any", "require", "forbid"):
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)
+    _check_budget(budget)
     values = range(-max_abs, max_abs + 1)
     # every subset walked has size_k elements, so its sums with at least
     # low of them are the window alpha..k

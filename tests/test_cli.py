@@ -195,6 +195,14 @@ class TestSweep:
         assert out == ""
         assert "error: max_abs must be >= 0" in err
 
+    def test_rejects_negative_budget(self, capsys):
+        # a usage error, not a refusal: exit 1 naming the value, no report
+        code, out, err = run(capsys, "sweep", "--max-abs", "1", "--k", "2",
+                             "--budget", "-5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: budget must be >= 0, got -5" in err
+
 
 class TestExtremal:
     def test_all_alphas_tight(self, capsys):

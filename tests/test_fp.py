@@ -43,6 +43,14 @@ def canonical_in_product_order(p):
             yield elements
 
 
+def split_lanes(lanes, p, count):
+    """The count unions packed in lanes of 8 * ceil(p / 8) bits; nothing
+    is set above them."""
+    width = 8 * -(-p // 8)
+    assert lanes >> count * width == 0
+    return [lanes >> c * width & (1 << width) - 1 for c in range(count)]
+
+
 def suffix_residues(by_size):
     """Per c, the residues reached with c or more members."""
     return [set().union(*by_size[c:]) for c in range(len(by_size))]
@@ -139,22 +147,63 @@ class TestCyclicLayers:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_walk_layers_match_enumeration(self, p):
         # the depth-first walk visits every canonical admissible subset
-        # once, in product order, and each suffix union holds exactly the
-        # residues the enumeration oracle reaches with that many members
-        # or more
+        # once, in product order; each lane holds exactly the residues the
+        # enumeration oracle reaches with that many members or more, and
+        # sizes is each lane's bit count
         seen = []
 
-        def visit(suffix, chosen):
+        def visit(lanes, sizes, chosen):
             elements = tuple(sorted(y % p for y in chosen))
             seen.append(elements)
             unions = suffix_residues(residue_sums_by_size(elements, p))
-            assert [residues(union) for union in suffix] == unions
+            split = split_lanes(lanes, p, len(chosen) + 1)
+            assert [residues(union) for union in split] == unions
+            assert sizes == bytes(union.bit_count() for union in split)
             for alpha, union in enumerate(unions):
                 assert sigma_fp(FpSubset(p, elements), alpha) == tuple(sorted(union))
 
         fp._walk(p, visit)
         assert seen == list(canonical_in_product_order(p))
         assert len(seen) == (3 ** ((p - 1) // 2) - 1) // 2
+
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1),
+                                                 max_size=(p - 1) // 2))))
+    @example((23, list(range(22, 11, -1))))  # p - 1 first, then a full chain
+    @example((23, list(range(11, 0, -1))))  # nine lanes saturated, 23 each
+    @example((17, [16, 1, 16, 0, 8, 9, 15, 2]))  # repeats, zero, full chain
+    @example((7, [6, 6, 6]))  # the top bit wraps at every insertion
+    def test_lane_insertion_is_list_insertion(self, case):
+        # after every insertion the lanes split into exactly the unions
+        # _insert_suffix builds, the suffix unions of the residues the
+        # enumeration oracle reaches, and sizes is each lane's bit count
+        # (three popcount bytes per lane from p = 17 on)
+        p, zs = case
+        insert, sizes = fp._lanes(p)
+        lanes, suffix = 1, [1]
+        for i in range(len(zs) + 1):
+            if i:
+                lanes = insert(lanes, zs[i - 1])
+                suffix = fp._insert_suffix(suffix, zs[i - 1], p)
+            unions = suffix_residues(residue_sums_by_size(tuple(zs[:i]), p))
+            assert split_lanes(lanes, p, i + 1) == suffix
+            assert [residues(union) for union in suffix] == unions
+            assert sizes(lanes, i + 1) == bytes(map(len, unions))
+
+    def test_saturated_lanes_count_p(self):
+        # {1, ..., 11} reaches every residue mod 23 with c or more members
+        # for each c <= 8: a count of 23 spread over a lane's three bytes
+        insert, sizes = fp._lanes(23)
+        lanes = 1
+        for z in range(11, 0, -1):
+            lanes = insert(lanes, z)
+        assert list(sizes(lanes, 12)) == [23] * 9 + [22, 12, 1]
+
+    def test_lanes_refuse_wide_primes(self):
+        # a lane's count is read from one byte
+        fp._lanes(251)
+        with pytest.raises(AssertionError, match="p <= 255"):
+            fp._lanes(257)
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 23]).flatmap(
         lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=8))))

@@ -88,6 +88,18 @@ class TestSetSweep:
         with pytest.raises(ValueError):
             sweep_sets(2, [0, 2])
 
+    def test_rejects_negative_budget(self):
+        # a bad argument, not a refusal; a budget of 0 still refuses
+        for budget in (-5, -1):
+            with pytest.raises(ValueError, match=f"budget must be >= 0, got {budget}"):
+                sweep_sets(1, [2], budget=budget)
+            with pytest.raises(ValueError, match=f"budget must be >= 0, got {budget}"):
+                sweep_sequences(1, [2], [2], budget=budget)
+        with pytest.raises(BudgetExceeded):
+            sweep_sets(1, [2], budget=0)
+        with pytest.raises(BudgetExceeded):
+            sweep_sequences(1, [2], [2], budget=0)
+
     def test_budget_refusal_is_upfront(self):
         with pytest.raises(BudgetExceeded, match="budget"):
             sweep_sets(50, [10])
@@ -830,6 +842,14 @@ class TestEmpiricalMinimum:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             empirical_minimum(10, 0, 20, budget=100)
+
+    def test_rejects_negative_budget(self):
+        # a bad argument, not a refusal; a budget of 0 still refuses
+        for budget in (-5, -1):
+            with pytest.raises(ValueError, match=f"budget must be >= 0, got {budget}"):
+                empirical_minimum(2, 0, 1, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            empirical_minimum(2, 0, 1, budget=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
