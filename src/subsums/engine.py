@@ -110,6 +110,18 @@ def extend_suffixes(suffix: list[int], x: int, copies: int) -> list[int]:
     return out
 
 
+def check_layer_bits(top: int, offset: int, largest: int) -> None:
+    """Raise BudgetExceeded when count layers 0..top at this offset, the
+    largest term `largest`, may exceed LAYER_BITS_BUDGET bits: layer c is
+    at most offset + 1 + c*max(largest, 0) bits wide."""
+    bits = (top + 1) * (offset + 1) + max(largest, 0) * top * (top + 1) // 2
+    if bits > LAYER_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"count-layer DP needs up to {bits} layer bits in {top + 1} "
+            f"layers; budget is {LAYER_BITS_BUDGET}"
+        )
+
+
 def sequence_layers(
     s: RepSequence, top: int | None = None
 ) -> tuple[list[int], int]:
@@ -126,10 +138,10 @@ def sequence_layers(
     then t = 0, the untranslated DP at the offset. Placement drops only
     zero bits, as no sum of c terms lies below minus the offset.
 
-    Raises BudgetExceeded before the first insertion when the placed
-    layers may exceed LAYER_BITS_BUDGET bits: layer c is at most
-    offset + 1 + c*max(x_max, 0) bits wide, and the layers the DP works
-    on are in all no wider than the placed ones."""
+    Raises BudgetExceeded (`check_layer_bits`) before the first
+    insertion when the placed layers may exceed LAYER_BITS_BUDGET bits;
+    the layers the DP works on are in all no wider than the placed
+    ones."""
     r = s.r
     elements = s.base.elements
     top = s.length if top is None else top
@@ -141,12 +153,7 @@ def sequence_layers(
         for i, x in enumerate(elements)
         if x < 0
     )
-    bits = (top + 1) * (offset + 1) + max(elements[-1], 0) * top * (top + 1) // 2
-    if bits > LAYER_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"count-layer DP needs up to {bits} layer bits in {top + 1} "
-            f"layers; budget is {LAYER_BITS_BUDGET}"
-        )
+    check_layer_bits(top, offset, elements[-1])
     # against t = 0, t = m narrows layer c by offset + c*m bits; take it
     # when the total, (top + 1)*offset + m*top*(top + 1)/2, is positive
     m = elements[0]

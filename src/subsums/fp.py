@@ -14,11 +14,13 @@ later one nothing, x or p - x. The walk keeps a subset's suffix unions
 as lanes of one int (`_lanes`), its parent's plus one insertion: a fixed
 number of big-int operations whatever the depth. Its sizes per alpha,
 the lanes' bit counts, are read all at once through a byte popcount
-table. The floors are compared once per distinct sizes, weighted by the
-subsets that have them, twice over for the mirrors. It fills the
-campaign aggregate of `verifier` and reports through its finisher,
-keying minima as a set sweep does, where sets run as r = 1 sequences
-marked r = None: the cells carry k and alpha, no r.
+table. It fills the campaign aggregate of `verifier`: each distinct
+sizes is a profile (None, size, sizes), weighted by the subsets that
+have it, twice over for the mirrors, and `verifier.resolve_profiles`
+compares it once with the size's floors, as it does a sweep's. Minima
+are keyed as in a set sweep, where sets run as r = 1 sequences marked
+r = None: the cells carry k and alpha, no r. The report comes from the
+sweep's finisher.
 `oracle.residue_sums_by_size` is the enumeration these unions are
 checked against.
 """
@@ -28,17 +30,18 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import eq, lt
+from operator import lt
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
-from .model import BudgetExceeded, LAYER_BITS_BUDGET, SumSet
+from .model import BudgetExceeded, LAYER_BITS_BUDGET, SumSet, literal
 from .verifier import (
     WITNESS_CAP,
     CampaignReport,
     finish_report,
     new_aggregate,
     note_minimum,
+    resolve_profiles,
 )
 
 # Largest prime verified: p = 23 walks the (3^11 - 1) / 2 canonical
@@ -90,7 +93,7 @@ class FpSubset:
         return not any((self.p - x) % self.p in elems for x in elems)
 
     def literal(self) -> str:
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
+        return literal(self.elements)
 
 
 def _insert_suffix(suffix: list[int], x: int, p: int) -> list[int]:
@@ -230,11 +233,12 @@ def verify_balandraud(p: int) -> CampaignReport:
 
     Negation keeps a subset admissible and every |Σ_alpha|, so the walk
     visits the canonical half and counts each visit twice. A visit adds
-    one to the count of its sizes, |Σ_alpha| per alpha, and the floors are
-    compared once per distinct sizes afterwards. Each minima cell keeps
-    the first WITNESS_CAP canonical minimizers, then takes them with their
-    mirrors in product order: a canonical subset comes before its mirror,
-    so the first WITNESS_CAP of all minimizers are among these."""
+    one to the count of its sizes, |Σ_alpha| per alpha, and
+    `resolve_profiles` compares the floors once per distinct sizes
+    afterwards. Each minima cell keeps the first WITNESS_CAP canonical
+    minimizers, then takes them with their mirrors in product order: a
+    canonical subset comes before its mirror, so the first WITNESS_CAP of
+    all minimizers are among these."""
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
@@ -262,21 +266,15 @@ def verify_balandraud(p: int) -> CampaignReport:
                                                      got, picks)
 
     _walk(p, visit)
-    checks = violations = tight = 0
-    for sizes, count in profiles.items():
-        row = floors[len(sizes) - 1]
-        checks += count * len(sizes)
-        violations += count * sum(map(lt, sizes, row))
-        tight += count * sum(map(eq, sizes, row))
+    # each canonical subset stands for its mirror too; a size's floors
+    # are its only theorem's, T1_3, one per alpha
+    agg["profiles"].update({(None, len(sizes) - 1, sizes): 2 * count
+                            for sizes, count in profiles.items()})
+    resolve_profiles(agg, lambda r, size: (size + 1, floors[size],
+                                           [(T1_3, floors[size])]))
     for key, (got, wits) in minima.items():
         # tuple() of a list, whose length it knows, sizes the tuple once
         both = set(wits).union(tuple([-y for y in w]) for w in wits)
         first = sorted(both, key=lambda w: _product_key(w, half))[:WITNESS_CAP]
-        minima[key] = got, [
-            "{" + ",".join(map(str, sorted(y % p for y in w))) + "}" for w in first
-        ]
-    if tight:
-        agg["tight"][T1_3] = 2 * tight
-    agg.update(instances=2 * sum(profiles.values()), checks=2 * checks,
-               violations=2 * violations)
+        minima[key] = got, [literal(sorted(y % p for y in w)) for w in first]
     return finish_report({"kind": "fp", "p": p}, agg, started)

@@ -67,6 +67,12 @@ def size_window(alpha: int, total: int, mode: str) -> range:
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def literal(elems: Iterable[int]) -> str:
+    """The brace literal of integers in the order given, as in {-2,0,3}:
+    what reports print and parse_set reads back."""
+    return "{" + ",".join(map(str, elems)) + "}"
+
+
 def _check_caps(count: int, lo: int, hi: int, limits: Limits) -> None:
     """Refuse `count` distinct values in [lo, hi] that break the k cap,
     then the magnitude cap."""
@@ -122,7 +128,7 @@ class IntegerSet:
 
     def literal(self) -> str:
         """Canonical brace literal, parseable by parse_set."""
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
+        return literal(self.elements)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)

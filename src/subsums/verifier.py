@@ -25,9 +25,10 @@ per theorem and their greatest; under the "all" policy `_alphas` is the
 full range, so each vector is a row filled one block m = alpha//r + 1
 at a time. Each distinct profile is compared with them by C-level
 counts (`sum(map(lt, ...))`), which gives the instance, check,
-violation and tight counts. Witnesses become report literals last,
-each distinct one formatted once. Runs that collect records keep one
-plain row (elements, r, shape, sizes) per instance and r; after the
+violation and tight counts (`resolve_profiles`). Witnesses become
+report literals (`model.literal`) last, each distinct one formatted
+once. Runs that collect records keep one plain row (elements, r,
+shape, sizes) per instance and r; after the
 merge each (r, shape) takes its BoundResults from `applicable_bounds`
 once per sweep, each (r, shape, alpha, size) its checks and violation
 flag once, and the rows become records.
@@ -40,14 +41,17 @@ Each distinct witness list of the minima cells gains the mirrors of its
 canonical witnesses once, re-sorted and capped, which gives exactly the
 full walk's list. Runs that collect records or check the oracle emit or
 check one row per instance, so they walk every subset.
-`empirical_minimum` takes the same mirror walk.
+`empirical_minimum` takes the same mirror walk and keeps its one minima
+cell with `note_minimum`.
 
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
 subtree order with record rows kept per k, so reports and record CSVs do
 not depend on the worker count; walk units evaluate no floors. Work is
-refused up front when the pair count would exceed the budget. `fp` fills
-the same aggregate and finisher.
+refused up front when the pair count would exceed the budget, and only
+the sizes that have subsets are walked. `fp` fills the same aggregate,
+its profiles keyed by subset size, resolves them through
+`resolve_profiles` and reports through the same finisher.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
 from .bounds import BoundResult, applicable_bounds, shape_floor_rows
-from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet
+from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet, literal
 
 DEFAULT_BUDGET = 10**6
 WITNESS_CAP = 16
@@ -168,7 +172,7 @@ def new_aggregate() -> dict:
     keyed by (k, r, alpha) with r None outside sequences, records (in a
     sweep's walk units, record rows) in lists keyed by k, and a sweep's
     instance weight per (r, shape, sizes) profile, which
-    `_resolve_profiles` turns into the first four."""
+    `resolve_profiles` turns into the first four."""
     return {
         "instances": 0,
         "checks": 0,
@@ -181,17 +185,19 @@ def new_aggregate() -> dict:
     }
 
 
-def note_minimum(minima: dict, key: tuple, size: int, witness: tuple) -> int:
-    """Keep the least size seen for a minima cell and up to WITNESS_CAP
-    witnesses attaining it, in the order seen. Witnesses stay tuples of
-    elements until the report formats them. Returns the cell's admit
-    threshold: a later witness is kept iff its size is below it."""
+def note_minimum(minima: dict, key: tuple, size: int, witness: tuple,
+                 cap: int = WITNESS_CAP) -> int:
+    """Keep the least size seen for a minima cell and up to cap witnesses
+    attaining it, in the order seen; the first is kept whatever the cap.
+    Witnesses stay tuples of elements until the report formats them.
+    Returns the cell's admit threshold: a later witness is kept iff its
+    size is below it."""
     cur = minima.get(key)
     if cur is None or size < cur[0]:
         minima[key] = cur = (size, [witness])
-    elif size == cur[0] and len(cur[1]) < WITNESS_CAP:
+    elif size == cur[0] and len(cur[1]) < cap:
         cur[1].append(witness)
-    return cur[0] + (len(cur[1]) < WITNESS_CAP)
+    return cur[0] + (len(cur[1]) < cap)
 
 
 def _merge_aggs(dst: dict, src: dict) -> None:
@@ -335,11 +341,6 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
         descend((i,), root, (0, 0, 0, 0), 0)
 
 
-def _literal(elems: Iterable[int]) -> str:
-    """The report literal of a subset, as in {-2,0,3}."""
-    return "{" + ",".join(map(str, elems)) + "}"
-
-
 def _with_mirrors(wits: Sequence[tuple], cap: int) -> list[tuple]:
     """The first cap of wits and their mirrors, ascending. If wits are the
     first minimizers a mirror walk saw, up to cap, these are the first cap
@@ -379,20 +380,22 @@ def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
     return checks, top, vecs
 
 
-def _resolve_profiles(agg: dict, policy) -> None:
-    """Fill a merged sweep aggregate's instance, check, violation and
-    tight counts from its profiles: each distinct (r, shape, sizes) is
-    compared once with its shape's floor vectors from `_shape_rows`,
-    weighted by the instances it stands for. A pair violates when its
-    size is below the greatest floor, and a theorem is tight where its
-    floor equals the size; `tight` gains only theorems with a hit."""
+def resolve_profiles(agg: dict, rows: Callable) -> None:
+    """Fill a merged aggregate's instance, check, violation and tight
+    counts from its profiles: each distinct (r, shape, sizes) is compared
+    once with rows(r, shape), its floor vectors as `_shape_rows` gives
+    them, weighted by the instances it stands for. A pair violates when
+    its size is below the greatest floor, and a theorem is tight where
+    its floor equals the size; `tight` gains only theorems with a hit.
+    Sweeps pass `_shape_rows` at their policy, and `fp` its sizes'
+    prime-field floors, shape being the subset size."""
     table: dict[tuple, tuple] = {}
     tight = agg["tight"]
     checks = violations = 0
     for (r, shape, sizes), weight in agg["profiles"].items():
         entry = table.get((r, shape))
         if entry is None:
-            entry = table[r, shape] = _shape_rows(shape, r, policy)
+            entry = table[r, shape] = rows(r, shape)
         per_instance, top, vecs = entry
         checks += per_instance * weight
         violations += weight * sum(map(lt, sizes, top))
@@ -466,8 +469,7 @@ def _walk_unit(payload) -> dict:
                 for alpha in alphas:
                     decoded = SumSet.from_bitmap(suffix[alpha], offset).sums
                     if decoded != expected[alpha]:
-                        literal = _literal(chosen)
-                        where = literal if r is None else f"{literal} r={r}"
+                        where = literal(chosen) + (f" r={r}" if r else "")
                         raise RuntimeError(
                             f"engine/oracle mismatch on {where} alpha={alpha}"
                         )
@@ -542,8 +544,13 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
-    common = (ks, rs, alpha_policy, oracle_check, collect_records)
-    if procs <= 1:
+    # a size above the universe has no subsets, and the walk builds
+    # per-size tables: it walks only the sizes that have some
+    walked = [k for k in ks if k <= len(values)]
+    common = (walked, rs, alpha_policy, oracle_check, collect_records)
+    if not walked:
+        agg = new_aggregate()
+    elif procs <= 1:
         agg = _walk_unit((values, firsts) + common)
     else:
         agg = new_aggregate()
@@ -551,7 +558,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             for part in pool.map(_walk_unit,
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
-    _resolve_profiles(agg, alpha_policy)
+    resolve_profiles(agg, lambda r, shape: _shape_rows(shape, r, alpha_policy))
     # many cells share one witness list: each distinct list is mirrored
     # and each distinct witness formatted once
     lists: dict[tuple, list[str]] = {}
@@ -561,7 +568,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         out = lists.get(wits)
         if out is None:
             out = lists[wits] = [
-                literals.get(w) or literals.setdefault(w, _literal(w))
+                literals.get(w) or literals.setdefault(w, literal(w))
                 for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
         agg["minima"][key] = size, out[:]
     # each (r, shape) takes its BoundResults once per sweep, and each
@@ -576,8 +583,8 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                 per_alpha = floors[r, shape] = [
                     (alpha, bounds, {}) for alpha, bounds
                     in _record_rows(chosen, r, alpha_policy)]
-            literal = literals.get(chosen) or literals.setdefault(
-                chosen, _literal(chosen))
+            name = literals.get(chosen) or literals.setdefault(
+                chosen, literal(chosen))
             for alpha, bounds, by_size in per_alpha:
                 size = sizes[alpha]
                 found = by_size.get(size)
@@ -586,7 +593,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                         tuple(BoundCheck(b, b.value == size) for b in bounds),
                         any(b.value > size for b in bounds))
                 checks, violation = found
-                recs.append(VerificationRecord(literal, r, alpha, size, checks,
+                recs.append(VerificationRecord(name, r, alpha, size, checks,
                                                oracle_check, violation))
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
@@ -714,27 +721,27 @@ def empirical_minimum(
         values = [v for v in values if v]
         size_k, low = k - 1, max(alpha - 1, 0)
     count = comb(len(values), size_k)
+    if not count:
+        raise ValueError("universe is empty; increase max_abs or lower k")
     if count > budget:
         raise BudgetExceeded(
             f"minimum search needs {count} instances; budget is {budget}"
         )
-    best: int | None = None
-    wits: list[tuple] = []
+    minima: dict = {}
+    admit = inf
     zeros = (0,) if size_k < k else ()
 
     # every policy's universe is closed under negation, so the mirror walk
     # sees each minimizer or its mirror
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
-        nonlocal best, wits
+        nonlocal admit
         size = suffix_sets[0][low].bit_count()
-        if best is None or size < best:
-            best, wits = size, [tuple(sorted((*chosen, *zeros)))]
-        elif size == best and len(wits) < witness_cap:
-            wits.append(tuple(sorted((*chosen, *zeros))))
+        if size < admit:
+            admit = note_minimum(minima, None, size,
+                                 tuple(sorted((*chosen, *zeros))), witness_cap)
 
     _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit, True)
-    if best is None:
-        raise ValueError("universe is empty; increase max_abs or lower k")
+    best, wits = minima[None]
     # the first minimizer is kept whatever the cap
     return best, [IntegerSet(w) for w in _with_mirrors(wits, max(witness_cap, 1))]

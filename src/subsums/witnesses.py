@@ -104,19 +104,21 @@ class TightnessReport:
         }
 
 
-def _base_set(fam: WitnessFamily) -> IntegerSet:
+def _interval(fam: WitnessFamily) -> tuple[int, int, bool]:
+    """(least, greatest, punctured): the family's base is the integers
+    from least to greatest, without 0 when punctured."""
     if fam.family_id in (POS_INTERVAL, POS_INTERVAL_R):
-        return IntegerSet(tuple(range(1, fam.k + 1)))
+        return 1, fam.k, False
     if fam.family_id in (NONNEG_INTERVAL, NONNEG_INTERVAL_R):
-        return IntegerSet(tuple(range(0, fam.k)))
-    if fam.family_id in (MIXED_PUNCTURED, MIXED_PUNCTURED_R):
-        return IntegerSet(tuple(range(-fam.n, 0)) + tuple(range(1, fam.p + 1)))
-    return IntegerSet(tuple(range(-fam.n, fam.p + 1)))
+        return 0, fam.k - 1, False
+    return -fam.n, fam.p, fam.family_id in (MIXED_PUNCTURED, MIXED_PUNCTURED_R)
 
 
 def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
     """Materialize the family's instance."""
-    base = _base_set(fam)
+    least, greatest, punctured = _interval(fam)
+    base = IntegerSet(tuple(x for x in range(least, greatest + 1)
+                            if x or not punctured))
     if fam.is_sequence:
         return RepSequence(base, fam.r)
     return base
@@ -125,7 +127,15 @@ def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
 @functools.lru_cache(maxsize=1)
 def _sequence(fam: WitnessFamily) -> RepSequence:
     """The family's instance as a sequence, built and validated once for
-    every alpha of the most recent family."""
+    every alpha of the most recent family. Its DP's layer budget is
+    checked first, in closed form, so a family too large for it is
+    refused with BudgetExceeded before its base is built: the DP reads
+    every layer, r times the base size, its largest term is the base's
+    greatest, and its offset is r*n(n + 1)/2, r copies of -n .. -1."""
+    least, greatest, punctured = _interval(fam)
+    r, n = fam.r or 1, max(-least, 0)
+    engine.check_layer_bits(r * (greatest - least + 1 - punctured),
+                            r * n * (n + 1) // 2, greatest)
     return as_sequence(witness(fam))
 
 

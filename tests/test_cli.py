@@ -290,6 +290,16 @@ class TestExtremal:
             assert code == EXIT_USAGE
             assert out == "" and "out of range" in err
 
+    def test_family_too_large_refused(self, capsys):
+        # refused in closed form before its 10^8-element base is built
+        code, out, err = run(capsys, "extremal", "--family", "pos-interval",
+                             "--k", "100000000")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == ("error: count-layer DP needs up to "
+                       "500000005000000100000001 layer bits in 100000001 "
+                       "layers; budget is 1073741824\n")
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "extremal", "--family", "pos-ray", "--k", "3")
         assert code == EXIT_USAGE

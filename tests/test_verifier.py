@@ -3,6 +3,7 @@ refusal, empirical minima, and report serialization."""
 
 import csv
 import functools
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -144,6 +145,37 @@ class TestSequenceSweep:
     def test_budget_counts_alpha_pairs(self):
         with pytest.raises(BudgetExceeded):
             sweep_sequences(1, [2], [2], budget=14)  # needs 15 pairs
+
+
+class TestSizesAboveTheUniverse:
+    """A size above the universe has no subsets, and the walk builds
+    tables per size: it walks only the sizes that have some, while the
+    report still echoes the span asked for."""
+
+    def test_walks_only_sizes_with_subsets(self, monkeypatch):
+        walked = []
+        real = verifier._walk
+
+        def recording(values, firsts, ks, *args):
+            walked.append(list(ks))
+            return real(values, firsts, ks, *args)
+
+        monkeypatch.setattr(verifier, "_walk", recording)
+        rep = sweep_sets(1, range(1, 5001))
+        assert walked == [[1, 2, 3]]
+        assert rep.universe["k"] == list(range(1, 5001))
+        # the report body as a walk over every size of the span gave it
+        body = rep.to_json()
+        body.pop("elapsed_ms")
+        assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()
+                              ).hexdigest() == (
+            "1813f9329cc75445ea44afaaf6e6bd7a87b9f638dc3a342104b21e16a45adc8f")
+
+    def test_no_size_left_walks_nothing(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_walk_unit", None)
+        rep = sweep_sequences(1, range(4, 6), [1, 2])
+        assert (rep.instances, rep.checks, rep.minima) == (0, 0, [])
+        assert rep.universe["k"] == [4, 5] and rep.universe["r"] == [1, 2]
 
 
 class TestDeterminism:
@@ -691,7 +723,8 @@ class TestResolveProfiles:
     def test_equals_pair_loop(self, profiles, policy):
         agg = verifier.new_aggregate()
         agg["profiles"].update(profiles)
-        verifier._resolve_profiles(agg, policy)
+        verifier.resolve_profiles(
+            agg, lambda r, shape: verifier._shape_rows(shape, r, policy))
         checks, violations, tight = _reference_resolve(profiles, policy)
         assert agg["instances"] == sum(profiles.values())
         assert (agg["checks"], agg["violations"]) == (checks, violations)
@@ -780,7 +813,9 @@ class TestEmpiricalMinimum:
     def test_matches_brute_force(self, policy):
         keep = {"any": lambda c: True, "require": lambda c: 0 in c,
                 "forbid": lambda c: 0 not in c}[policy]
-        for max_abs in range(4):
+        # max_abs up to 5, so some cells have more than 17 canonical
+        # minimizers and a cap above WITNESS_CAP must reach the walk
+        for max_abs in range(6):
             for k in range(1, 5):
                 combos = [c for c in itertools.combinations(
                     range(-max_abs, max_abs + 1), k) if keep(c)]
@@ -793,10 +828,13 @@ class TestEmpiricalMinimum:
                              for c in combos]
                     best = min(sizes)
                     wits = [c for c, n in zip(combos, sizes) if n == best]
-                    got, got_wits = empirical_minimum(k, alpha, max_abs, policy,
-                                                      witness_cap=5)
-                    assert got == best, (max_abs, k, alpha)
-                    assert [w.elements for w in got_wits] == wits[:5]
+                    # the first minimizer is kept whatever the cap
+                    for cap in (0, 1, 5, 16, 17):
+                        got, got_wits = empirical_minimum(
+                            k, alpha, max_abs, policy, witness_cap=cap)
+                        assert got == best, (max_abs, k, alpha)
+                        assert ([w.elements for w in got_wits]
+                                == wits[:max(cap, 1)]), (max_abs, k, alpha, cap)
 
     @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
     def test_mirror_walk_matches_combinations(self, policy):
@@ -842,6 +880,12 @@ class TestEmpiricalMinimum:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             empirical_minimum(10, 0, 20, budget=100)
+
+    @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
+    def test_k_above_universe_refused_before_walk(self, policy):
+        # the walk's per-size table would have 10^12 + 2 entries
+        with pytest.raises(ValueError, match="universe is empty"):
+            empirical_minimum(10**12, 0, 1, policy)
 
     def test_rejects_negative_budget(self):
         # a bad argument, not a refusal; a budget of 0 still refuses

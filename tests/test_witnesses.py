@@ -3,9 +3,10 @@ matched floor across full threshold ranges at moderate sizes."""
 
 import pytest
 
+from subsums import engine, witnesses
 from subsums.bounds import applicable_bounds
 from subsums.engine import sigma_size
-from subsums.model import IntegerSet, RepSequence, as_sequence
+from subsums.model import BudgetExceeded, IntegerSet, RepSequence, as_sequence
 from subsums.witnesses import (
     FAMILY_IDS,
     MIXED_FULL,
@@ -201,3 +202,37 @@ def test_claimed_bound_matches_family_theorem():
         inst = witness(fam)
         for alpha in alpha_values(fam):
             assert claimed_bound(fam, alpha) in applicable_bounds(inst, alpha)
+
+
+@pytest.mark.parametrize("fam", list(_moderate_families()), ids=str)
+def test_budget_closed_form_is_the_dp_estimate(fam, monkeypatch):
+    # the family's layer budget, checked before its base is built, is
+    # the one the DP checks on the built instance
+    calls = []
+    real = engine.check_layer_bits
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    witnesses._sequence.cache_clear()
+    witnesses._sizes.cache_clear()
+    monkeypatch.setattr(engine, "check_layer_bits", recording)
+    check_tightness(fam, 0)
+    assert len(calls) == 2 and calls[0] == calls[1], calls
+
+
+@pytest.mark.parametrize("fam", [
+    WitnessFamily(POS_INTERVAL, k=10**8),
+    WitnessFamily(NONNEG_INTERVAL_R, k=10**6, r=64),
+    WitnessFamily(MIXED_FULL, n=10**6, p=10**6),
+    WitnessFamily(MIXED_PUNCTURED_R, n=10**5, p=1, r=2),
+], ids=str)
+def test_family_too_large_refused_before_build(fam, monkeypatch):
+    def no_build(fam):
+        raise AssertionError("the base was built")
+
+    witnesses._sequence.cache_clear()
+    monkeypatch.setattr(witnesses, "witness", no_build)
+    with pytest.raises(BudgetExceeded, match="count-layer DP needs up to"):
+        check_tightness(fam, 0)
