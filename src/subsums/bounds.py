@@ -21,9 +21,12 @@ alpha) and C3_4 (i = m) differ at r = 1 while the signed floors agree.
 Both expressions are written once, as block helpers: within a block
 m = alpha//r + 1 (r = 1 for sets) a floor is base + d*(m*r - alpha), an
 arithmetic progression in alpha, with d = dn + dp for the sign-aware
-floor and d = 0 for the sign-agnostic one. `shape_floor_rows` fills a
-row over the full range of alphas one block at a time, and every
-single-alpha value reads the same helper.
+floor and d = 0 for the sign-agnostic one. Which floors hold for a sign
+shape and r is decided in one place. From there `shape_floor_rows`
+fills each floor's row over every alpha one block at a time, and
+`shape_bounds` builds one alpha's floors through their public
+constructors, which evaluate that alpha alone; `applicable_bounds` is
+`shape_bounds` at an instance's shape.
 
 All arithmetic is exact integer arithmetic. A boundary index equal to n
 or p always falls into the <= branch. Identifiers such as T2_1 or C3_4
@@ -33,8 +36,6 @@ are stable strings that appear verbatim in JSON and CSV reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 from .model import IntegerSet, RepSequence, classify
 
 T1_1 = "T1_1"
@@ -346,46 +347,18 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 
-def shape_floor_rows(
-    n: int, p: int, zero: int, meet: int, r: int | None, alphas: Sequence[int]
-) -> list[tuple[str, list[int | None]]]:
-    """(theorem_id, row) of every floor whose hypotheses hold for the
-    sign shape (n, p, zero, meet) that `model.classify` returns and the
-    sweep walk carries: n negatives, p positives, zero 1 if 0 is present,
-    meet 1 if some nonzero x and -x both are. r None means the set
-    itself, else that base repeated r times. row[i] is the floor's value
-    at alphas[i]. This is the one home of the applicability rules: which
-    floors hold is decided once per (shape, r), and only the degenerate
-    alpha = r*k of a sequence, whose achievable set is the singleton full
-    sum, matches no floor. Entries at that alpha are None, and alphas
-    holding no other alpha give no rows. Values are not clamped: floors
-    <= 1 are vacuous.
-
-    Each floor is an arithmetic progression in alpha within a block
-    m = alpha//r + 1 (r = 1 for sets): the sign-aware floors fall by a
-    fixed step there and the sign-agnostic one is constant. When alphas
-    is the full range(top + 1), as a sweep's "all" policy passes, each
-    row is filled one block at a time; any other alphas are evaluated one
-    at a time from the same block helper.
-
-    Sets accept alpha in [0, k]; sequences accept alpha in [0, r*k].
-    """
+def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
+                  ) -> list[tuple]:
+    """(theorem_id, block helper, its leading parameters) of every floor
+    whose hypotheses hold for the sign shape (n, p, zero, meet) at r. This
+    is the one home of the applicability rules: which floors hold is
+    decided once per (shape, r)."""
     k = n + p + zero
     if k < 1:
         raise ValueError("a shape needs at least one element")
     seq = r is not None
     if seq and r < 1:
         raise ValueError("r must be >= 1")
-    reps = r if seq else 1
-    top = reps * k
-    full = alphas == range(top + 1)
-    if not full:
-        if alphas and not 0 <= min(alphas) <= max(alphas) <= top:
-            for alpha in alphas:
-                _check_alpha(alpha, top)
-        if seq and alphas.count(top) == len(alphas):
-            return []
-    # (theorem_id, block helper, its leading parameters)
     floors = []
     # the disjoint and zero floors need k >= 2 for sequences, k >= 1 for sets
     if not meet and k > seq:
@@ -404,20 +377,40 @@ def shape_floor_rows(
     if k > 1 + seq:
         floors.append((C3_4 if seq else C2_5, _agnostic_block,
                        (k, zero, 1 - seq)))
+    return floors
+
+
+def shape_floor_rows(
+    n: int, p: int, zero: int, meet: int, r: int | None
+) -> list[tuple[str, list[int | None]]]:
+    """(theorem_id, row) of every floor whose hypotheses hold for the
+    sign shape (n, p, zero, meet) that `model.classify` returns and the
+    sweep walk carries: n negatives, p positives, zero 1 if 0 is present,
+    meet 1 if some nonzero x and -x both are. r None means the set
+    itself, else that base repeated r times. row[alpha] is the floor's
+    value at alpha, for alpha in [0, k] for sets and [0, r*k] for
+    sequences; only the degenerate alpha = r*k of a sequence, whose
+    achievable set is the singleton full sum, matches no floor, and its
+    entry is None. Values are not clamped: floors <= 1 are vacuous.
+
+    Each floor is an arithmetic progression in alpha within a block
+    m = alpha//r + 1 (r = 1 for sets): the sign-aware floors fall by a
+    fixed step there and the sign-agnostic one is constant. So each row
+    is filled one block at a time.
+    """
+    k = n + p + zero
+    seq = r is not None
+    reps = r if seq else 1
     rows = []
-    for theorem_id, block, params in floors:
-        if full:
-            row = []
-            # blocks 1 .. k cover alpha 0 .. top - 1
-            for m in range(1, k + 1):
-                base, d = block(*params, reps, m)
-                row += range(base + d * reps, base, -d) if d else [base] * reps
-            row.append(None if seq else _at(block, params, reps, top))
-        else:
-            row = []
-            for alpha in alphas:
-                row.append(None if seq and alpha == top
-                           else _at(block, params, reps, alpha))
+    for theorem_id, block, params in _shape_floors(n, p, zero, meet, r):
+        row = []
+        # blocks 1 .. k cover alpha 0 .. r*k - 1; a set's block k + 1 is
+        # its alpha k
+        for m in range(1, k + 1 + (not seq)):
+            base, d = block(*params, reps, m)
+            row += range(base + d * reps, base, -d) if d else [base] * reps
+        if seq:
+            row.append(None)
         rows.append((theorem_id, row))
     return rows
 
@@ -446,18 +439,29 @@ def build_bound(theorem_id: str, **params) -> BoundResult:
     return constructor(*[params[name] for name in names])
 
 
+def shape_bounds(n: int, p: int, zero: int, meet: int, r: int | None,
+                 alpha: int) -> list[BoundResult]:
+    """Every floor whose hypotheses hold for the sign shape (n, p, zero,
+    meet) at r (None for a set, as in `shape_floor_rows`), built at alpha
+    by `build_bound`, in the order of that function's rows. Sets accept
+    alpha in [0, k], sequences alpha in [0, r*k], and the degenerate
+    alpha = r*k of a sequence has no floors."""
+    floors = _shape_floors(n, p, zero, meet, r)
+    k = n + p + zero
+    top = k * (r or 1)
+    _check_alpha(alpha, top)
+    if r is not None and alpha == top:
+        return []
+    return [build_bound(theorem_id, k=k, n=n, p=p, r=r, alpha=alpha,
+                        has_zero=zero)
+            for theorem_id, _, _ in floors]
+
+
 def applicable_bounds(
     instance: IntegerSet | RepSequence, alpha: int
 ) -> list[BoundResult]:
     """Every floor whose hypotheses the instance satisfies at this alpha:
-    the sign shape of its base through `shape_floor_rows` at alphas
-    (alpha,), each floor built by `build_bound`. Alpha ranges as there,
-    and the degenerate alpha = r*k of a sequence has no floors."""
+    `shape_bounds` at the sign shape of its base."""
     seq = isinstance(instance, RepSequence)
     base, r = (instance.base, instance.r) if seq else (instance, None)
-    shape = classify(base)
-    return [
-        build_bound(theorem_id, k=base.k, n=shape.n, p=shape.p, r=r,
-                    alpha=alpha, has_zero=shape.zero)
-        for theorem_id, _ in shape_floor_rows(*shape, r, (alpha,))
-    ]
+    return shape_bounds(*classify(base), r, alpha)

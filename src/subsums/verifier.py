@@ -19,19 +19,18 @@ that subtree's own nodes in a list until the twins are done. A node's
 tallies depend only on its profile (r, shape, sizes), sizes[alpha]
 being the bit count of union alpha, so the walk only adds each node's
 weight to its profile and keeps the minima, each witness a tuple of
-elements. After the merge each (r, shape) takes its
-floors once from `bounds.shape_floor_rows`, as one vector over alpha
-per theorem and their greatest; under the "all" policy `_alphas` is the
-full range, so each vector is a row filled one block m = alpha//r + 1
-at a time. Each distinct profile is compared with them by C-level
-counts (`sum(map(lt, ...))`), which gives the instance, check,
-violation and tight counts (`resolve_profiles`). Witnesses become
+elements. After the merge each (r, shape) takes its floors once from
+`bounds.shape_floor_rows`, as one vector over alpha per theorem and
+their greatest, each a row filled one block m = alpha//r + 1 at a time.
+Each distinct profile is compared with them by C-level counts
+(`sum(map(lt, ...))`), which gives the instance, check, violation and
+tight counts (`resolve_profiles`). Witnesses become
 report literals (`model.literal`) last, each distinct one formatted
 once. Runs that collect records keep one plain row (elements, r,
-shape, sizes) per instance and r; after the
-merge each (r, shape) takes its BoundResults from `applicable_bounds`
-once per sweep, each (r, shape, alpha, size) its checks and violation
-flag once, and the rows become records.
+shape, sizes) per instance and r; after the merge each (r, shape,
+alpha) takes its BoundResults from `bounds.shape_bounds` at the walk's
+own shape once per sweep, each (r, shape, alpha, size) its checks and
+violation flag once, and the rows become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -68,7 +67,9 @@ from operator import eq, lt, or_
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
-from .bounds import BoundResult, applicable_bounds, shape_floor_rows
+from .bounds import BoundResult, shape_bounds, shape_floor_rows
+# perfbench's tracer hooks verifier.applicable_bounds; nothing here calls it
+from .bounds import applicable_bounds  # noqa: F401
 from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet, literal
 
 DEFAULT_BUDGET = 10**6
@@ -355,25 +356,23 @@ def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
     0 .. r*k: the checks per instance, the greatest floor per alpha
     (`top`) and per theorem (theorem_id, floor per alpha). Entries are 0
     where no floor applies or the policy skips the alpha; sizes are at
-    least 1, so a 0 is never tight and never violated. Under "all" each
-    row of `shape_floor_rows`, filled block by block over the full range,
-    is its vector as it stands, its None entries made 0."""
+    least 1, so a 0 is never tight and never violated. Each vector is a
+    row of `shape_floor_rows`, filled block by block, its None entry made
+    0; under "all" it is the row as it stands."""
     total = (shape[0] + shape[1] + shape[2]) * (r or 1)
     alphas = _alphas(policy, total)
+    # a sequence's degenerate alpha, r*k, has no floor
+    per_row = len(alphas) - (r is not None and total in alphas)
     checks, vecs = 0, []
-    for theorem_id, row in shape_floor_rows(*shape, r, alphas):
-        if policy == "all":
-            vec = row
-            checks += len(row) - row.count(None)
-            # over the full range only the last alpha, r*k, can be None
-            if row[-1] is None:
-                row[-1] = 0
-        else:
+    for theorem_id, row in shape_floor_rows(*shape, r):
+        if r is not None:
+            row[-1] = 0
+        vec = row
+        if policy != "all":
             vec = [0] * (total + 1)
-            for alpha, value in zip(alphas, row):
-                if value is not None:
-                    vec[alpha] = value
-                    checks += 1
+            for alpha in alphas:
+                vec[alpha] = row[alpha]
+        checks += per_row
         vecs.append((theorem_id, vec))
     # no floors: zip() is empty, and so is top
     top = list(map(max, zip(*(vec for _, vec in vecs))))
@@ -484,14 +483,6 @@ def _walk_unit(payload) -> dict:
     return agg
 
 
-def _record_rows(elems: Sequence[int], r: int | None, policy) -> tuple:
-    """Per policy alpha, (alpha, BoundResults of the instance)."""
-    base = IntegerSet(tuple(elems))
-    instance = base if r is None else RepSequence(base, r)
-    return tuple((alpha, tuple(applicable_bounds(instance, alpha)))
-                 for alpha in _alphas(policy, len(elems) * (r or 1)))
-
-
 # -- campaign entry points ---------------------------------------------
 
 def _check_max_abs(max_abs: int) -> None:
@@ -524,7 +515,11 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_max_abs(max_abs)
     _check_budget(budget)
-    subsets = {k: comb(2 * max_abs + 1, k) for k in ks}
+    values = range(-max_abs, max_abs + 1)
+    # a size above the universe has no subsets, so it adds no work and the
+    # walk, which builds per-size tables, skips it; the report echoes ks
+    walked = [k for k in ks if k <= len(values)]
+    subsets = {k: comb(len(values), k) for k in walked}
     # an instance is walked even where the policy selects no alpha
     pairs = sum(
         n * max(len(_alphas(alpha_policy, k * (r or 1))), 1)
@@ -535,7 +530,6 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise BudgetExceeded(
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
         )
-    values = range(-max_abs, max_abs + 1)
     # records and oracle checks are one per instance, so they walk every
     # subset; other runs walk the mirror half, first elements <= 0
     mirror = not (collect_records or oracle_check)
@@ -544,9 +538,6 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
-    # a size above the universe has no subsets, and the walk builds
-    # per-size tables: it walks only the sizes that have some
-    walked = [k for k in ks if k <= len(values)]
     common = (walked, rs, alpha_policy, oracle_check, collect_records)
     if not walked:
         agg = new_aggregate()
@@ -571,9 +562,10 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
                 literals.get(w) or literals.setdefault(w, literal(w))
                 for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
         agg["minima"][key] = size, out[:]
-    # each (r, shape) takes its BoundResults once per sweep, and each
-    # (r, shape, alpha, size) its checks and violation flag, kept per
-    # alpha by size and shared by every record with that key
+    # each (r, shape, alpha) takes its BoundResults once per sweep, from
+    # the walk's shape, and each (r, shape, alpha, size) its checks and
+    # violation flag, kept per alpha by size and shared by every record
+    # with that key
     floors: dict[tuple, list] = {}
     for k, rows in agg["records"].items():
         recs = agg["records"][k] = []
@@ -581,8 +573,8 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             per_alpha = floors.get((r, shape))
             if per_alpha is None:
                 per_alpha = floors[r, shape] = [
-                    (alpha, bounds, {}) for alpha, bounds
-                    in _record_rows(chosen, r, alpha_policy)]
+                    (alpha, tuple(shape_bounds(*shape, r, alpha)), {})
+                    for alpha in _alphas(alpha_policy, len(sizes) - 1)]
             name = literals.get(chosen) or literals.setdefault(
                 chosen, literal(chosen))
             for alpha, bounds, by_size in per_alpha:

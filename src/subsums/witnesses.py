@@ -115,8 +115,15 @@ def _interval(fam: WitnessFamily) -> tuple[int, int, bool]:
 
 
 def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
-    """Materialize the family's instance."""
+    """Materialize the family's instance. The layer budget of its DP is
+    checked first, in closed form, so a family too large for it is
+    refused with BudgetExceeded before its base is built: the DP reads
+    every layer, r times the base size, its largest term is the base's
+    greatest, and its offset is r*n(n + 1)/2, r copies of -n .. -1."""
     least, greatest, punctured = _interval(fam)
+    r, n = fam.r or 1, max(-least, 0)
+    engine.check_layer_bits(r * (greatest - least + 1 - punctured),
+                            r * n * (n + 1) // 2, greatest)
     base = IntegerSet(tuple(x for x in range(least, greatest + 1)
                             if x or not punctured))
     if fam.is_sequence:
@@ -127,15 +134,8 @@ def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
 @functools.lru_cache(maxsize=1)
 def _sequence(fam: WitnessFamily) -> RepSequence:
     """The family's instance as a sequence, built and validated once for
-    every alpha of the most recent family. Its DP's layer budget is
-    checked first, in closed form, so a family too large for it is
-    refused with BudgetExceeded before its base is built: the DP reads
-    every layer, r times the base size, its largest term is the base's
-    greatest, and its offset is r*n(n + 1)/2, r copies of -n .. -1."""
-    least, greatest, punctured = _interval(fam)
-    r, n = fam.r or 1, max(-least, 0)
-    engine.check_layer_bits(r * (greatest - least + 1 - punctured),
-                            r * n * (n + 1) // 2, greatest)
+    every alpha of the most recent family; `witness` refuses a family too
+    large for its DP before building it."""
     return as_sequence(witness(fam))
 
 

@@ -28,6 +28,7 @@ from subsums.bounds import (
     m_index,
     min_fold_size,
     min_sumset_size,
+    shape_bounds,
     shape_floor_rows,
 )
 from subsums.model import IntegerSet, RepSequence, parse_sequence, parse_set
@@ -495,15 +496,25 @@ def shape_grid():
 
 
 def floor_pairs(n, p, zero, meet, r, alpha):
-    """(value, theorem_id) of every floor of the shape at one alpha."""
-    rows = shape_floor_rows(n, p, zero, meet, r, (alpha,))
-    return [(row[0], theorem_id) for theorem_id, row in rows]
+    """(value, theorem_id) of every floor of the shape at one alpha, read
+    from its rows filled block by block."""
+    return [(row[alpha], theorem_id)
+            for theorem_id, row in shape_floor_rows(n, p, zero, meet, r)
+            if row[alpha] is not None]
+
+
+def bound_pairs(n, p, zero, meet, r, alpha):
+    """(value, theorem_id) of every floor of the shape at one alpha, built
+    by the public constructors at that alpha alone."""
+    return [(b.value, b.theorem_id)
+            for b in shape_bounds(n, p, zero, meet, r, alpha)]
 
 
 class TestShapeDispatch:
     def test_pairs_equal_applicable_bounds(self):
         # the digest was taken from applicable_bounds before it was
-        # routed through shape_floor_rows, so both sides are pinned
+        # routed through the shape dispatch, so both sides are pinned:
+        # the block-filled rows and the constructors alpha by alpha
         digest = hashlib.sha256()
         rows = 0
         for key, inst in shape_grid():
@@ -526,9 +537,10 @@ class TestShapeDispatch:
             (0, 2, 0, 0, None, -1),  # alpha < 0
         ]:
             with pytest.raises(ValueError):
-                floor_pairs(*args)
+                shape_bounds(*args)
 
     def test_full_alpha_sequence_is_degenerate(self):
+        assert shape_bounds(1, 2, 1, 1, 3, 12) == []
         assert floor_pairs(1, 2, 1, 1, 3, 12) == []
 
     def test_build_bound_by_id(self):
@@ -564,7 +576,7 @@ def valid_shapes():
 
 class TestShapeFloorRows:
     """The row form of the dispatch that sweeps read: one row per
-    applicable theorem over a list of alphas."""
+    applicable theorem over every alpha, filled block by block."""
 
     def test_rows_match_one_alpha_dispatch(self):
         points = 0
@@ -573,33 +585,20 @@ class TestShapeFloorRows:
             k = n + p + zero
             for r in (None, 1, 2, 3, 4, 5, 6):
                 top = k * (r or 1)
-                alphas = range(top + 1)
-                rows = shape_floor_rows(n, p, zero, meet, r, alphas)
-                for alpha in alphas:
+                rows = shape_floor_rows(n, p, zero, meet, r)
+                assert all(len(row) == top + 1 for _, row in rows)
+                for alpha in range(top + 1):
                     points += 1
-                    pairs = floor_pairs(n, p, zero, meet, r, alpha)
-                    assert pairs == [(row[alpha], theorem_id)
-                                     for theorem_id, row in rows
-                                     if row[alpha] is not None]
+                    pairs = bound_pairs(n, p, zero, meet, r, alpha)
+                    assert pairs == floor_pairs(n, p, zero, meet, r, alpha)
                     for value, theorem_id in pairs:
-                        # the public constructor gives the same value
-                        built = build_bound(theorem_id, k=k, n=n, p=p, r=r,
-                                            alpha=alpha, has_zero=zero)
-                        assert built.value == value
                         if theorem_id in lowest:
                             lowest[theorem_id] = min(lowest[theorem_id], value)
                 # which floors hold is decided per (shape, r): only the
                 # degenerate alpha = r*k of a sequence has no entries
                 blank = {alpha for _, row in rows
-                         for alpha, value in zip(alphas, row) if value is None}
+                         for alpha, value in enumerate(row) if value is None}
                 assert blank == ({top} if r is not None and rows else set())
-                if r is not None:
-                    assert shape_floor_rows(n, p, zero, meet, r, [top]) == []
-                # a list policy's alphas, in its own order, read the same
-                picked = [top, 0, top // 2, 0]
-                assert shape_floor_rows(n, p, zero, meet, r, picked) == [
-                    (theorem_id, [row[alpha] for alpha in picked])
-                    for theorem_id, row in rows]
         assert points == 27077
         # vacuous points keep their values, far below 1
         assert lowest["C2_5"] < 0 and lowest["C3_4"] < 0
@@ -615,25 +614,13 @@ class TestShapeFloorRows:
                                                   picks):
         assume(n + p + zero)
         meet = meet if n and p else 0
-        k = n + p + zero
-        top = k * (r or 1)
-        # range(top + 1) is filled block by block, a list alpha by alpha
-        rows = shape_floor_rows(n, p, zero, meet, r, range(top + 1))
-        assert rows == shape_floor_rows(n, p, zero, meet, r,
-                                        list(range(top + 1)))
-        alphas = [pick % (top + 1) for pick in picks]
-        picked = shape_floor_rows(n, p, zero, meet, r, alphas)
-        if r is not None and set(alphas) == {top}:
-            assert picked == []
-        else:
-            assert picked == [(theorem_id, [row[alpha] for alpha in alphas])
-                              for theorem_id, row in rows]
-        for theorem_id, row in rows:
-            for alpha in set(alphas):
-                if row[alpha] is not None:
-                    built = build_bound(theorem_id, k=k, n=n, p=p, r=r,
-                                        alpha=alpha, has_zero=zero)
-                    assert built.value == row[alpha]
+        top = (n + p + zero) * (r or 1)
+        # the rows are filled block by block, shape_bounds alpha by alpha
+        rows = shape_floor_rows(n, p, zero, meet, r)
+        for alpha in [pick % (top + 1) for pick in picks]:
+            assert bound_pairs(n, p, zero, meet, r, alpha) == [
+                (row[alpha], theorem_id) for theorem_id, row in rows
+                if row[alpha] is not None]
 
     def test_out_of_range_alpha_refused_as_one_alpha(self):
         for n, p, zero, meet in valid_shapes():
@@ -643,16 +630,19 @@ class TestShapeFloorRows:
                 for bad in (-1, top + 1):
                     message = rf"^alpha={bad} out of range \[0, {top}\]$"
                     with pytest.raises(ValueError, match=message):
-                        shape_floor_rows(n, p, zero, meet, r, [0, bad])
-                    with pytest.raises(ValueError, match=message):
-                        floor_pairs(n, p, zero, meet, r, bad)
+                        shape_bounds(n, p, zero, meet, r, bad)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one element"):
-            shape_floor_rows(0, 0, 0, 0, None, [0])
-        with pytest.raises(ValueError, match="r must be >= 1"):
-            shape_floor_rows(1, 1, 0, 0, 0, [0])
-        assert shape_floor_rows(1, 1, 0, 0, 2, []) == []
+        for call in (shape_floor_rows, lambda *shape: shape_bounds(*shape, 0)):
+            with pytest.raises(ValueError, match="at least one element"):
+                call(0, 0, 0, 0, None)
+            with pytest.raises(ValueError, match="r must be >= 1"):
+                call(1, 1, 0, 0, 0)
+        # T3_1_disjoint and T3_2 over alpha 0 .. 4; none at alpha 4
+        rows = shape_floor_rows(1, 1, 0, 0, 2)
+        assert [(theorem_id, len(row)) for theorem_id, row in rows] == [
+            ("T3_1_disjoint", 5), ("T3_2", 5)]
+        assert shape_bounds(1, 1, 0, 0, 2, 4) == []
 
 
 class TestVacuousPoints:
@@ -673,9 +663,7 @@ class TestVacuousPoints:
             for zero in (0, 1):
                 core = (k + 1 - zero) ** 2 // 4
                 for r in rs:
-                    top = k * (r or 1)
-                    rows = dict(shape_floor_rows(0, k - zero, zero, 0, r,
-                                                 range(top + 1)))
+                    rows = dict(shape_floor_rows(0, k - zero, zero, 0, r))
                     for alpha, value in enumerate(rows[theorem_id]):
                         if value is None:
                             continue

@@ -7,7 +7,9 @@ before the prime-field verifier moved onto cyclic count layers, p = 17
 to 23 before it walked only the canonical half of the A <-> -A mirror,
 the floor grid before the ten closed forms were derived from two shared
 expressions, the mirror-walk sweeps before their floors were resolved
-as per-theorem rows over alpha); any change to a report body (every field but elapsed_ms),
+as per-theorem rows over alpha, the list-policy and long-block record
+CSVs before record runs took their floors from the walk's sign shape);
+any change to a report body (every field but elapsed_ms),
 to the CSV bytes or to one floor's JSON fails here, so refactors of the
 engine, verifier, fp or bounds must reproduce them exactly.
 """
@@ -69,6 +71,22 @@ def test_mirror_walk_sweeps():
     assert report_digest(rep) == (
         "79c6a61a6023cab177426277ca1506259bff0c1f4d954e9e6a1945f241049dd4"
     )
+
+
+@pytest.mark.parametrize("sweep, digest", [
+    # list policies that skip alphas; 7 is past the top of small instances
+    (lambda: sweep_sequences(3, range(1, 5), range(1, 7), [0, 2, 7],
+                             collect_records=True),
+     "973f62e1b36013e3887b017c8a43831781118ae1240c1898ce651e7a8f1f5cb9"),
+    (lambda: sweep_sets(3, range(1, 6), [0, 2, 7], collect_records=True),
+     "8dd53087923363fb064ac4b5cbad0402d908795ae8501b2425895918047db7dc"),
+    # blocks of up to 12 alphas
+    (lambda: sweep_sequences(2, range(1, 4), range(1, 13),
+                             collect_records=True),
+     "40d8e48bfa4104bcc3138a20cf25cdc6510d3fcb8d20d1546d1cf1f40345361d"),
+], ids=["sequences-list-policy", "sets-list-policy", "sequences-long-blocks"])
+def test_record_csvs(sweep, digest, tmp_path):
+    assert csv_digest(sweep(), tmp_path) == digest
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsums import engine, verifier
-from subsums.bounds import applicable_bounds, shape_floor_rows
+from subsums.bounds import applicable_bounds, shape_bounds, shape_floor_rows
 from subsums.model import (
     IntegerSet, RepSequence, classify, parse_sequence, parse_set,
 )
@@ -170,6 +170,20 @@ class TestSizesAboveTheUniverse:
         assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()
                               ).hexdigest() == (
             "1813f9329cc75445ea44afaaf6e6bd7a87b9f638dc3a342104b21e16a45adc8f")
+
+    def test_per_size_work_sees_only_sizes_with_subsets(self, monkeypatch):
+        # the pair budget, the pool count and the walk read the alphas of
+        # each (k, r); a 3-value universe asks for none above k = 3
+        totals = []
+        real = verifier._alphas
+
+        def recording(policy, total):
+            totals.append(total)
+            return real(policy, total)
+
+        monkeypatch.setattr(verifier, "_alphas", recording)
+        sweep_sequences(1, range(1, 5001), [1, 2], [0, 1, 9])
+        assert totals and max(totals) == 3 * 2
 
     def test_no_size_left_walks_nothing(self, monkeypatch):
         monkeypatch.setattr(verifier, "_walk_unit", None)
@@ -389,7 +403,8 @@ class TestAgainstBruteForce:
         rows = verifier.shape_floor_rows
         monkeypatch.setattr(
             verifier, "shape_floor_rows",
-            lambda *args: rows(*args) + [("X", [10**9] * len(args[-1]))])
+            lambda n, p, zero, meet, r: rows(n, p, zero, meet, r) + [
+                ("X", [10**9] * ((n + p + zero) * (r or 1) + 1))])
         half = sweep_sets(2, range(1, 4))
         full = sweep_sets(2, range(1, 4), collect_records=True)
         assert half.violations == full.violations == len(full.records) == 80
@@ -533,23 +548,24 @@ class TestWorkerCount:
     def test_floor_tables_filled_once_per_sweep(self, pool, monkeypatch,
                                                 collect):
         # floors depend only on (r, shape, alpha): after the merge the
-        # profiles are resolved once per key, and a record run takes its
-        # BoundResults once per key for the whole sweep
-        keys = {"shape_floor_rows": [], "applicable_bounds": []}
-        rows, bounds = verifier.shape_floor_rows, verifier.applicable_bounds
+        # profiles are resolved once per (r, shape), and a record run
+        # takes its BoundResults once per (r, shape, alpha) for the whole
+        # sweep
+        keys = {"shape_floor_rows": [], "shape_bounds": []}
+        rows, bounds = verifier.shape_floor_rows, verifier.shape_bounds
 
         def counted_rows(*args):
-            # the shape and r; the alphas follow from them and the policy
-            keys["shape_floor_rows"].append(args[:5])
+            # the shape and r
+            keys["shape_floor_rows"].append(args)
             return rows(*args)
 
-        def counted_bounds(inst, alpha):
-            keys["applicable_bounds"].append(
-                (classify(inst.base), inst.r, alpha))
-            return bounds(inst, alpha)
+        def counted_bounds(*args):
+            # the shape, r and alpha
+            keys["shape_bounds"].append(args)
+            return bounds(*args)
 
         monkeypatch.setattr(verifier, "shape_floor_rows", counted_rows)
-        monkeypatch.setattr(verifier, "applicable_bounds", counted_bounds)
+        monkeypatch.setattr(verifier, "shape_bounds", counted_bounds)
         counts = []
         for workers in (1, 2):
             for seen in keys.values():
@@ -562,25 +578,25 @@ class TestWorkerCount:
         assert pool.sizes == [2]
         assert counts[0] == counts[1]
         assert counts[0]["shape_floor_rows"] > 0
-        assert (counts[0]["applicable_bounds"] > 0) == collect
+        assert (counts[0]["shape_bounds"] > 0) == collect
 
     def test_record_floors_taken_in_the_parent(self, monkeypatch):
         # a real two-process pool: the walk units return plain rows, and
-        # the parent asks applicable_bounds once per (r, shape, alpha),
-        # as a serial run does; calls made in a worker are not seen here
+        # the parent asks shape_bounds once per (r, shape, alpha), as a
+        # serial run does; calls made in a worker are not seen here
         calls = []
-        bounds, real_pool = verifier.applicable_bounds, verifier.ProcessPoolExecutor
+        bounds, real_pool = verifier.shape_bounds, verifier.ProcessPoolExecutor
         sizes = []
 
-        def counted_bounds(inst, alpha):
-            calls.append((classify(inst.base), inst.r, alpha))
-            return bounds(inst, alpha)
+        def counted_bounds(*args):
+            calls.append(args)
+            return bounds(*args)
 
         def pool(max_workers):
             sizes.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(verifier, "applicable_bounds", counted_bounds)
+        monkeypatch.setattr(verifier, "shape_bounds", counted_bounds)
         monkeypatch.setattr(verifier, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
         # (7 + 21 + 35) x 2 multiplicities = 126 instances: two shares
@@ -666,13 +682,14 @@ class TestFloorTable:
 
 def _reference_resolve(profiles, policy):
     """Counts and tight floors of sweep profiles, pair by pair: each
-    policy alpha of each profile against the one-alpha dispatch."""
+    policy alpha of each profile against the one-alpha dispatch, whose
+    floors the public constructors build at that alpha alone."""
     tight = Counter()
     checks = violations = 0
     for (r, shape, sizes), weight in profiles.items():
         for alpha in verifier._alphas(policy, len(sizes) - 1):
-            pairs = [(row[0], theorem_id) for theorem_id, row
-                     in shape_floor_rows(*shape, r, (alpha,))]
+            pairs = [(b.value, b.theorem_id)
+                     for b in shape_bounds(*shape, r, alpha)]
             checks += len(pairs) * weight
             violations += weight * any(value > sizes[alpha]
                                        for value, _ in pairs)
@@ -694,11 +711,11 @@ def sweep_profiles(draw):
                                     st.integers(0, 1)).filter(any))
         meet = draw(st.integers(0, 1)) if n and p else 0
         total = (n + p + zero) * (r or 1)
+        rows = shape_floor_rows(n, p, zero, meet, r)
         sizes = []
         for alpha in range(total + 1):
-            near = [row[0] + d for _, row in shape_floor_rows(n, p, zero, meet,
-                                                              r, (alpha,))
-                    for d in (-1, 0, 1)]
+            near = [row[alpha] + d for _, row in rows
+                    if row[alpha] is not None for d in (-1, 0, 1)]
             sizes.append(max(1, draw(st.sampled_from(near + [1, 2 * total]))))
         profiles[r, (n, p, zero, meet), tuple(sizes)] += draw(
             st.integers(1, 3))

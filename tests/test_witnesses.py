@@ -229,10 +229,21 @@ def test_budget_closed_form_is_the_dp_estimate(fam, monkeypatch):
     WitnessFamily(MIXED_PUNCTURED_R, n=10**5, p=1, r=2),
 ], ids=str)
 def test_family_too_large_refused_before_build(fam, monkeypatch):
-    def no_build(fam):
+    def no_build(elements):
         raise AssertionError("the base was built")
 
     witnesses._sequence.cache_clear()
-    monkeypatch.setattr(witnesses, "witness", no_build)
+    monkeypatch.setattr(witnesses, "IntegerSet", no_build)
     with pytest.raises(BudgetExceeded, match="count-layer DP needs up to"):
         check_tightness(fam, 0)
+    # witness itself refuses too, not only the checker that wraps it
+    with pytest.raises(BudgetExceeded, match="count-layer DP needs up to"):
+        witness(fam)
+
+
+def test_witness_refuses_at_the_dp_budget():
+    # pos-interval's DP needs (k + 1) + k*k(k + 1)/2 layer bits: k = 1289
+    # is the largest within LAYER_BITS_BUDGET = 2^30
+    assert witness(WitnessFamily(POS_INTERVAL, k=1289)).k == 1289
+    with pytest.raises(BudgetExceeded, match="count-layer DP needs up to"):
+        witness(WitnessFamily(POS_INTERVAL, k=1290))
