@@ -24,7 +24,12 @@ placed layers' bits in closed form and raises BudgetExceeded above
 LAYER_BITS_BUDGET.
 
 Thresholded queries union a window of layers; sizes are bit counts of
-that union, and only the sum-valued queries decode it. The decode,
+that union, and only the sum-valued queries decode it. A size reads the
+at-most window in either mode, since complements pair the sums of at
+least alpha terms with those of at most r*k - alpha (`sigma_size`), so
+its DP stops at layer r*k - alpha. `witnesses` counts the suffix unions
+of one full DP as they are formed: one DP serves every alpha of the
+most recent family. The decode,
 `SumSet.from_bitmap`, takes one Python step per run of consecutive
 sums, not one per sum, and sum sets are mostly long intervals. A fold
 of any kind reads layer h. All public functions return sums sorted
@@ -39,6 +44,7 @@ from operator import or_
 from .bounds import min_fold_size, min_sumset_size
 from .model import (
     AT_LEAST,
+    AT_MOST,
     BudgetExceeded,
     GENERALIZED,
     IntegerSet,
@@ -217,12 +223,27 @@ def sigma(a: IntegerSet, alpha: int, mode: str = AT_LEAST) -> SumSet:
 
 def sigma_size(s: RepSequence, alpha: int, mode: str = AT_LEAST) -> int:
     """Number of sums over subsequences whose term count lies in the
-    window; the bitmap is counted, not decoded."""
-    return _window_bitmap(s, alpha, mode)[0].bit_count()
+    window; the bitmap is counted, not decoded.
+
+    Both modes read the at-most window, so the DP stops at top = r*k -
+    alpha. Taking the complement of a subsequence maps its sum x to
+    r*sum(A) - x and its c terms to r*k - c, so it pairs the sums of at
+    least alpha terms one to one with the sums of at most r*k - alpha
+    terms: the two windows at one alpha have one size."""
+    size_window(alpha, s.length, mode)
+    return _window_bitmap(s, alpha, AT_MOST)[0].bit_count()
 
 
 def add_sets(a: SumSet, b: SumSet) -> SumSet:
-    """Exact pairwise-sum set {x + y : x in a, y in b}."""
+    """Exact pairwise-sum set {x + y : x in a, y in b}. Refused with
+    BudgetExceeded before any bitmap is built when the result's span,
+    one bit per integer from a.min + b.min to a.max + b.max, exceeds
+    LAYER_BITS_BUDGET bits."""
+    bits = a.max_sum - a.min_sum + b.max_sum - b.min_sum + 1
+    if bits > LAYER_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"pairwise sum set needs {bits} bits; budget is {LAYER_BITS_BUDGET}"
+        )
     bitmap_b, _ = b.to_bitmap()
     acc = 0
     base_a = a.min_sum

@@ -70,7 +70,8 @@ from . import engine, oracle
 from .bounds import BoundResult, shape_bounds, shape_floor_rows
 # perfbench's tracer hooks verifier.applicable_bounds; nothing here calls it
 from .bounds import applicable_bounds  # noqa: F401
-from .model import BudgetExceeded, IntegerSet, RepSequence, SumSet, literal
+from .model import (BudgetExceeded, IntegerSet, LAYER_BITS_BUDGET,
+                    RepSequence, SumSet, literal)
 
 DEFAULT_BUDGET = 10**6
 WITNESS_CAP = 16
@@ -495,6 +496,21 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
 
+def _check_path_bits(kmax: int, mults: Sequence[int], offset: int) -> None:
+    """Raise BudgetExceeded when the walk's deepest path may hold more
+    than LAYER_BITS_BUDGET bits of suffix unions. A node at depth d keeps
+    m*d + 1 unions per m in mults, each at most 2*offset + 1 bits wide,
+    and its ancestors' stay alive while it is walked, so a path to depth
+    kmax holds sum over d <= kmax of sum over m of (m*d + 1) unions."""
+    unions = sum(m * kmax * (kmax + 1) // 2 + kmax + 1 for m in mults)
+    bits = unions * (2 * offset + 1)
+    if bits > LAYER_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"walk path needs up to {bits} union bits; "
+            f"budget is {LAYER_BITS_BUDGET}"
+        )
+
+
 def _span(values: Iterable[int], name: str) -> list[int]:
     out = sorted(set(int(v) for v in values))
     if not out or out[0] < 1:
@@ -530,6 +546,10 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         raise BudgetExceeded(
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
         )
+    mults = [r or 1 for r in rs]
+    if walked:
+        # the walk offset of _walk_unit
+        _check_path_bits(max(walked), mults, max(mults) * max(walked) * max_abs)
     # records and oracle checks are one per instance, so they walk every
     # subset; other runs walk the mirror half, first elements <= 0
     mirror = not (collect_records or oracle_check)
@@ -608,11 +628,13 @@ def sweep_sets(
     """Verify every floor over all k-subsets of [-max_abs, max_abs].
 
     Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one. The
-    count bounds the work: the walk offset is k_max*max_abs, so a
-    k-subset's k + 1 suffix unions hold at most
-    (k + 1)*((k_max + k)*max_abs + 1) bits, built by one insertion from
-    its parent's, and only the current path's unions are kept."""
+    exceed budget, an instance with no policy alpha counting as one, or
+    when the walk's deepest path may hold more than LAYER_BITS_BUDGET
+    bits of suffix unions (`_check_path_bits`). The count bounds the
+    work: the walk offset is k_max*max_abs, so a k-subset's k + 1 suffix
+    unions hold at most (k + 1)*((k_max + k)*max_abs + 1) bits, built by
+    one insertion from its parent's, and only the current path's unions
+    are kept."""
     return _sweep("sets", max_abs, k_range, None, alpha_policy, oracle_check,
                   workers, budget, collect_records)
 
@@ -632,9 +654,11 @@ def sweep_sequences(
     crossed with every multiplicity in r_range.
 
     Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one. The
-    count bounds the work: the walk offset is r_max*k_max*max_abs, so an
-    instance (k-subset, r) has r*k + 1 suffix unions of at most
+    exceed budget, an instance with no policy alpha counting as one, or
+    when the walk's deepest path may hold more than LAYER_BITS_BUDGET
+    bits of suffix unions (`_check_path_bits`). The count bounds the
+    work: the walk offset is r_max*k_max*max_abs, so an instance
+    (k-subset, r) has r*k + 1 suffix unions of at most
     (r*k + 1)*((r_max*k_max + r*k)*max_abs + 1) bits in all, built by one
     insertion of r copies from its parent's, and only the current path's
     unions are kept."""
@@ -688,10 +712,13 @@ def empirical_minimum(
 
     Refused up front with BudgetExceeded when the subsets walked exceed
     budget: C(2*max_abs + 1, k), or C(2*max_abs, k - 1) under "require"
-    (C(2*max_abs, k) under "forbid"). The count bounds the work: at the
-    walk offset k*max_abs each subset's at most k + 1 suffix unions hold
-    at most (k + 1)*(2*k*max_abs + 1) bits, built by one insertion from
-    its parent's, and only the current path's unions are kept.
+    (C(2*max_abs, k) under "forbid"), counted before the universe is
+    listed, or when the walk's deepest path may hold more than
+    LAYER_BITS_BUDGET bits of suffix unions (`_check_path_bits`). The
+    count bounds the work: at the walk offset k*max_abs each subset's at
+    most k + 1 suffix unions hold at most (k + 1)*(2*k*max_abs + 1)
+    bits, built by one insertion from its parent's, and only the current
+    path's unions are kept.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -701,24 +728,25 @@ def empirical_minimum(
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)
     _check_budget(budget)
-    values = range(-max_abs, max_abs + 1)
     # every subset walked has size_k elements, so its sums with at least
     # low of them are the window alpha..k
     size_k, low = k, alpha
-    if zero_policy == "forbid":
-        values = [v for v in values if v]
-    elif zero_policy == "require":
+    if zero_policy == "require":
         # walk the (k-1)-subsets S of the nonzero values: layer c of S + {0}
         # is S's layers c and c - 1, so its window is S's one layer lower
-        values = [v for v in values if v]
         size_k, low = k - 1, max(alpha - 1, 0)
-    count = comb(len(values), size_k)
+    # the universe is counted in closed form and listed only once admitted
+    count = comb(2 * max_abs + (zero_policy == "any"), size_k)
     if not count:
         raise ValueError("universe is empty; increase max_abs or lower k")
     if count > budget:
         raise BudgetExceeded(
             f"minimum search needs {count} instances; budget is {budget}"
         )
+    _check_path_bits(size_k, [1], k * max_abs)
+    values = range(-max_abs, max_abs + 1)
+    if zero_policy != "any":
+        values = [v for v in values if v]
     minima: dict = {}
     admit = inf
     zeros = (0,) if size_k < k else ()

@@ -5,13 +5,17 @@ Each family pairs a construction (an interval-shaped set or repeated
 sequence) with the one floor it is claimed to attain for every alpha in
 the floor's range. check_tightness counts the achievable sums with the
 engine, a set family as its r = 1 sequence, and compares sizes exactly;
-one DP serves every alpha of the most recent family.
+one DP serves every alpha of the most recent family, its suffix unions
+counted as they are formed. The claimed floor's constructor checks
+alpha's range, before any DP runs.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from . import bounds, engine
 from .model import IntegerSet, RepSequence, as_sequence
@@ -131,14 +135,6 @@ def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
     return base
 
 
-@functools.lru_cache(maxsize=1)
-def _sequence(fam: WitnessFamily) -> RepSequence:
-    """The family's instance as a sequence, built and validated once for
-    every alpha of the most recent family; `witness` refuses a family too
-    large for its DP before building it."""
-    return as_sequence(witness(fam))
-
-
 def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
     """The floor this family is claimed to attain, evaluated at alpha."""
     return bounds.build_bound(_FAMILIES[fam.family_id][0], k=fam.k, n=fam.n,
@@ -148,24 +144,23 @@ def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
 def alpha_values(fam: WitnessFamily) -> range:
     """Thresholds covered by the matched floor: [0, k] for sets and
     [0, r*k - 1] for sequences (k counts distinct base elements)."""
-    length = _sequence(fam).length
+    length = as_sequence(witness(fam)).length
     return range(0, length if fam.is_sequence else length + 1)
 
 
 @functools.lru_cache(maxsize=1)
 def _sizes(fam: WitnessFamily) -> tuple[int, ...]:
     """sizes[alpha] is the number of sums with at least alpha terms, for
-    every alpha, from one DP; a run over all alphas reuses it."""
-    layers, _ = engine.sequence_layers(_sequence(fam))
-    return tuple(u.bit_count() for u in engine.suffix_unions(layers))
+    every alpha, from one DP; a run over all alphas reuses it. Each
+    suffix union is counted as it is formed, and none is kept."""
+    layers, _ = engine.sequence_layers(as_sequence(witness(fam)))
+    return tuple(u.bit_count() for u in accumulate(reversed(layers), or_))[::-1]
 
 
 def check_tightness(fam: WitnessFamily, alpha: int) -> TightnessReport:
-    """Compare the engine-computed size against the claimed floor."""
-    alphas = alpha_values(fam)
-    # refuses an alpha outside the floor's range before any DP runs
-    if alpha not in alphas:
-        raise ValueError(f"alpha={alpha} out of range [0, {alphas[-1]}]")
-    size = _sizes(fam)[alpha]
+    """Compare the engine-computed size against the claimed floor. The
+    floor's constructor refuses an alpha outside its range, [0, k] for
+    sets and [0, r*k - 1] for sequences, before any DP runs."""
     bound = claimed_bound(fam, alpha)
+    size = _sizes(fam)[alpha]
     return TightnessReport(fam, alpha, size, bound, size == bound.value)

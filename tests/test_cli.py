@@ -300,6 +300,19 @@ class TestExtremal:
                        "500000005000000100000001 layer bits in 100000001 "
                        "layers; budget is 1073741824\n")
 
+    def test_family_too_large_bad_alpha_is_a_usage_error(self, capsys):
+        # the claimed floor's constructor refuses the alpha before the
+        # family's DP budget is checked; --alpha all lists the alphas
+        # through the family, which is refused as above
+        code, out, err = run(capsys, "extremal", "--family", "pos-interval",
+                             "--k", "100000000", "--alpha", "100000001")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "alpha=100000001 out of range [0, 100000000]" in err
+        code, _, err = run(capsys, "extremal", "--family", "pos-interval",
+                           "--k", "100000000", "--alpha", "all")
+        assert code == EXIT_BUDGET and "count-layer DP needs up to" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "extremal", "--family", "pos-ray", "--k", "3")
         assert code == EXIT_USAGE

@@ -220,20 +220,62 @@ def test_sequence_r1_equals_set_semantics():
             assert sigma_seq(s, alpha) == sigma(a, alpha)
 
 
-@given(st.sets(st.integers(-6, 6), min_size=1, max_size=4), st.integers(1, 4))
+@given(
+    st.one_of(
+        st.sets(st.integers(-6, 6), min_size=1, max_size=4),
+        # the translated base
+        st.builds(lambda steps: {10**6 - d for d in steps},
+                  st.sets(st.integers(0, 30), min_size=1, max_size=3)),
+    ),
+    st.integers(1, 4),
+)
 @example({7}, 3)  # k = 1
 @example({-5, -2, -1}, 2)  # all negative
 @example({-1, 0, 3}, 4)  # contains zero
 @example({-4, 0}, 1)
+@example({0}, 2)
+@example({10**6 - 30, 10**6 - 3, 10**6}, 4)
+@settings(deadline=None)  # decoding sums near 4*10^6
 def test_sigma_size_matches_oracle(values, r):
+    # both modes read the at-most window: complements pair the sums of at
+    # least alpha terms with those of at most r*k - alpha, so the two
+    # windows at one alpha have one size
     a = IntegerSet.from_iterable(values)
     s = RepSequence(a, r)
-    for mode in (AT_LEAST, AT_MOST):
-        for alpha in range(s.length + 1):
-            size = sigma_size(s, alpha, mode)
+    for alpha in range(s.length + 1):
+        size = sigma_size(s, alpha, AT_LEAST)
+        assert sigma_size(s, alpha, AT_MOST) == size
+        for mode in (AT_LEAST, AT_MOST):
             assert size == oracle_sigma_seq(s, alpha, mode).size
+            # the window decoded from its own DP height
+            assert size == sigma_seq(s, alpha, mode).size
             if r == 1:
                 assert size == oracle_sigma_set(a, alpha, mode).size
+
+
+def test_sigma_size_runs_the_dp_to_the_at_most_top(monkeypatch):
+    tops = []
+    real = engine.sequence_layers
+
+    def spy(s, top=None):
+        tops.append(top)
+        return real(s, top)
+
+    monkeypatch.setattr(engine, "sequence_layers", spy)
+    s = RepSequence(iset(-3, 0, 2, 7), 3)
+    for mode in (AT_LEAST, AT_MOST):
+        for alpha in range(s.length + 1):
+            tops.clear()
+            sigma_size(s, alpha, mode)
+            assert tops == [s.length - alpha]
+    # the window is still validated in either mode, before any DP
+    tops.clear()
+    for alpha, mode in ((-1, AT_LEAST), (s.length + 1, AT_MOST)):
+        with pytest.raises(ValueError, match="out of range"):
+            sigma_size(s, alpha, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        sigma_size(s, 0, "exactly")
+    assert tops == []
 
 
 def test_suffix_unions_are_at_least_windows():
@@ -508,6 +550,27 @@ def test_as_sequence():
     assert as_sequence(s) is s
     a = iset(-1, 4)
     assert as_sequence(a) == RepSequence(a, 1)
+
+
+def test_add_sets_refused_before_any_bitmap(monkeypatch):
+    def no_bitmap(self):
+        raise AssertionError("a bitmap was built")
+
+    monkeypatch.setattr(SumSet, "to_bitmap", no_bitmap)
+    with pytest.raises(BudgetExceeded,
+                       match="pairwise sum set needs 1000000000001 bits; "
+                             f"budget is {LAYER_BITS_BUDGET}"):
+        add_sets(SumSet((0, 10**12)), SumSet((0,)))
+    with pytest.raises(BudgetExceeded):
+        add_sets(SumSet((-1,)), SumSet((-(2**29), 2**29)))
+
+
+def test_add_sets_budget_edge(monkeypatch):
+    # the result spans (a.max - a.min) + (b.max - b.min) + 1 integers
+    monkeypatch.setattr(engine, "LAYER_BITS_BUDGET", 10)
+    assert add_sets(SumSet((-3, 2)), SumSet((4, 8))).sums == (1, 5, 6, 10)
+    with pytest.raises(BudgetExceeded, match="needs 11 bits; budget is 10"):
+        add_sets(SumSet((-3, 2)), SumSet((4, 9)))
 
 
 def test_add_sets_size_floor_holds():

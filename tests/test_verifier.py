@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -145,6 +146,73 @@ class TestSequenceSweep:
     def test_budget_counts_alpha_pairs(self):
         with pytest.raises(BudgetExceeded):
             sweep_sequences(1, [2], [2], budget=14)  # needs 15 pairs
+
+
+class TestWalkPathBudget:
+    """A path to depth kmax holds sum over d <= kmax and m in mults of
+    m*d + 1 suffix unions of at most 2*offset + 1 bits each."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(engine, "extend_suffixes", fail)
+        monkeypatch.setattr(verifier, "_walk_unit", fail)
+
+    @pytest.mark.parametrize("max_abs, k, bits", [
+        (150, 301, 302 * 303 // 2 * (2 * 301 * 150 + 1)),
+        (1000, 2001, 2002 * 2003 // 2 * (2 * 2001 * 1000 + 1)),
+    ])
+    def test_refused_before_the_walk(self, max_abs, k, bits, no_walk):
+        # one instance: 302 and 2,002 pairs are within the pair budget
+        assert bits > verifier.LAYER_BITS_BUDGET
+        with pytest.raises(BudgetExceeded,
+                           match=f"walk path needs up to {bits} union bits; "
+                                 f"budget is {verifier.LAYER_BITS_BUDGET}"):
+            sweep_sets(max_abs, [k])
+
+    def test_sequences_count_every_multiplicity(self, no_walk):
+        # kmax = 2 and offset 4*2*max_abs: m = 1..4 keep 3m + 3 unions on
+        # the path, 42 in all; m = 4 alone, 15, would fit the budget
+        max_abs = 2 * 10**6
+        bits = 42 * (2 * 4 * 2 * max_abs + 1)
+        assert 15 * bits // 42 < verifier.LAYER_BITS_BUDGET < bits
+        with pytest.raises(BudgetExceeded, match=f"needs up to {bits} union"):
+            sweep_sequences(max_abs, [1, 2], [1, 2, 3, 4], budget=10**20)
+
+    def test_edge_admitted(self, monkeypatch):
+        # (100, [201]) holds 8.2*10^8 bits on its deepest path; the
+        # acceptance universes hold far less
+        monkeypatch.setattr(verifier, "_walk_unit",
+                            lambda payload: verifier.new_aggregate())
+        for call in (lambda: sweep_sets(100, [201]),
+                     lambda: sweep_sets(12, range(1, 8), budget=10**7),
+                     lambda: sweep_sequences(6, range(2, 6), range(1, 9),
+                                             budget=10**7)):
+            assert call().instances == 0
+
+    def test_empirical_minimum_refused_before_listing(self, monkeypatch):
+        # "require" at k = 1 walks the empty subset of 2*10^9 values: one
+        # instance, whose offset 10^9 alone is 2*10^9 + 1 bits
+        def fail(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(verifier, "_walk", fail)
+        with pytest.raises(BudgetExceeded,
+                           match="walk path needs up to 2000000001 union bits"):
+            empirical_minimum(1, 0, 10**9, "require")
+
+    def test_empirical_minimum_counts_before_listing(self):
+        # the parent listed the 2*10^6 nonzero values first: 94 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="minimum search needs"):
+                empirical_minimum(2, 0, 10**6, "forbid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestSizesAboveTheUniverse:

@@ -1,6 +1,9 @@
 """Extremal constructions: shape of each family, and tightness of the
 matched floor across full threshold ranges at moderate sizes."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from subsums import engine, witnesses
@@ -183,6 +186,38 @@ def test_alpha_out_of_range_refused():
             check_tightness(fam, alpha)
 
 
+@pytest.mark.parametrize("alpha", [-1, 10**8 + 1])
+def test_alpha_out_of_range_refused_before_the_family(alpha, monkeypatch):
+    # the claimed floor's constructor refuses the alpha first, so a family
+    # too large for its DP is neither budgeted nor built
+    def no_work(*args):
+        raise AssertionError("the family was built")
+
+    witnesses._sizes.cache_clear()
+    monkeypatch.setattr(witnesses, "IntegerSet", no_work)
+    monkeypatch.setattr(engine, "check_layer_bits", no_work)
+    with pytest.raises(ValueError,
+                       match=rf"alpha={alpha} out of range \[0, 100000000\]"):
+        check_tightness(WitnessFamily(POS_INTERVAL, k=10**8), alpha)
+
+
+def test_sizes_keep_no_list_of_unions():
+    # the suffix unions are counted as they are formed, so the peak is
+    # the DP's layers plus a few unions, not plus a second list of them
+    fam = WitnessFamily(POS_INTERVAL_R, k=32, r=32)
+    layers, _ = engine.sequence_layers(as_sequence(witness(fam)))
+    witnesses._sizes.cache_clear()
+    tracemalloc.start()
+    try:
+        sizes = witnesses._sizes(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == tuple(map(int.bit_count, engine.suffix_unions(layers)))
+    ratio = peak / sum(map(sys.getsizeof, layers))
+    assert ratio < 2.2, ratio
+
+
 def test_claimed_bound_matches_family_theorem():
     pairs = [
         (WitnessFamily(POS_INTERVAL, k=3), "T2_1"),
@@ -215,7 +250,6 @@ def test_budget_closed_form_is_the_dp_estimate(fam, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    witnesses._sequence.cache_clear()
     witnesses._sizes.cache_clear()
     monkeypatch.setattr(engine, "check_layer_bits", recording)
     check_tightness(fam, 0)
@@ -232,7 +266,7 @@ def test_family_too_large_refused_before_build(fam, monkeypatch):
     def no_build(elements):
         raise AssertionError("the base was built")
 
-    witnesses._sequence.cache_clear()
+    witnesses._sizes.cache_clear()
     monkeypatch.setattr(witnesses, "IntegerSet", no_build)
     with pytest.raises(BudgetExceeded, match="count-layer DP needs up to"):
         check_tightness(fam, 0)
