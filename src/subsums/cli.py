@@ -341,7 +341,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    except UsageError as exc:
+    except (OSError, UsageError) as exc:
+        # OSError: an --out or --csv path that cannot be written, e.g. in a
+        # missing directory or naming one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except verifier.BudgetExceeded as exc:

@@ -16,11 +16,11 @@ number of big-int operations whatever the depth. Its sizes per alpha,
 the lanes' bit counts, are read all at once through a byte popcount
 table. It fills the campaign aggregate of `verifier`: each distinct
 sizes is a profile (None, size, sizes), weighted by the subsets that
-have it, twice over for the mirrors, and `verifier.resolve_profiles`
+have it, twice over for the mirrors, and `verifier.finish_report`
 compares it once with the size's floors, as it does a sweep's. Minima
 are keyed as in a set sweep, where sets run as r = 1 sequences marked
-r = None: the cells carry k and alpha, no r. The report comes from the
-sweep's finisher.
+r = None: the cells carry k and alpha, no r, and are noted through the
+sweep's keeper, `verifier.note_sizes`.
 `oracle.residue_sums_by_size` is the enumeration these unions are
 checked against.
 """
@@ -40,8 +40,7 @@ from .verifier import (
     CampaignReport,
     finish_report,
     new_aggregate,
-    note_minimum,
-    resolve_profiles,
+    note_sizes,
 )
 
 # Largest prime verified: p = 23 walks the (3^11 - 1) / 2 canonical
@@ -234,7 +233,7 @@ def verify_balandraud(p: int) -> CampaignReport:
     Negation keeps a subset admissible and every |Σ_alpha|, so the walk
     visits the canonical half and counts each visit twice. A visit adds
     one to the count of its sizes, |Σ_alpha| per alpha, and
-    `resolve_profiles` compares the floors once per distinct sizes
+    `finish_report` compares the floors once per distinct sizes
     afterwards. Each minima cell keeps the first WITNESS_CAP canonical
     minimizers, then takes them with their mirrors in product order: a
     canonical subset comes before its mirror, so the first WITNESS_CAP of
@@ -259,22 +258,20 @@ def verify_balandraud(p: int) -> CampaignReport:
         profiles[sizes] += 1
         cell_admit = admit[len(sizes) - 1]
         if any(map(lt, sizes, cell_admit)):
-            size, picks = len(sizes) - 1, tuple(chosen)
-            for alpha, got in enumerate(sizes):
-                if got < cell_admit[alpha]:
-                    cell_admit[alpha] = note_minimum(minima, (size, None, alpha),
-                                                     got, picks)
+            note_sizes(minima, cell_admit, len(sizes) - 1, None, sizes,
+                       tuple(chosen))
 
     _walk(p, visit)
-    # each canonical subset stands for its mirror too; a size's floors
-    # are its only theorem's, T1_3, one per alpha
+    # each canonical subset stands for its mirror too
     agg["profiles"].update({(None, len(sizes) - 1, sizes): 2 * count
                             for sizes, count in profiles.items()})
-    resolve_profiles(agg, lambda r, size: (size + 1, floors[size],
-                                           [(T1_3, floors[size])]))
     for key, (got, wits) in minima.items():
         # tuple() of a list, whose length it knows, sizes the tuple once
         both = set(wits).union(tuple([-y for y in w]) for w in wits)
         first = sorted(both, key=lambda w: _product_key(w, half))[:WITNESS_CAP]
         minima[key] = got, [literal(sorted(y % p for y in w)) for w in first]
-    return finish_report({"kind": "fp", "p": p}, agg, started)
+    # a size's floors are its only theorem's, T1_3, one per alpha
+    return finish_report({"kind": "fp", "p": p}, agg,
+                         lambda r, size: (size + 1, floors[size],
+                                          [(T1_3, floors[size])]),
+                         started)

@@ -24,7 +24,9 @@ elements. After the merge each (r, shape) takes its floors once from
 their greatest, each a row filled one block m = alpha//r + 1 at a time.
 Each distinct profile is compared with them by C-level counts
 (`sum(map(lt, ...))`), which gives the instance, check, violation and
-tight counts (`resolve_profiles`). Witnesses become
+tight counts; `finish_report` makes them, so every report has them.
+A visit whose size is below a cell's admit threshold at some alpha
+notes its witness there through `note_sizes`. Witnesses become
 report literals (`model.literal`) last, each distinct one formatted
 once. Runs that collect records keep one plain row (elements, r,
 shape, sizes) per instance and r; after the merge each (r, shape,
@@ -49,8 +51,8 @@ subtree order with record rows kept per k, so reports and record CSVs do
 not depend on the worker count; walk units evaluate no floors. Work is
 refused up front when the pair count would exceed the budget, and only
 the sizes that have subsets are walked. `fp` fills the same aggregate,
-its profiles keyed by subset size, resolves them through
-`resolve_profiles` and reports through the same finisher.
+its profiles keyed by subset size and its minima noted through
+`note_sizes`, and reports through the same `finish_report`.
 """
 
 from __future__ import annotations
@@ -170,21 +172,13 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 # -- aggregation -------------------------------------------------------
 
 def new_aggregate() -> dict:
-    """Empty campaign tallies: counts, tight floors per theorem, minima
-    keyed by (k, r, alpha) with r None outside sequences, records (in a
-    sweep's walk units, record rows) in lists keyed by k, and a sweep's
-    instance weight per (r, shape, sizes) profile, which
-    `resolve_profiles` turns into the first four."""
-    return {
-        "instances": 0,
-        "checks": 0,
-        "violations": 0,
-        "oracle_checked": 0,
-        "tight": Counter(),
-        "minima": {},
-        "records": {},
-        "profiles": Counter(),
-    }
+    """Empty walk output: the instance weight per (r, shape, sizes)
+    profile, minima keyed by (k, r, alpha) with r None outside sequences,
+    records (in a sweep's walk units, record rows) in lists keyed by k,
+    and the oracle check count. `finish_report` derives the instance,
+    check, violation and tight counts from the profiles."""
+    return {"profiles": Counter(), "minima": {}, "records": {},
+            "oracle_checked": 0}
 
 
 def note_minimum(minima: dict, key: tuple, size: int, witness: tuple,
@@ -200,6 +194,18 @@ def note_minimum(minima: dict, key: tuple, size: int, witness: tuple,
     elif size == cur[0] and len(cur[1]) < cap:
         cur[1].append(witness)
     return cur[0] + (len(cur[1]) < cap)
+
+
+def note_sizes(minima: dict, admit: list, k: int, r: int | None,
+               sizes: Sequence[int], witness: tuple) -> None:
+    """Note witness in each (k, r, alpha) minima cell whose size,
+    sizes[alpha], is below admit[alpha], and set admit[alpha] to the
+    threshold `note_minimum` returns. sizes is a tuple or bytes, one size
+    per alpha; admit is a list as long."""
+    # the lazy map reads admit[alpha] before that entry is updated
+    for alpha in compress(range(len(sizes)), map(lt, sizes, admit)):
+        admit[alpha] = note_minimum(minima, (k, r, alpha), sizes[alpha],
+                                    witness)
 
 
 def _merge_aggs(dst: dict, src: dict) -> None:
@@ -380,33 +386,6 @@ def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
     return checks, top, vecs
 
 
-def resolve_profiles(agg: dict, rows: Callable) -> None:
-    """Fill a merged aggregate's instance, check, violation and tight
-    counts from its profiles: each distinct (r, shape, sizes) is compared
-    once with rows(r, shape), its floor vectors as `_shape_rows` gives
-    them, weighted by the instances it stands for. A pair violates when
-    its size is below the greatest floor, and a theorem is tight where
-    its floor equals the size; `tight` gains only theorems with a hit.
-    Sweeps pass `_shape_rows` at their policy, and `fp` its sizes'
-    prime-field floors, shape being the subset size."""
-    table: dict[tuple, tuple] = {}
-    tight = agg["tight"]
-    checks = violations = 0
-    for (r, shape, sizes), weight in agg["profiles"].items():
-        entry = table.get((r, shape))
-        if entry is None:
-            entry = table[r, shape] = rows(r, shape)
-        per_instance, top, vecs = entry
-        checks += per_instance * weight
-        violations += weight * sum(map(lt, sizes, top))
-        for theorem_id, vec in vecs:
-            hits = sum(map(eq, sizes, vec))
-            if hits:
-                tight[theorem_id] += weight * hits
-    agg.update(instances=sum(agg["profiles"].values()), checks=checks,
-               violations=violations)
-
-
 def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
     """Per alpha, the sorted sums with at least alpha terms, enumerated."""
     seq = RepSequence(IntegerSet(tuple(elems)), r or 1)
@@ -423,14 +402,14 @@ def _walk_unit(payload) -> dict:
     checks or record rows when asked for. A record row is the plain tuple
     (elements, r, shape, sizes) of one instance, sizes[alpha] the bit
     count of union alpha, kept per k; a unit evaluates no floors, and
-    `_sweep` builds the records after the merge. Unless records are
+    `_sweep` builds the records after the merge. The unions sit at the
+    walk offset that `_sweep` admitted. Unless records are
     collected or the oracle checks, the walk is the mirror walk: its
     weights count mirror pairs twice and its minima hold only canonical
     witnesses. A witness tuple is built only below its cell's admit
     threshold."""
-    values, firsts, ks, rs, policy, use_oracle, collect = payload
+    values, firsts, ks, rs, policy, use_oracle, collect, offset = payload
     mults = [r or 1 for r in rs]
-    offset = max(mults) * max(ks) * max(map(abs, values), default=0)
     agg = new_aggregate()
     minima, profiles, by_k = agg["minima"], agg["profiles"], agg["records"]
     # admits[k][i][alpha]: a size at (k, rs[i], alpha) must be below it
@@ -451,13 +430,10 @@ def _walk_unit(payload) -> dict:
             sizes = tuple(map(int.bit_count, suffix))
             profiles[r, shape, sizes] += weight
             # most visits admit nothing, and any() costs them less than
-            # building the compress; the lazy map reads admit[alpha]
-            # before that entry is updated
+            # the keeper's loop
             if any(map(lt, sizes, admit)):
                 witness = witness or tuple(chosen)
-                for alpha in compress(range(len(sizes)), map(lt, sizes, admit)):
-                    admit[alpha] = note_minimum(minima, (k, r, alpha),
-                                                sizes[alpha], witness)
+                note_sizes(minima, admit, k, r, sizes, witness)
 
     def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
                    weight: int) -> None:
@@ -547,9 +523,10 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
         )
     mults = [r or 1 for r in rs]
-    if walked:
-        # the walk offset of _walk_unit
-        _check_path_bits(max(walked), mults, max(mults) * max(walked) * max_abs)
+    kmax = max(walked, default=0)
+    # the walk offset, at least max(mults) * max|v| * kmax
+    offset = max(mults) * kmax * max_abs
+    _check_path_bits(kmax, mults, offset)
     # records and oracle checks are one per instance, so they walk every
     # subset; other runs walk the mirror half, first elements <= 0
     mirror = not (collect_records or oracle_check)
@@ -558,7 +535,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
-    common = (walked, rs, alpha_policy, oracle_check, collect_records)
+    common = (walked, rs, alpha_policy, oracle_check, collect_records, offset)
     if not walked:
         agg = new_aggregate()
     elif procs <= 1:
@@ -569,7 +546,6 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             for part in pool.map(_walk_unit,
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
-    resolve_profiles(agg, lambda r, shape: _shape_rows(shape, r, alpha_policy))
     # many cells share one witness list: each distinct list is mirrored
     # and each distinct witness formatted once
     lists: dict[tuple, list[str]] = {}
@@ -612,7 +588,9 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         universe["r"] = rs
     universe["alpha_policy"] = _policy_echo(alpha_policy)
     universe["oracle"] = oracle_check
-    return finish_report(universe, agg, started)
+    return finish_report(universe, agg,
+                         lambda r, shape: _shape_rows(shape, r, alpha_policy),
+                         started)
 
 
 def sweep_sets(
@@ -666,11 +644,32 @@ def sweep_sequences(
                   oracle_check, workers, budget, collect_records)
 
 
-def finish_report(universe: dict, agg: dict, started: float
-                  ) -> CampaignReport:
-    """The report of a filled aggregate: minima cells in key order, each
-    with an r field only when its key has one; elapsed time since
-    `started` (a perf_counter reading); records k by k."""
+def finish_report(universe: dict, agg: dict, rows: Callable,
+                  started: float) -> CampaignReport:
+    """The report of a merged aggregate. Its counts come from the
+    profiles: each distinct (r, shape, sizes) is compared once with
+    rows(r, shape), its floor vectors as `_shape_rows` gives them,
+    weighted by the instances it stands for. A pair violates when its
+    size is below the greatest floor, and a theorem is tight where its
+    floor equals the size; tight_by_theorem names only theorems with a
+    hit. Sweeps pass `_shape_rows` at their policy, and `fp` its sizes'
+    prime-field floors, shape being the subset size. Minima cells come in
+    key order, each with an r field only when its key has one; elapsed
+    time since `started` (a perf_counter reading); records k by k."""
+    table: dict[tuple, tuple] = {}
+    tight: Counter = Counter()
+    checks = violations = 0
+    for (r, shape, sizes), weight in agg["profiles"].items():
+        entry = table.get((r, shape))
+        if entry is None:
+            entry = table[r, shape] = rows(r, shape)
+        per_instance, top, vecs = entry
+        checks += per_instance * weight
+        violations += weight * sum(map(lt, sizes, top))
+        for theorem_id, vec in vecs:
+            hits = sum(map(eq, sizes, vec))
+            if hits:
+                tight[theorem_id] += weight * hits
     minima = []
     for (k, r, alpha) in sorted(agg["minima"]):
         size, wits = agg["minima"][k, r, alpha]
@@ -681,16 +680,15 @@ def finish_report(universe: dict, agg: dict, started: float
         cell["size"] = size
         cell["witnesses"] = wits
         minima.append(cell)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
     return CampaignReport(
         universe=universe,
-        instances=agg["instances"],
-        checks=agg["checks"],
-        violations=agg["violations"],
+        instances=sum(agg["profiles"].values()),
+        checks=checks,
+        violations=violations,
         oracle_checked=agg["oracle_checked"],
-        tight_by_theorem=dict(agg["tight"]),
+        tight_by_theorem=dict(tight),
         minima=minima,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=int((time.perf_counter() - started) * 1000),
         records=[rec for k in sorted(agg["records"]) for rec in agg["records"][k]],
     )
 
@@ -743,7 +741,8 @@ def empirical_minimum(
         raise BudgetExceeded(
             f"minimum search needs {count} instances; budget is {budget}"
         )
-    _check_path_bits(size_k, [1], k * max_abs)
+    offset = k * max_abs
+    _check_path_bits(size_k, [1], offset)
     values = range(-max_abs, max_abs + 1)
     if zero_policy != "any":
         values = [v for v in values if v]
@@ -761,7 +760,7 @@ def empirical_minimum(
             admit = note_minimum(minima, None, size,
                                  tuple(sorted((*chosen, *zeros))), witness_cap)
 
-    _walk(values, range(len(values)), [size_k], [1], k * max_abs, visit, True)
+    _walk(values, range(len(values)), [size_k], [1], offset, visit, True)
     best, wits = minima[None]
     # the first minimizer is kept whatever the cap
     return best, [IntegerSet(w) for w in _with_mirrors(wits, max(witness_cap, 1))]

@@ -189,6 +189,17 @@ class TestSweep:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_path_is_one_error_line(self, capsys, tmp_path, flag):
+        # a missing directory, then a directory where a file should be
+        for path in (tmp_path / "missing" / "r.json", tmp_path):
+            code, out, err = run(capsys, "sweep", "--max-abs", "1", "--k", "1",
+                                 flag, str(path))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+
     def test_rejects_negative_max_abs(self, capsys):
         code, out, err = run(capsys, "sweep", "--max-abs", "-1", "--k", "2")
         assert code == EXIT_USAGE

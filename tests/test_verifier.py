@@ -791,7 +791,8 @@ def sweep_profiles(draw):
 
 
 class TestResolveProfiles:
-    """Per-profile vector tallies equal a pair-by-pair reference."""
+    """The counts `finish_report` resolves from profile weights, by
+    per-profile vectors, equal a pair-by-pair reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(profiles=sweep_profiles(),
@@ -808,14 +809,57 @@ class TestResolveProfiles:
     def test_equals_pair_loop(self, profiles, policy):
         agg = verifier.new_aggregate()
         agg["profiles"].update(profiles)
-        verifier.resolve_profiles(
-            agg, lambda r, shape: verifier._shape_rows(shape, r, policy))
+        rep = verifier.finish_report(
+            {}, agg, lambda r, shape: verifier._shape_rows(shape, r, policy),
+            0.0)
         checks, violations, tight = _reference_resolve(profiles, policy)
-        assert agg["instances"] == sum(profiles.values())
-        assert (agg["checks"], agg["violations"]) == (checks, violations)
-        assert agg["tight"] == tight
+        assert rep.instances == sum(profiles.values())
+        assert (rep.checks, rep.violations) == (checks, violations)
+        assert rep.tight_by_theorem == tight
         # no theorem is entered without a tight pair
-        assert all(agg["tight"].values())
+        assert all(rep.tight_by_theorem.values())
+
+    def test_aggregate_holds_only_walk_output(self):
+        assert set(verifier.new_aggregate()) == {
+            "profiles", "minima", "records", "oracle_checked"}
+
+
+@st.composite
+def admitting_visits(draw):
+    """A minima cell shape (k, r), starting admit thresholds as sweeps
+    (0 or inf) and fp (a bound above every size) set them, and visits of
+    small sizes, so that ties fill cells up to the witness cap."""
+    k = draw(st.integers(0, 4))
+    r = draw(st.sampled_from([None, 1, 3]))
+    width = k * (r or 1) + 1
+    start = draw(st.lists(st.sampled_from([0, 9, float("inf")]),
+                          min_size=width, max_size=width))
+    visits = draw(st.lists(st.lists(st.integers(0, 8), min_size=width,
+                                    max_size=width), max_size=40))
+    return k, r, start, visits
+
+
+class TestNoteSizes:
+    """The keeper sweeps and fp share leaves what per-alpha `note_minimum`
+    calls below each threshold leave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=admitting_visits())
+    @example(case=(1, None, [float("inf")] * 2, [[3, 1]] * 20))
+    def test_equals_per_alpha_calls(self, case):
+        k, r, start, visits = case
+        expected, admit = {}, list(start)
+        for i, sizes in enumerate(visits):
+            for alpha, got in enumerate(sizes):
+                if got < admit[alpha]:
+                    admit[alpha] = verifier.note_minimum(
+                        expected, (k, r, alpha), got, (i,))
+        for form in (tuple, bytes):
+            minima, kept = {}, list(start)
+            for i, sizes in enumerate(visits):
+                verifier.note_sizes(minima, kept, k, r, form(sizes), (i,))
+            assert minima == expected
+            assert kept == admit
 
 
 class TestReportShape:
