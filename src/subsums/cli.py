@@ -4,8 +4,10 @@ Subcommands: compute, bound, sweep, extremal, fp. Exit codes: 0 on
 success, 1 on usage or parse errors or when stdout closes before the
 output is written (as in `| head`), 2 when a verification or tightness
 check fails, 3 when a run is refused for exceeding its budget: a sweep's
-pair count, an fp prime, or a count-layer DP's bits (compute,
-bound --check, extremal).
+pair count, its oracle's multiplicity vectors or its walk path's union
+bits, an fp prime's admissible subsets, or a count-layer DP's bits
+(compute, bound --check, extremal). A sweep's --out and --csv paths are
+checked before it runs.
 All numbers are printed in plain decimal.
 
 The parser is built once per process, on the first `main` call, and
@@ -16,12 +18,13 @@ makes a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
 import sys
 
-from . import engine, fp, verifier, witnesses
+from . import engine, fp, model, verifier, witnesses
 from .bounds import applicable_bounds
 from .model import (
     AT_LEAST,
@@ -162,8 +165,27 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise when
+    its directory is missing or unwritable or it names a directory,
+    without creating or truncating it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_sweep(args) -> int:
     ks = _parse_span(args.k)
+    for path in (args.out, args.csv):
+        if path is not None:
+            _check_writable(path)
     common = dict(
         workers=args.workers,
         budget=args.budget,
@@ -231,7 +253,7 @@ def _cmd_fp(args) -> int:
     else:
         candidates = (q for q in range(2, args.p_upto + 1) if fp.is_prime(q))
     primes = []
-    for q in candidates:  # all checked before any runs; stops past the guard
+    for q in candidates:  # all checked before any runs; stops at a refusal
         fp.check_prime(q)
         primes.append(q)
     reports = [fp.verify_balandraud(q) for q in primes]
@@ -294,7 +316,7 @@ def build_parser() -> _Parser:
                          help="write per-check records CSV here")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--budget", type=int,
-                         default=verifier.DEFAULT_BUDGET)
+                         default=model.DEFAULT_BUDGET)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ext = sub.add_parser("extremal",
@@ -343,10 +365,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, UsageError) as exc:
         # OSError: an --out or --csv path that cannot be written, e.g. in a
-        # missing directory or naming one
+        # missing directory or naming one, refused before the sweep runs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except verifier.BudgetExceeded as exc:
+    except model.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

@@ -45,7 +45,6 @@ from .bounds import min_fold_size, min_sumset_size
 from .model import (
     AT_LEAST,
     AT_MOST,
-    BudgetExceeded,
     GENERALIZED,
     IntegerSet,
     LAYER_BITS_BUDGET,
@@ -53,6 +52,7 @@ from .model import (
     RepSequence,
     SumSet,
     UNRESTRICTED,
+    refuse_above,
     size_window,
 )
 
@@ -121,11 +121,8 @@ def check_layer_bits(top: int, offset: int, largest: int) -> None:
     largest term `largest`, may exceed LAYER_BITS_BUDGET bits: layer c is
     at most offset + 1 + c*max(largest, 0) bits wide."""
     bits = (top + 1) * (offset + 1) + max(largest, 0) * top * (top + 1) // 2
-    if bits > LAYER_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"count-layer DP needs up to {bits} layer bits in {top + 1} "
-            f"layers; budget is {LAYER_BITS_BUDGET}"
-        )
+    refuse_above(bits, LAYER_BITS_BUDGET, f"count-layer DP needs up to "
+                 f"{bits} layer bits in {top + 1} layers")
 
 
 def sequence_layers(
@@ -240,10 +237,8 @@ def add_sets(a: SumSet, b: SumSet) -> SumSet:
     one bit per integer from a.min + b.min to a.max + b.max, exceeds
     LAYER_BITS_BUDGET bits."""
     bits = a.max_sum - a.min_sum + b.max_sum - b.min_sum + 1
-    if bits > LAYER_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"pairwise sum set needs {bits} bits; budget is {LAYER_BITS_BUDGET}"
-        )
+    refuse_above(bits, LAYER_BITS_BUDGET,
+                 f"pairwise sum set needs {bits} bits")
     bitmap_b, _ = b.to_bitmap()
     acc = 0
     base_a = a.min_sum

@@ -22,7 +22,10 @@ are keyed as in a set sweep, where sets run as r = 1 sequences marked
 r = None: the cells carry k and alpha, no r, and are noted through the
 sweep's keeper, `verifier.note_sizes`.
 `oracle.residue_sums_by_size` is the enumeration these unions are
-checked against.
+checked against. Both refusals go through `model.refuse_above` before
+any work: a prime by its count of admissible subsets against the
+campaigns' instance budget, `DEFAULT_BUDGET` (`check_prime`), and
+`sigma_fp` by its unions' bits against `LAYER_BITS_BUDGET`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from operator import lt
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
-from .model import BudgetExceeded, LAYER_BITS_BUDGET, SumSet, literal
+from .model import (DEFAULT_BUDGET, LAYER_BITS_BUDGET, SumSet, literal,
+                    refuse_above)
 from .verifier import (
     WITNESS_CAP,
     CampaignReport,
@@ -42,12 +46,6 @@ from .verifier import (
     new_aggregate,
     note_sizes,
 )
-
-# Largest prime verified: p = 23 walks the (3^11 - 1) / 2 canonical
-# subsets in 0.2 s, 0.3 to 0.5 s from the CLI (2 vCPU, Python 3.11);
-# p = 29 has 27 times as many and took 5.8 s from the CLI with the guard
-# lifted, and p = 31 would take three times that again.
-PRIME_GUARD = 23
 
 # Popcount of each byte value: a bytes translate through it counts the
 # set bits of every byte of an int at once
@@ -118,11 +116,8 @@ def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     if not 0 <= alpha <= a.size:
         raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
     bits = (a.size + 1) * a.p
-    if bits > LAYER_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"sigma_fp needs {a.size + 1} count layers of p={a.p} bits, "
-            f"{bits} bits; budget is {LAYER_BITS_BUDGET}"
-        )
+    refuse_above(bits, LAYER_BITS_BUDGET, f"sigma_fp needs {a.size + 1} "
+                 f"count layers of p={a.p} bits, {bits} bits")
     suffix = [1]
     for x in a.elements:
         suffix = _insert_suffix(suffix, x, a.p)
@@ -131,14 +126,20 @@ def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
 
 def check_prime(p: int) -> None:
     """Refuse p before any work: ValueError unless p is prime, and
-    BudgetExceeded when p exceeds PRIME_GUARD."""
+    BudgetExceeded when its 3^((p - 1) / 2) - 1 admissible subsets exceed
+    DEFAULT_BUDGET. That admits p <= 23: p = 23 walks the (3^11 - 1) / 2
+    canonical subsets in 0.2 s, 0.3 to 0.5 s from the CLI (2 vCPU, Python
+    3.11); p = 29 has 27 times as many and took 5.8 s from the CLI, and
+    p = 31 would take three times that again."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > PRIME_GUARD:
-        raise BudgetExceeded(
-            f"p={p} needs {3 ** ((p - 1) // 2) - 1} admissible subsets; "
-            f"enumeration guard is p <= {PRIME_GUARD}"
-        )
+    half = (p - 1) // 2
+    # a count past 3^64, far above the budget, is named as a power and not
+    # built: near p = 10^9 building it takes minutes, and str() refuses it
+    # past 4,300 digits
+    need = 3 ** min(half, 64) - 1
+    shown = need if half <= 64 else f"3^{half} - 1"
+    refuse_above(need, DEFAULT_BUDGET, f"p={p} needs {shown} admissible subsets")
 
 
 def _lanes(p: int) -> tuple[Callable[[int, int], int],
@@ -228,7 +229,8 @@ def verify_balandraud(p: int) -> CampaignReport:
     """Check the prime-field floor on every admissible subset of residues
     mod p and every alpha. Admissible subsets pick at most one residue
     from each inverse pair {x, p - x}, so there are 3^((p-1)/2) - 1 of
-    them; p above PRIME_GUARD is refused up front.
+    them, and p is refused up front when they exceed DEFAULT_BUDGET
+    (`check_prime`).
 
     Negation keeps a subset admissible and every |Σ_alpha|, so the walk
     visits the canonical half and counts each visit twice. A visit adds

@@ -34,10 +34,20 @@ FOLD_KINDS = (UNRESTRICTED, RESTRICTED, GENERALIZED)
 
 # Count layers a DP may hold, in bits (2^30 bits is 128 MB).
 LAYER_BITS_BUDGET = 1 << 30
+# Units a campaign may walk: a sweep's instance-alpha pairs or oracle
+# vectors, empirical_minimum's subsets, fp's admissible subsets.
+DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
     """Raised before any work starts when a run would exceed its budget."""
+
+
+def refuse_above(need: int, budget: int, what: str) -> None:
+    """The one up-front refusal: BudgetExceeded, its message `what` and
+    the budget, when the estimate `need` exceeds `budget`."""
+    if need > budget:
+        raise BudgetExceeded(f"{what}; budget is {budget}")
 
 
 class ParseError(ValueError):

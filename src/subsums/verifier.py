@@ -49,8 +49,9 @@ Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
 subtree order with record rows kept per k, so reports and record CSVs do
 not depend on the worker count; walk units evaluate no floors. Work is
-refused up front when the pair count would exceed the budget, and only
-the sizes that have subsets are walked. `fp` fills the same aggregate,
+refused up front, through `model.refuse_above`, when the pair count or,
+with the oracle, its vector count would exceed the budget, and only the
+sizes that have subsets are walked. `fp` fills the same aggregate,
 its profiles keyed by subset size and its minima noted through
 `note_sizes`, and reports through the same `finish_report`.
 """
@@ -72,10 +73,9 @@ from . import engine, oracle
 from .bounds import BoundResult, shape_bounds, shape_floor_rows
 # perfbench's tracer hooks verifier.applicable_bounds; nothing here calls it
 from .bounds import applicable_bounds  # noqa: F401
-from .model import (BudgetExceeded, IntegerSet, LAYER_BITS_BUDGET,
-                    RepSequence, SumSet, literal)
+from .model import (DEFAULT_BUDGET, IntegerSet, LAYER_BITS_BUDGET,
+                    RepSequence, SumSet, literal, refuse_above)
 
-DEFAULT_BUDGET = 10**6
 WITNESS_CAP = 16
 # canonical instances per pool process. On 2 vCPUs (Python 3.11) a
 # two-process fork pool takes about 10 ms to start and stop with no work,
@@ -480,11 +480,8 @@ def _check_path_bits(kmax: int, mults: Sequence[int], offset: int) -> None:
     kmax holds sum over d <= kmax of sum over m of (m*d + 1) unions."""
     unions = sum(m * kmax * (kmax + 1) // 2 + kmax + 1 for m in mults)
     bits = unions * (2 * offset + 1)
-    if bits > LAYER_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"walk path needs up to {bits} union bits; "
-            f"budget is {LAYER_BITS_BUDGET}"
-        )
+    refuse_above(bits, LAYER_BITS_BUDGET,
+                 f"walk path needs up to {bits} union bits")
 
 
 def _span(values: Iterable[int], name: str) -> list[int]:
@@ -518,12 +515,18 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         for k, n in subsets.items()
         for r in rs
     )
-    if pairs > budget:
-        raise BudgetExceeded(
-            f"sweep needs {pairs} instance-alpha pairs; budget is {budget}"
-        )
+    refuse_above(pairs, budget, f"sweep needs {pairs} instance-alpha pairs")
     mults = [r or 1 for r in rs]
     kmax = max(walked, default=0)
+    if oracle_check:
+        # the oracle enumerates (r + 1)^k multiplicity vectors per instance
+        vectors = sum(n * sum((m + 1) ** k for m in mults)
+                      for k, n in subsets.items())
+        refuse_above(vectors, budget,
+                     f"oracle check needs {vectors} multiplicity vectors")
+        most = (max(mults) + 1) ** kmax
+        refuse_above(most, oracle.VECTOR_ENUM_MAX, f"oracle check needs "
+                     f"{most} multiplicity vectors for one instance")
     # the walk offset, at least max(mults) * max|v| * kmax
     offset = max(mults) * kmax * max_abs
     _check_path_bits(kmax, mults, offset)
@@ -606,10 +609,12 @@ def sweep_sets(
     """Verify every floor over all k-subsets of [-max_abs, max_abs].
 
     Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one, or
-    when the walk's deepest path may hold more than LAYER_BITS_BUDGET
-    bits of suffix unions (`_check_path_bits`). The count bounds the
-    work: the walk offset is k_max*max_abs, so a k-subset's k + 1 suffix
+    exceed budget, an instance with no policy alpha counting as one; with
+    oracle_check, when the oracle's 2^k multiplicity vectors per subset
+    exceed budget in all or `oracle.VECTOR_ENUM_MAX` for one; or when
+    the walk's deepest path may hold more than LAYER_BITS_BUDGET bits of
+    suffix unions (`_check_path_bits`). The count bounds the work: the
+    walk offset is k_max*max_abs, so a k-subset's k + 1 suffix
     unions hold at most (k + 1)*((k_max + k)*max_abs + 1) bits, built by
     one insertion from its parent's, and only the current path's unions
     are kept."""
@@ -632,7 +637,9 @@ def sweep_sequences(
     crossed with every multiplicity in r_range.
 
     Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one, or
+    exceed budget, an instance with no policy alpha counting as one; with
+    oracle_check, when the oracle's (r + 1)^k multiplicity vectors per
+    instance exceed budget in all or `oracle.VECTOR_ENUM_MAX` for one; or
     when the walk's deepest path may hold more than LAYER_BITS_BUDGET
     bits of suffix unions (`_check_path_bits`). The count bounds the
     work: the walk offset is r_max*k_max*max_abs, so an instance
@@ -737,10 +744,7 @@ def empirical_minimum(
     count = comb(2 * max_abs + (zero_policy == "any"), size_k)
     if not count:
         raise ValueError("universe is empty; increase max_abs or lower k")
-    if count > budget:
-        raise BudgetExceeded(
-            f"minimum search needs {count} instances; budget is {budget}"
-        )
+    refuse_above(count, budget, f"minimum search needs {count} instances")
     offset = k * max_abs
     _check_path_bits(size_k, [1], offset)
     values = range(-max_abs, max_abs + 1)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from subsums import cli, engine
+from subsums import cli, engine, verifier
 from subsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
@@ -199,6 +199,33 @@ class TestSweep:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(path) in err
+
+    @pytest.mark.parametrize("flag, other", [("--out", "--csv"),
+                                             ("--csv", "--out")])
+    def test_unwritable_path_refused_before_the_sweep(
+            self, capsys, tmp_path, monkeypatch, flag, other):
+        # both paths are checked before the sweep runs, and a refused
+        # sweep neither creates nor truncates the other file
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(verifier, "sweep_sets", no_sweep)
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        for path, reason in ((tmp_path / "missing" / "r.json",
+                              "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            for good in (kept, tmp_path / "new.txt"):
+                code, out, err = run(capsys, "sweep", "--max-abs", "8",
+                                     "--k", "1..7", flag, str(path),
+                                     other, str(good))
+                assert code == EXIT_USAGE
+                assert out == ""
+                assert err.startswith("error: [Errno ")
+                assert err.endswith(f"] {reason}: '{path}'\n")
+                assert err.count("\n") == 1
+        assert kept.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [kept]
 
     def test_rejects_negative_max_abs(self, capsys):
         code, out, err = run(capsys, "sweep", "--max-abs", "-1", "--k", "2")

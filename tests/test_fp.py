@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from subsums import fp
 from subsums.bounds import bound_fp
 from subsums.engine import sigma
-from subsums.fp import FpSubset, PRIME_GUARD, is_prime, sigma_fp, verify_balandraud
-from subsums.model import IntegerSet
+from subsums.fp import FpSubset, check_prime, is_prime, sigma_fp, verify_balandraud
+from subsums.model import BudgetExceeded, IntegerSet
 from subsums.oracle import residue_sums_by_size
-from subsums.verifier import WITNESS_CAP, BudgetExceeded
+from subsums.verifier import WITNESS_CAP
 
 
 def residues(bits):
@@ -323,11 +323,25 @@ class TestVerifyBalandraud:
             verify_balandraud(9)
 
     def test_enumeration_guard(self):
-        # refused before any work, naming the admissible-subset count
-        assert PRIME_GUARD == 23
+        # the admissible subsets are counted against the instance budget:
+        # 177,146 at p = 23 pass, and larger primes are refused before any
+        # work, naming the count
+        check_prime(23)
         for p in (29, 31, 37):
             with pytest.raises(BudgetExceeded, match=str(3 ** ((p - 1) // 2) - 1)):
                 verify_balandraud(p)
+        with pytest.raises(BudgetExceeded, match=r"^p=29 needs 4782968 "
+                           r"admissible subsets; budget is 1000000$"):
+            check_prime(29)
+
+    @pytest.mark.parametrize("p, half", [(100003, 50001),
+                                         (10**9 + 7, 5 * 10**8 + 3)])
+    def test_huge_prime_count_named_as_a_power(self, p, half):
+        # the count is not built: it would take minutes near p = 10^9 and
+        # has too many digits for str() past p = 18,000 or so
+        with pytest.raises(BudgetExceeded,
+                           match=rf"^p={p} needs 3\^{half} - 1 admissible"):
+            check_prime(p)
 
     def test_determinism(self):
         a = verify_balandraud(7).to_json()

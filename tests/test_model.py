@@ -4,10 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from subsums import engine, fp, oracle, verifier
 from subsums.model import (
     AT_LEAST,
     AT_MOST,
+    BudgetExceeded,
+    DEFAULT_BUDGET,
     IntegerSet,
+    LAYER_BITS_BUDGET,
     Limits,
     ParseError,
     RepSequence,
@@ -15,6 +19,7 @@ from subsums.model import (
     classify,
     parse_sequence,
     parse_set,
+    refuse_above,
     size_window,
 )
 
@@ -285,3 +290,67 @@ def test_from_bitmap_run_edges(bitmap, offset, sums):
 def test_from_bitmap_rejects_empty_and_negative(bitmap):
     with pytest.raises(ValueError):
         SumSet.from_bitmap(bitmap, 0)
+
+
+def test_refuse_above_admits_the_budget_itself():
+    refuse_above(10, 10, "unused")
+    with pytest.raises(BudgetExceeded, match=r"^run needs 11; budget is 10$"):
+        refuse_above(11, 10, "run needs 11")
+
+
+# Every up-front refusal of the package, each with the work it guards
+# patched to fail: (owner, name) of that work, the refused call, and the
+# budget its message names.
+SPREAD_64 = IntegerSet(tuple(range(0, 10**6, 15625)))  # 64 values
+REFUSALS = {
+    "check_layer_bits": (
+        (engine, "extend_layers"),
+        lambda: engine.sequence_layers(RepSequence(SPREAD_64, 64)),
+        LAYER_BITS_BUDGET),
+    "add_sets": (
+        (SumSet, "to_bitmap"),
+        lambda: engine.add_sets(SumSet((0, 10**12)), SumSet((0,))),
+        LAYER_BITS_BUDGET),
+    "sigma_fp": (
+        (fp, "_insert_suffix"),
+        lambda: fp.sigma_fp(fp.FpSubset(10**9 + 7, (1, 2)), 0),
+        LAYER_BITS_BUDGET),
+    "sweep_pairs": (
+        (verifier, "_walk_unit"),
+        lambda: verifier.sweep_sets(10, range(2, 8)),
+        DEFAULT_BUDGET),
+    "walk_path_bits": (
+        (verifier, "_walk_unit"),
+        lambda: verifier.sweep_sets(1000, [2001]),
+        LAYER_BITS_BUDGET),
+    "empirical_minimum": (
+        (verifier, "_walk"),
+        lambda: verifier.empirical_minimum(3, 1, 20, budget=10),
+        10),
+    "check_prime": (
+        (fp, "_walk"),
+        lambda: fp.verify_balandraud(29),
+        DEFAULT_BUDGET),
+    "oracle_vectors": (
+        (verifier, "_walk_unit"),
+        lambda: verifier.sweep_sequences(6, [6], [8], oracle_check=True),
+        DEFAULT_BUDGET),
+    "oracle_vectors_one_instance": (
+        (verifier, "_walk_unit"),
+        lambda: verifier.sweep_sets(10, [21], oracle_check=True,
+                                    budget=10**7),
+        oracle.VECTOR_ENUM_MAX),
+}
+
+
+@pytest.mark.parametrize("site", list(REFUSALS))
+def test_every_refusal_comes_before_its_work(site, monkeypatch):
+    (owner, name), call, budget = REFUSALS[site]
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, fail)
+    with pytest.raises(BudgetExceeded) as info:
+        call()
+    assert str(info.value).endswith(f"; budget is {budget}")

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from subsums import engine, verifier
 from subsums.bounds import applicable_bounds, shape_bounds, shape_floor_rows
 from subsums.model import (
-    IntegerSet, RepSequence, classify, parse_sequence, parse_set,
+    BudgetExceeded, IntegerSet, RepSequence, classify, parse_sequence,
+    parse_set,
 )
 from subsums.oracle import oracle_sigma_set
 from subsums.verifier import (
     WITNESS_CAP,
-    BudgetExceeded,
     CampaignReport,
     empirical_minimum,
     sweep_sets,
@@ -213,6 +213,56 @@ class TestWalkPathBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+
+class TestOracleBudget:
+    """With the oracle on, its multiplicity vectors, (r + 1)^k per
+    instance and r (2^k for a set), count against the budget before the
+    walk."""
+
+    def test_count_is_the_enumerated_vectors(self, monkeypatch):
+        # the closed form counts the vectors the oracle enumerates: a
+        # budget of exactly that count runs, one less is refused
+        seen = []
+        enumerate_vectors = verifier.oracle.sequence_sums_by_size
+
+        def counting(seq):
+            seen.append((seq.r + 1) ** seq.base.k)
+            return enumerate_vectors(seq)
+
+        monkeypatch.setattr(verifier.oracle, "sequence_sums_by_size", counting)
+        for sweep in (
+            lambda budget: sweep_sets(2, [1, 2, 3], oracle_check=True,
+                                      budget=budget),
+            lambda budget: sweep_sequences(1, [1, 2, 3], [1, 2],
+                                           oracle_check=True, budget=budget),
+        ):
+            seen.clear()
+            sweep(10**6)
+            total = sum(seen)
+            seen.clear()
+            assert sweep(total).violations == 0
+            assert sum(seen) == total
+            with pytest.raises(BudgetExceeded,
+                               match=f"^oracle check needs {total} "
+                                     f"multiplicity vectors; budget is "
+                                     f"{total - 1}$"):
+                sweep(total - 1)
+
+    @pytest.mark.parametrize("r_range, max_abs, k_range, vectors", [
+        (range(1, 13), 2, range(1, 4), 91430),
+        (range(1, 5), 3, range(2, 5), 43204),
+    ])
+    def test_ci_oracle_sweeps_admitted(self, monkeypatch, r_range, max_abs,
+                                       k_range, vectors):
+        monkeypatch.setattr(verifier, "_walk_unit",
+                            lambda payload: verifier.new_aggregate())
+        assert vectors < verifier.DEFAULT_BUDGET
+        assert sweep_sequences(max_abs, k_range, r_range,
+                               oracle_check=True).instances == 0
+        with pytest.raises(BudgetExceeded, match=f"needs {vectors} multi"):
+            sweep_sequences(max_abs, k_range, r_range, oracle_check=True,
+                            budget=vectors - 1)
 
 
 class TestSizesAboveTheUniverse:
