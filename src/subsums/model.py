@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import log10
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -48,6 +49,16 @@ def refuse_above(need: int, budget: int, what: str) -> None:
     the budget, when the estimate `need` exceeds `budget`."""
     if need > budget:
         raise BudgetExceeded(f"{what}; budget is {budget}")
+
+
+def numeral(n: int) -> str:
+    """A refusal's count n >= 1 in decimal, or as "about 10^e" when it is
+    past the digits Python will print (4,300 by default): a binomial
+    count such as C(2*10^6 + 1, 2100) is too long to print, or to read."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{round(log10(n))}"
 
 
 class ParseError(ValueError):

@@ -48,9 +48,12 @@ cell with `note_minimum`.
 Determinism: each k's subsets come in combinations order, r ascending;
 with several workers each first-element subtree is a unit, merged in
 subtree order with record rows kept per k, so reports and record CSVs do
-not depend on the worker count; walk units evaluate no floors. Work is
+not depend on the worker count; walk units evaluate no floors. The pool
+(`ProcessPoolExecutor`) and `csv` are imported on first use, so a
+process that starts no pool and writes no CSV loads neither. Work is
 refused up front, through `model.refuse_above`, when the pair count or,
-with the oracle, its vector count would exceed the budget, and only the
+with the oracle, its vector count would exceed the budget (a count too
+long to print is named by `model.numeral`), and only the
 sizes that have subsets are walked. `fp` fills the same aggregate,
 its profiles keyed by subset size and its minima noted through
 `note_sizes`, and reports through the same `finish_report`.
@@ -58,11 +61,9 @@ its profiles keyed by subset size and its minima noted through
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, inf
@@ -74,7 +75,8 @@ from .bounds import BoundResult, shape_bounds, shape_floor_rows
 # perfbench's tracer hooks verifier.applicable_bounds; nothing here calls it
 from .bounds import applicable_bounds  # noqa: F401
 from .model import (DEFAULT_BUDGET, IntegerSet, LAYER_BITS_BUDGET,
-                    RepSequence, SumSet, literal, refuse_above)
+                    RepSequence, SumSet, literal, numeral,
+                    refuse_above)
 
 WITNESS_CAP = 16
 # canonical instances per pool process. On 2 vCPUs (Python 3.11) a
@@ -86,6 +88,16 @@ WITNESS_CAP = 16
 # more each, but their first-element subtrees are less even, and
 # sweep_sequences(6, 2..5, 1..8), 9,464, still lost at 196 against 199 ms.
 _CHUNK = 16384
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on first use: the
+    import loads multiprocessing, about 20 ms of every process's start
+    (2 vCPUs, Python 3.11), and only a sweep of two or more processes
+    starts a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,8 @@ class CampaignReport:
 def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
     """One CSV row per (record, bound); bound columns empty when no floor
     applies (e.g. the degenerate full-length sequence threshold)."""
+    import csv  # only record runs write CSV; not loaded at start-up
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -515,18 +529,19 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         for k, n in subsets.items()
         for r in rs
     )
-    refuse_above(pairs, budget, f"sweep needs {pairs} instance-alpha pairs")
+    refuse_above(pairs, budget,
+                 f"sweep needs {numeral(pairs)} instance-alpha pairs")
     mults = [r or 1 for r in rs]
     kmax = max(walked, default=0)
     if oracle_check:
         # the oracle enumerates (r + 1)^k multiplicity vectors per instance
         vectors = sum(n * sum((m + 1) ** k for m in mults)
                       for k, n in subsets.items())
-        refuse_above(vectors, budget,
-                     f"oracle check needs {vectors} multiplicity vectors")
+        refuse_above(vectors, budget, f"oracle check needs "
+                     f"{numeral(vectors)} multiplicity vectors")
         most = (max(mults) + 1) ** kmax
         refuse_above(most, oracle.VECTOR_ENUM_MAX, f"oracle check needs "
-                     f"{most} multiplicity vectors for one instance")
+                     f"{numeral(most)} multiplicity vectors for one instance")
     # the walk offset, at least max(mults) * max|v| * kmax
     offset = max(mults) * kmax * max_abs
     _check_path_bits(kmax, mults, offset)
@@ -744,7 +759,8 @@ def empirical_minimum(
     count = comb(2 * max_abs + (zero_policy == "any"), size_k)
     if not count:
         raise ValueError("universe is empty; increase max_abs or lower k")
-    refuse_above(count, budget, f"minimum search needs {count} instances")
+    refuse_above(count, budget,
+                 f"minimum search needs {numeral(count)} instances")
     offset = k * max_abs
     _check_path_bits(size_k, [1], offset)
     values = range(-max_abs, max_abs + 1)

@@ -173,6 +173,24 @@ class TestSweep:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--max-abs", "1000000", "--k", "2000..2100"],
+        ["--max-abs", "10000", "--k", "20001", "--oracle"],
+    ])
+    def test_huge_count_exit_code(self, capsys, monkeypatch, argv):
+        # counts past the 4,300 digits Python prints are refused, not a
+        # ValueError from formatting the message
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(verifier, "_walk_unit", no_walk)
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert " needs about 10^" in err
+        assert err.endswith("; budget is 1000000\n")
+
     def test_bad_span(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-abs", "2", "--k", "4..2")
         assert code == EXIT_USAGE
@@ -491,6 +509,17 @@ class TestTopLevel:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout.splitlines()[0] == "sums: 0 1 2 3"
+
+    def test_cold_start_loads_no_pool_or_csv(self):
+        # the process pool and csv are imported where they are used: a
+        # CLI process that starts no pool and writes no CSV loads neither
+        code = ("import sys, subsums, subsums.cli; print(sorted(m for m in "
+                "('multiprocessing', 'concurrent.futures.process', 'csv') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_reader_closing_early_leaves_no_traceback(self):
         # about 220 kB of JSON, more than a pipe holds, so the write is

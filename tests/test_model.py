@@ -17,6 +17,7 @@ from subsums.model import (
     RepSequence,
     SumSet,
     classify,
+    numeral,
     parse_sequence,
     parse_set,
     refuse_above,
@@ -296,6 +297,16 @@ def test_refuse_above_admits_the_budget_itself():
     refuse_above(10, 10, "unused")
     with pytest.raises(BudgetExceeded, match=r"^run needs 11; budget is 10$"):
         refuse_above(11, 10, "run needs 11")
+
+
+def test_numeral_prints_every_count_python_prints():
+    # 4,300 digits, Python's default limit, still print in full, so every
+    # message that printed its count before keeps it byte for byte
+    assert numeral(1) == "1"
+    assert numeral(10**4300 - 1) == "9" * 4300
+    assert numeral(10**4300) == "about 10^4300"
+    assert numeral(3 * 10**6020) == "about 10^6020"
+    assert numeral(2**20001) == "about 10^6021"
 
 
 # Every up-front refusal of the package, each with the work it guards

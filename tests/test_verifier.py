@@ -265,6 +265,38 @@ class TestOracleBudget:
                             budget=vectors - 1)
 
 
+class TestHugeCounts:
+    """A count past the 4,300 digits Python prints is refused, and named
+    by its order of magnitude, before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(engine, "extend_suffixes", fail)
+        monkeypatch.setattr(verifier, "_walk_unit", fail)
+        monkeypatch.setattr(verifier, "_walk", fail)
+
+    @pytest.mark.parametrize("call, message", [
+        # C(2*10^6 + 1, 2000..2100) subsets, each with k + 1 alphas
+        (lambda: sweep_sets(10**6, range(2000, 2101)),
+         "sweep needs about 10^7168 instance-alpha pairs"),
+        # one 20,001-subset, within the pair budget, and its 2^20001
+        # multiplicity vectors
+        (lambda: sweep_sets(10**4, [20001], oracle_check=True),
+         "oracle check needs about 10^6021 multiplicity vectors"),
+        # C(2*10^6 + 1, 2100) subsets
+        (lambda: empirical_minimum(2100, 1, 10**6),
+         "minimum search needs about 10^7165 instances"),
+    ], ids=["sweep_pairs", "oracle_vectors", "empirical_minimum"])
+    def test_refused_before_any_work(self, no_work, call, message):
+        with pytest.raises(BudgetExceeded) as info:
+            call()
+        assert str(info.value) == (
+            f"{message}; budget is {verifier.DEFAULT_BUDGET}")
+
+
 class TestSizesAboveTheUniverse:
     """A size above the universe has no subsets, and the walk builds
     tables per size: it walks only the sizes that have some, while the
