@@ -187,17 +187,16 @@ def _cmd_sweep(args) -> int:
         if path is not None:
             _check_writable(path)
     common = dict(
+        oracle_check=args.oracle,
         workers=args.workers,
         budget=args.budget,
         collect_records=args.csv is not None,
     )
     if args.r is None:
-        report = verifier.sweep_sets(
-            args.max_abs, ks, "all", args.oracle, **common
-        )
+        report = verifier.sweep_sets(args.max_abs, ks, **common)
     else:
         report = verifier.sweep_sequences(
-            args.max_abs, ks, _parse_span(args.r), "all", args.oracle, **common
+            args.max_abs, ks, _parse_span(args.r), **common
         )
     if args.csv is not None:
         verifier.write_records_csv(report.records, args.csv)

@@ -30,7 +30,6 @@ MODES = (AT_LEAST, AT_MOST)
 UNRESTRICTED = "unrestricted"
 RESTRICTED = "restricted"
 GENERALIZED = "generalized"
-FOLD_KINDS = (UNRESTRICTED, RESTRICTED, GENERALIZED)
 
 
 # Count layers a DP may hold, in bits (2^30 bits is 128 MB).

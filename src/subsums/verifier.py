@@ -1,7 +1,7 @@
 """Exhaustive verification campaigns over bounded universes.
 
 A sweep checks every k-subset of [-max_abs, max_abs], crossed with a
-range of multiplicities r for sequences, at each alpha of the policy
+range of multiplicities r for sequences, at every alpha from 0 to r*k
 against every applicable floor. It tallies violations and tight floors
 and keeps the least size per (k, r, alpha) cell with example witnesses.
 Sets are r = 1 sequences marked r = None: set floors, and cells with no r.
@@ -54,7 +54,9 @@ process that starts no pool and writes no CSV loads neither. Work is
 refused up front, through `model.refuse_above`, when the pair count or,
 with the oracle, its vector count would exceed the budget (a count too
 long to print is named by `model.numeral`), and only the
-sizes that have subsets are walked. `fp` fills the same aggregate,
+sizes that have subsets are walked. The subset counts per size come
+from one multiplicative recurrence, so a span of many sizes is refused
+as fast as one. `fp` fills the same aggregate,
 its profiles keyed by subset size and its minima noted through
 `note_sizes`, and reports through the same `finish_report`.
 """
@@ -195,19 +197,17 @@ def new_aggregate() -> dict:
             "oracle_checked": 0}
 
 
-def note_minimum(minima: dict, key: tuple, size: int, witness: tuple,
-                 cap: int = WITNESS_CAP) -> int:
-    """Keep the least size seen for a minima cell and up to cap witnesses
-    attaining it, in the order seen; the first is kept whatever the cap.
-    Witnesses stay tuples of elements until the report formats them.
-    Returns the cell's admit threshold: a later witness is kept iff its
-    size is below it."""
+def note_minimum(minima: dict, key: tuple, size: int, witness: tuple) -> int:
+    """Keep the least size seen for a minima cell and up to WITNESS_CAP
+    witnesses attaining it, in the order seen. Witnesses stay tuples of
+    elements until the report formats them. Returns the cell's admit
+    threshold: a later witness is kept iff its size is below it."""
     cur = minima.get(key)
     if cur is None or size < cur[0]:
         minima[key] = cur = (size, [witness])
-    elif size == cur[0] and len(cur[1]) < cap:
+    elif size == cur[0] and len(cur[1]) < WITNESS_CAP:
         cur[1].append(witness)
-    return cur[0] + (len(cur[1]) < cap)
+    return cur[0] + (len(cur[1]) < WITNESS_CAP)
 
 
 def note_sizes(minima: dict, admit: list, k: int, r: int | None,
@@ -231,18 +231,6 @@ def _merge_aggs(dst: dict, src: dict) -> None:
             note_minimum(dst["minima"], key, size, witness)
     for k, recs in src["records"].items():
         dst["records"].setdefault(k, []).extend(recs)
-
-
-def _alphas(policy, total: int) -> Sequence[int]:
-    """The policy's alphas in [0, total], each once, in policy order: the
-    full range(total + 1) for "all"."""
-    if policy == "all":
-        return range(total + 1)
-    return list(dict.fromkeys(a for a in policy if 0 <= a <= total))
-
-
-def _policy_echo(policy) -> object:
-    return policy if policy == "all" else sorted(set(policy))
 
 
 # -- the depth-first walk ----------------------------------------------
@@ -363,41 +351,31 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
         descend((i,), root, (0, 0, 0, 0), 0)
 
 
-def _with_mirrors(wits: Sequence[tuple], cap: int) -> list[tuple]:
-    """The first cap of wits and their mirrors, ascending. If wits are the
-    first minimizers a mirror walk saw, up to cap, these are the first cap
-    of all minimizers: a canonical subset precedes its mirror, so each of
-    the first cap minimizers is among wits or is the mirror of one."""
+def _with_mirrors(wits: Sequence[tuple]) -> list[tuple]:
+    """The first WITNESS_CAP of wits and their mirrors, ascending. If wits
+    are the first minimizers a mirror walk saw, up to the cap, these are
+    the first WITNESS_CAP of all minimizers: a canonical subset precedes
+    its mirror, so each of them is among wits or is the mirror of one."""
     mirrors = (tuple(-x for x in reversed(w)) for w in wits)
-    return sorted(set(wits).union(mirrors))[:cap]
+    return sorted(set(wits).union(mirrors))[:WITNESS_CAP]
 
 
-def _shape_rows(shape: tuple, r: int | None, policy) -> tuple:
-    """Floors of a shape at r (None for a set) as vectors over alpha =
-    0 .. r*k: the checks per instance, the greatest floor per alpha
-    (`top`) and per theorem (theorem_id, floor per alpha). Entries are 0
-    where no floor applies or the policy skips the alpha; sizes are at
-    least 1, so a 0 is never tight and never violated. Each vector is a
-    row of `shape_floor_rows`, filled block by block, its None entry made
-    0; under "all" it is the row as it stands."""
-    total = (shape[0] + shape[1] + shape[2]) * (r or 1)
-    alphas = _alphas(policy, total)
-    # a sequence's degenerate alpha, r*k, has no floor
-    per_row = len(alphas) - (r is not None and total in alphas)
-    checks, vecs = 0, []
-    for theorem_id, row in shape_floor_rows(*shape, r):
-        if r is not None:
+def _shape_rows(r: int | None, shape: tuple) -> tuple:
+    """Floors of a shape at r (None for a set) as vectors over every
+    alpha, 0 .. r*k: the checks per instance, the greatest floor per
+    alpha (`top`) and per theorem (theorem_id, floor per alpha). Each
+    vector is a row of `shape_floor_rows`, filled block by block, its
+    None entry, a sequence's degenerate alpha r*k, made 0; sizes are at
+    least 1, so a 0 is never tight and never violated."""
+    vecs = shape_floor_rows(*shape, r)
+    # floors per row: every alpha of a set, all but r*k of a sequence
+    per_row = (shape[0] + shape[1] + shape[2]) * (r or 1) + (r is None)
+    if r is not None:
+        for _, row in vecs:
             row[-1] = 0
-        vec = row
-        if policy != "all":
-            vec = [0] * (total + 1)
-            for alpha in alphas:
-                vec[alpha] = row[alpha]
-        checks += per_row
-        vecs.append((theorem_id, vec))
     # no floors: zip() is empty, and so is top
     top = list(map(max, zip(*(vec for _, vec in vecs))))
-    return checks, top, vecs
+    return per_row * len(vecs), top, vecs
 
 
 def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
@@ -422,19 +400,15 @@ def _walk_unit(payload) -> dict:
     weights count mirror pairs twice and its minima hold only canonical
     witnesses. A witness tuple is built only below its cell's admit
     threshold."""
-    values, firsts, ks, rs, policy, use_oracle, collect, offset = payload
+    values, firsts, ks, rs, use_oracle, collect, offset = payload
     mults = [r or 1 for r in rs]
     agg = new_aggregate()
     minima, profiles, by_k = agg["minima"], agg["profiles"], agg["records"]
     # admits[k][i][alpha]: a size at (k, rs[i], alpha) must be below it
-    # to reach note_minimum; alphas outside the policy are never admitted
+    # to reach note_minimum
     admits = [[] for _ in range(max(ks) + 1)]
     for k in ks:
-        for r in rs:
-            admit = [0] * (k * (r or 1) + 1)
-            for alpha in _alphas(policy, len(admit) - 1):
-                admit[alpha] = inf
-            admits[k].append(admit)
+        admits[k] = [[inf] * (k * m + 1) for m in mults]
 
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
@@ -455,15 +429,14 @@ def _walk_unit(payload) -> dict:
         for r, suffix in zip(rs, suffix_sets):
             if use_oracle:
                 expected = _oracle_suffixes(chosen, r)
-                alphas = _alphas(policy, len(suffix) - 1)
-                for alpha in alphas:
-                    decoded = SumSet.from_bitmap(suffix[alpha], offset).sums
+                for alpha, union in enumerate(suffix):
+                    decoded = SumSet.from_bitmap(union, offset).sums
                     if decoded != expected[alpha]:
                         where = literal(chosen) + (f" r={r}" if r else "")
                         raise RuntimeError(
                             f"engine/oracle mismatch on {where} alpha={alpha}"
                         )
-                agg["oracle_checked"] += len(alphas)
+                agg["oracle_checked"] += len(suffix)
             if collect:
                 by_k.setdefault(len(chosen), []).append(
                     (tuple(chosen), r, shape, tuple(map(int.bit_count, suffix))))
@@ -505,8 +478,20 @@ def _span(values: Iterable[int], name: str) -> list[int]:
     return out
 
 
+def _subset_counts(n: int, ks: Sequence[int]) -> dict[int, int]:
+    """C(n, k) for each k of the ascending ks, by the exact recurrence
+    C(n, j + 1) = C(n, j)*(n - j)/(j + 1): one product per size up to
+    max(ks), where a comb() call per size is quadratic in a long span."""
+    counts, ways, below = {}, 1, 0
+    for k in ks:
+        for j in range(below, k):
+            ways = ways * (n - j) // (j + 1)
+        counts[k], below = ways, k
+    return counts
+
+
 def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
-           r_range: Iterable[int] | None, alpha_policy, oracle_check: bool,
+           r_range: Iterable[int] | None, oracle_check: bool,
            workers: int, budget: int, collect_records: bool
            ) -> CampaignReport:
     """One campaign over all base k-subsets of [-max_abs, max_abs] crossed
@@ -522,16 +507,12 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # a size above the universe has no subsets, so it adds no work and the
     # walk, which builds per-size tables, skips it; the report echoes ks
     walked = [k for k in ks if k <= len(values)]
-    subsets = {k: comb(len(values), k) for k in walked}
-    # an instance is walked even where the policy selects no alpha
-    pairs = sum(
-        n * max(len(_alphas(alpha_policy, k * (r or 1))), 1)
-        for k, n in subsets.items()
-        for r in rs
-    )
+    subsets = _subset_counts(len(values), walked)
+    mults = [r or 1 for r in rs]
+    # an instance (k-subset, m) has alphas 0 .. m*k
+    pairs = sum(n * (k * sum(mults) + len(mults)) for k, n in subsets.items())
     refuse_above(pairs, budget,
                  f"sweep needs {numeral(pairs)} instance-alpha pairs")
-    mults = [r or 1 for r in rs]
     kmax = max(walked, default=0)
     if oracle_check:
         # the oracle enumerates (r + 1)^k multiplicity vectors per instance
@@ -553,7 +534,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
-    common = (walked, rs, alpha_policy, oracle_check, collect_records, offset)
+    common = (walked, rs, oracle_check, collect_records, offset)
     if not walked:
         agg = new_aggregate()
     elif procs <= 1:
@@ -574,7 +555,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         if out is None:
             out = lists[wits] = [
                 literals.get(w) or literals.setdefault(w, literal(w))
-                for w in (_with_mirrors(wits, WITNESS_CAP) if mirror else wits)]
+                for w in (_with_mirrors(wits) if mirror else wits)]
         agg["minima"][key] = size, out[:]
     # each (r, shape, alpha) takes its BoundResults once per sweep, from
     # the walk's shape, and each (r, shape, alpha, size) its checks and
@@ -588,7 +569,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             if per_alpha is None:
                 per_alpha = floors[r, shape] = [
                     (alpha, tuple(shape_bounds(*shape, r, alpha)), {})
-                    for alpha in _alphas(alpha_policy, len(sizes) - 1)]
+                    for alpha in range(len(sizes))]
             name = literals.get(chosen) or literals.setdefault(
                 chosen, literal(chosen))
             for alpha, bounds, by_size in per_alpha:
@@ -604,66 +585,64 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs
-    universe["alpha_policy"] = _policy_echo(alpha_policy)
+    universe["alpha_policy"] = "all"
     universe["oracle"] = oracle_check
-    return finish_report(universe, agg,
-                         lambda r, shape: _shape_rows(shape, r, alpha_policy),
-                         started)
+    return finish_report(universe, agg, _shape_rows, started)
 
 
 def sweep_sets(
     max_abs: int,
     k_range: Iterable[int],
-    alpha_policy="all",
-    oracle_check: bool = False,
     *,
+    oracle_check: bool = False,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     collect_records: bool = False,
 ) -> CampaignReport:
-    """Verify every floor over all k-subsets of [-max_abs, max_abs].
+    """Verify every floor over all k-subsets of [-max_abs, max_abs], at
+    every alpha from 0 to k.
 
-    Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one; with
-    oracle_check, when the oracle's 2^k multiplicity vectors per subset
-    exceed budget in all or `oracle.VECTOR_ENUM_MAX` for one; or when
-    the walk's deepest path may hold more than LAYER_BITS_BUDGET bits of
-    suffix unions (`_check_path_bits`). The count bounds the work: the
+    Refused up front with BudgetExceeded when the instance-alpha pairs,
+    k + 1 per k-subset, exceed budget; with oracle_check, when the
+    oracle's 2^k multiplicity vectors per subset exceed budget in all or
+    `oracle.VECTOR_ENUM_MAX` for one; or when the walk's deepest path may
+    hold more than LAYER_BITS_BUDGET bits of suffix unions
+    (`_check_path_bits`). The count bounds the work: the
     walk offset is k_max*max_abs, so a k-subset's k + 1 suffix
     unions hold at most (k + 1)*((k_max + k)*max_abs + 1) bits, built by
     one insertion from its parent's, and only the current path's unions
     are kept."""
-    return _sweep("sets", max_abs, k_range, None, alpha_policy, oracle_check,
-                  workers, budget, collect_records)
+    return _sweep("sets", max_abs, k_range, None, oracle_check, workers,
+                  budget, collect_records)
 
 
 def sweep_sequences(
     max_abs: int,
     k_range: Iterable[int],
     r_range: Iterable[int],
-    alpha_policy="all",
-    oracle_check: bool = False,
     *,
+    oracle_check: bool = False,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     collect_records: bool = False,
 ) -> CampaignReport:
     """Verify every floor over all base k-subsets of [-max_abs, max_abs]
-    crossed with every multiplicity in r_range.
+    crossed with every multiplicity in r_range, at every alpha from 0 to
+    r*k.
 
-    Refused up front with BudgetExceeded when the instance-alpha pairs
-    exceed budget, an instance with no policy alpha counting as one; with
-    oracle_check, when the oracle's (r + 1)^k multiplicity vectors per
-    instance exceed budget in all or `oracle.VECTOR_ENUM_MAX` for one; or
-    when the walk's deepest path may hold more than LAYER_BITS_BUDGET
-    bits of suffix unions (`_check_path_bits`). The count bounds the
+    Refused up front with BudgetExceeded when the instance-alpha pairs,
+    r*k + 1 per instance (k-subset, r), exceed budget; with oracle_check,
+    when the oracle's (r + 1)^k multiplicity vectors per instance exceed
+    budget in all or `oracle.VECTOR_ENUM_MAX` for one; or when the walk's
+    deepest path may hold more than LAYER_BITS_BUDGET bits of suffix
+    unions (`_check_path_bits`). The count bounds the
     work: the walk offset is r_max*k_max*max_abs, so an instance
     (k-subset, r) has r*k + 1 suffix unions of at most
     (r*k + 1)*((r_max*k_max + r*k)*max_abs + 1) bits in all, built by one
     insertion of r copies from its parent's, and only the current path's
     unions are kept."""
-    return _sweep("sequences", max_abs, k_range, r_range, alpha_policy,
-                  oracle_check, workers, budget, collect_records)
+    return _sweep("sequences", max_abs, k_range, r_range, oracle_check,
+                  workers, budget, collect_records)
 
 
 def finish_report(universe: dict, agg: dict, rows: Callable,
@@ -674,10 +653,11 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
     weighted by the instances it stands for. A pair violates when its
     size is below the greatest floor, and a theorem is tight where its
     floor equals the size; tight_by_theorem names only theorems with a
-    hit. Sweeps pass `_shape_rows` at their policy, and `fp` its sizes'
-    prime-field floors, shape being the subset size. Minima cells come in
-    key order, each with an r field only when its key has one; elapsed
-    time since `started` (a perf_counter reading); records k by k."""
+    hit. Sweeps pass `_shape_rows`, every alpha's floors, and `fp` its
+    sizes' prime-field floors, shape being the subset size. Minima cells
+    come in key order, each with an r field only when its key has one;
+    elapsed time since `started` (a perf_counter reading); records k by
+    k."""
     table: dict[tuple, tuple] = {}
     tight: Counter = Counter()
     checks = violations = 0
@@ -722,10 +702,10 @@ def empirical_minimum(
     zero_policy: str = "any",
     *,
     budget: int = DEFAULT_BUDGET,
-    witness_cap: int = WITNESS_CAP,
 ) -> tuple[int, list[IntegerSet]]:
     """Smallest thresholded-sum-set size over all k-subsets of
-    [-max_abs, max_abs], with up to witness_cap minimizing sets.
+    [-max_abs, max_abs], with the first WITNESS_CAP minimizing sets in
+    combinations order.
 
     zero_policy "require" keeps only subsets containing zero, "forbid"
     only those avoiding it, "any" all of them.
@@ -770,17 +750,16 @@ def empirical_minimum(
     admit = inf
     zeros = (0,) if size_k < k else ()
 
-    # every policy's universe is closed under negation, so the mirror walk
-    # sees each minimizer or its mirror
+    # each zero_policy's universe is closed under negation, so the mirror
+    # walk sees each minimizer or its mirror
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
         nonlocal admit
         size = suffix_sets[0][low].bit_count()
         if size < admit:
             admit = note_minimum(minima, None, size,
-                                 tuple(sorted((*chosen, *zeros))), witness_cap)
+                                 tuple(sorted((*chosen, *zeros))))
 
     _walk(values, range(len(values)), [size_k], [1], offset, visit, True)
     best, wits = minima[None]
-    # the first minimizer is kept whatever the cap
-    return best, [IntegerSet(w) for w in _with_mirrors(wits, max(witness_cap, 1))]
+    return best, [IntegerSet(w) for w in _with_mirrors(wits)]

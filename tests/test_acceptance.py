@@ -100,7 +100,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_set_bound_soundness():
     def body():
-        rep = sweep_sets(6, range(2, 6), "all", False)
+        rep = sweep_sets(6, range(2, 6))
         assert rep.violations == 0, f"{rep.violations} violations"
         assert rep.instances == 2366
         assert rep.elapsed_ms < 120_000
@@ -114,7 +114,7 @@ def test_criterion_2_set_bound_soundness():
 
 def test_criterion_3_sequence_bound_soundness():
     def body():
-        rep = sweep_sequences(3, range(2, 5), range(2, 4), "all")
+        rep = sweep_sequences(3, range(2, 5), range(2, 4))
         assert rep.violations == 0, f"{rep.violations} violations"
         assert rep.instances == 182
         assert rep.elapsed_ms < 300_000

@@ -7,8 +7,10 @@ before the prime-field verifier moved onto cyclic count layers, p = 17
 to 23 before it walked only the canonical half of the A <-> -A mirror,
 the floor grid before the ten closed forms were derived from two shared
 expressions, the mirror-walk sweeps before their floors were resolved
-as per-theorem rows over alpha, the list-policy and long-block record
-CSVs before record runs took their floors from the walk's sign shape);
+as per-theorem rows over alpha, the long-block record CSV before record
+runs took their floors from the walk's sign shape, the mirror walk over
+[-3, 3] at r = 1..6 and the two small record CSVs at every alpha before
+sweeps lost their list alpha policies, at commit 13a9477);
 any change to a report body (every field but elapsed_ms),
 to the CSV bytes or to one floor's JSON fails here, so refactors of the
 engine, verifier, fp or bounds must reproduce them exactly.
@@ -60,31 +62,31 @@ def test_sequence_sweep(tmp_path):
 
 def test_mirror_walk_sweeps():
     # the mirror walk, with profile tallies and mirrored witnesses: the
-    # perfbench sweep digests, and a list policy that skips alphas
+    # perfbench sweep digests, and a universe of six multiplicities
     assert report_digest(sweep_sets(8, range(2, 7))) == (
         "d8160b708bec6bcdfa1079a2d1ebe0bb6de9ebd645570c8cdde390c898a04697"
     )
     assert report_digest(sweep_sequences(4, range(2, 5), range(1, 13))) == (
         "a6899bccbce013504bc77759a00b01c8b1940820d71f8c1668a056f75afe9a68"
     )
-    rep = sweep_sequences(3, range(1, 5), range(1, 7), [0, 2, 7])
+    rep = sweep_sequences(3, range(1, 5), range(1, 7))
     assert report_digest(rep) == (
-        "79c6a61a6023cab177426277ca1506259bff0c1f4d954e9e6a1945f241049dd4"
+        "ab1e5d66c452ca1c12159cb344ce37be0f4cec69878baf71d3894683236987b9"
     )
 
 
 @pytest.mark.parametrize("sweep, digest", [
-    # list policies that skip alphas; 7 is past the top of small instances
-    (lambda: sweep_sequences(3, range(1, 5), range(1, 7), [0, 2, 7],
+    # every alpha of every instance, alpha = r*k rows without floors
+    (lambda: sweep_sequences(3, range(1, 5), range(1, 7),
                              collect_records=True),
-     "973f62e1b36013e3887b017c8a43831781118ae1240c1898ce651e7a8f1f5cb9"),
-    (lambda: sweep_sets(3, range(1, 6), [0, 2, 7], collect_records=True),
-     "8dd53087923363fb064ac4b5cbad0402d908795ae8501b2425895918047db7dc"),
+     "9a6abc7dd6acdea1e517d8cdaf0cd832673d7e8949722691ee92675d58581798"),
+    (lambda: sweep_sets(3, range(1, 6), collect_records=True),
+     "9a58876a7c49d606cff0b50e8b0343b0a9114472d5809f5060b496f951065f79"),
     # blocks of up to 12 alphas
     (lambda: sweep_sequences(2, range(1, 4), range(1, 13),
                              collect_records=True),
      "40d8e48bfa4104bcc3138a20cf25cdc6510d3fcb8d20d1546d1cf1f40345361d"),
-], ids=["sequences-list-policy", "sets-list-policy", "sequences-long-blocks"])
+], ids=["sequences-six-r", "sets", "sequences-long-blocks"])
 def test_record_csvs(sweep, digest, tmp_path):
     assert csv_digest(sweep(), tmp_path) == digest
 

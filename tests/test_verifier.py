@@ -6,6 +6,8 @@ import functools
 import hashlib
 import itertools
 import json
+import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -56,33 +58,13 @@ class TestSetSweep:
         assert by_alpha[2]["size"] == 1
         assert by_alpha[2]["witnesses"] == ["{-1,0}", "{-1,1}", "{0,1}"]
 
-    def test_alpha_policy_list(self):
-        rep = sweep_sets(1, [2], alpha_policy=[0, 2])
-        # three instances, two thresholds each
-        assert {cell["alpha"] for cell in rep.minima} == {0, 2}
-
-    def test_repeated_policy_alpha_counts_once(self):
-        # the universe echoes the policy as a set, and so do the counts,
-        # minima and records
-        once = sweep_sets(2, [2, 3], alpha_policy=[0, 2],
-                          collect_records=True)
-        twice = sweep_sets(2, [2, 3], alpha_policy=[2, 0, 2, 2],
-                           collect_records=True)
-        a, b = once.to_json(), twice.to_json()
-        a.pop("elapsed_ms")
-        b.pop("elapsed_ms")
-        assert a == b
-        assert len(twice.records) == 2 * twice.instances
-
-    def test_budget_counts_instances_without_policy_alphas(self):
-        # every instance is walked, whether or not the policy selects
-        # one of its alphas
-        with pytest.raises(BudgetExceeded, match="needs 10 instance-alpha"):
-            sweep_sets(2, [2], alpha_policy=[], budget=9)
-        with pytest.raises(BudgetExceeded, match="needs 10 instance-alpha"):
-            sweep_sets(2, [2], alpha_policy=[7], budget=9)
-        rep = sweep_sets(2, [2], alpha_policy=[], budget=10)
-        assert (rep.instances, rep.checks, rep.minima) == (10, 0, [])
+    def test_options_are_keywords(self):
+        # an old positional alpha policy or oracle flag is an error, not
+        # a run with the oracle switched on
+        with pytest.raises(TypeError):
+            sweep_sequences(1, [2], [1], "all")
+        with pytest.raises(TypeError):
+            sweep_sets(1, [2], "all", True)
 
     def test_rejects_bad_k_range(self):
         with pytest.raises(ValueError):
@@ -296,6 +278,28 @@ class TestHugeCounts:
         assert str(info.value) == (
             f"{message}; budget is {verifier.DEFAULT_BUDGET}")
 
+    @pytest.mark.parametrize("max_abs, ks, count", [
+        # a count of 3,015 digits, printed in full
+        (5000, range(1, 10002), "[0-9]{3015}"),
+        (20000, range(1, 40002), r"about 10\^12046"),
+    ], ids=["10001_sizes", "40001_sizes"])
+    def test_long_span_refused_fast(self, no_work, max_abs, ks, count):
+        # every size up to the whole universe: a comb() call per size
+        # took 10 s on the shorter span and over 20 s on the longer
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match=f"^sweep needs {count} instance-alpha pairs; "
+                                 f"budget is {verifier.DEFAULT_BUDGET}$"):
+            sweep_sets(max_abs, ks)
+        assert time.perf_counter() - started < 5
+
+    def test_subset_counts_are_binomials(self):
+        # every size, the sizes past n, and a sparse span
+        for n in range(12):
+            for ks in (range(n + 3), [1, 3, 4, 9], [n]):
+                assert verifier._subset_counts(n, ks) == {
+                    k: math.comb(n, k) for k in ks}
+
 
 class TestSizesAboveTheUniverse:
     """A size above the universe has no subsets, and the walk builds
@@ -322,18 +326,21 @@ class TestSizesAboveTheUniverse:
             "1813f9329cc75445ea44afaaf6e6bd7a87b9f638dc3a342104b21e16a45adc8f")
 
     def test_per_size_work_sees_only_sizes_with_subsets(self, monkeypatch):
-        # the pair budget, the pool count and the walk read the alphas of
-        # each (k, r); a 3-value universe asks for none above k = 3
-        totals = []
-        real = verifier._alphas
+        # the pair budget and the pool count read the subset count of
+        # each size; a 3-value universe asks for none above k = 3
+        asked = []
+        real = verifier._subset_counts
 
-        def recording(policy, total):
-            totals.append(total)
-            return real(policy, total)
+        def recording(n, ks):
+            asked.append((n, list(ks)))
+            return real(n, ks)
 
-        monkeypatch.setattr(verifier, "_alphas", recording)
-        sweep_sequences(1, range(1, 5001), [1, 2], [0, 1, 9])
-        assert totals and max(totals) == 3 * 2
+        monkeypatch.setattr(verifier, "_subset_counts", recording)
+        # C(3, k) subsets of k*(1 + 2) + 2 pairs each: 15 + 24 + 11
+        with pytest.raises(BudgetExceeded,
+                           match="^sweep needs 50 instance-alpha pairs"):
+            sweep_sequences(1, range(1, 5001), [1, 2], budget=49)
+        assert asked == [(3, [1, 2, 3])]
 
     def test_no_size_left_walks_nothing(self, monkeypatch):
         monkeypatch.setattr(verifier, "_walk_unit", None)
@@ -387,9 +394,9 @@ class TestRecordsAcrossWorkers:
         assert blobs[0] == blobs[1]
 
 
-def brute_force(max_abs, ks, rs, policy="all"):
+def brute_force(max_abs, ks, rs):
     """Minima cells, record keys and report counts of a sweep, recomputed
-    per (instance, r, policy alpha): itertools.combinations, then
+    per (instance, r, alpha): itertools.combinations, then
     engine.sigma_size against applicable_bounds."""
     minima, keys = {}, []
     counts = {"instances": 0, "checks": 0, "violations": 0,
@@ -403,8 +410,6 @@ def brute_force(max_abs, ks, rs, policy="all"):
                 seq = RepSequence(base, r or 1)
                 counts["instances"] += 1
                 for alpha in range(seq.length + 1):
-                    if policy != "all" and alpha not in policy:
-                        continue
                     keys.append((literal, r, alpha))
                     size = engine.sigma_size(seq, alpha)
                     floors = applicable_bounds(base if r is None else seq,
@@ -451,25 +456,24 @@ class TestAgainstBruteForce:
             _RecordingPool.sizes = []
         return request.param
 
-    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
     @pytest.mark.parametrize("kind", ["sets", "sequences"])
-    def test_mirror_walk_equals_full_walk(self, kind, policy, workers):
+    def test_mirror_walk_equals_full_walk(self, kind, workers):
         # without records the walk visits only A <=lex -A and weights it;
         # the report, witness order included, is the full walk's, and its
         # counts and tight floors, resolved per size profile, are those
         # of a per-instance dispatch
         if kind == "sets":
             max_abs, ks, rs = 3, range(1, 6), [None]
-            run = functools.partial(sweep_sets, max_abs, ks, policy)
+            run = functools.partial(sweep_sets, max_abs, ks)
         else:
             max_abs, ks, rs = 2, range(1, 4), range(1, 5)
-            run = functools.partial(sweep_sequences, max_abs, ks, rs, policy)
+            run = functools.partial(sweep_sequences, max_abs, ks, rs)
         half = run(workers=workers).to_json()
         full = run(workers=workers, collect_records=True).to_json()
         half.pop("elapsed_ms")
         full.pop("elapsed_ms")
         assert half == full
-        cells, _, tallies = brute_force(max_abs, ks, rs, policy)
+        cells, _, tallies = brute_force(max_abs, ks, rs)
         assert half["minima"] == cells
         for rep in (half, full):
             assert rep["counts"] == tallies["counts"]
@@ -754,7 +758,7 @@ class TestWorkerCount:
         reps, counts = [], []
         for workers in (1, 2):
             calls.clear()
-            reps.append(sweep_sequences(3, range(1, 4), range(1, 3), [0, 2, 4],
+            reps.append(sweep_sequences(3, range(1, 4), range(1, 3),
                                         workers=workers, collect_records=True))
             assert len(calls) == len(set(calls))
             counts.append(len(calls))
@@ -813,16 +817,14 @@ class TestFloorTable:
             monkeypatch.setattr(verifier, "_CHUNK", 32)
         return request.param
 
-    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
-    def test_sets(self, policy, workers):
-        rep = sweep_sets(3, range(1, 6), policy, workers=workers,
+    def test_sets(self, workers):
+        rep = sweep_sets(3, range(1, 6), workers=workers,
                          collect_records=True)
         assert rep.instances == 119
         _assert_records_match_dispatch(rep, lambda rec: parse_set(rec.instance))
 
-    @pytest.mark.parametrize("policy", ["all", [0, 2, 7]])
-    def test_sequences(self, policy, workers):
-        rep = sweep_sequences(2, range(1, 4), range(1, 4), policy,
+    def test_sequences(self, workers):
+        rep = sweep_sequences(2, range(1, 4), range(1, 4),
                               workers=workers, collect_records=True)
         assert rep.instances == 75
         _assert_records_match_dispatch(
@@ -830,14 +832,14 @@ class TestFloorTable:
         )
 
 
-def _reference_resolve(profiles, policy):
+def _reference_resolve(profiles):
     """Counts and tight floors of sweep profiles, pair by pair: each
-    policy alpha of each profile against the one-alpha dispatch, whose
-    floors the public constructors build at that alpha alone."""
+    alpha of each profile against the one-alpha dispatch, whose floors
+    the public constructors build at that alpha alone."""
     tight = Counter()
     checks = violations = 0
     for (r, shape, sizes), weight in profiles.items():
-        for alpha in verifier._alphas(policy, len(sizes) - 1):
+        for alpha in range(len(sizes)):
             pairs = [(b.value, b.theorem_id)
                      for b in shape_bounds(*shape, r, alpha)]
             checks += len(pairs) * weight
@@ -877,24 +879,18 @@ class TestResolveProfiles:
     per-profile vectors, equal a pair-by-pair reference."""
 
     @settings(max_examples=200, deadline=None)
-    @given(profiles=sweep_profiles(),
-           policy=st.one_of(st.just("all"),
-                            st.lists(st.integers(-2, 14), max_size=6)))
+    @given(profiles=sweep_profiles())
     # a set of two, T2_1 tight at every alpha: size 1 at alpha = k,
     # where C2_5 is 0
-    @example(profiles=Counter({(None, (0, 2, 0, 0), (4, 3, 1)): 2}),
-             policy="all")
+    @example(profiles=Counter({(None, (0, 2, 0, 0), (4, 3, 1)): 2}))
     # T2_3 violated at alphas 2 and 3, tight at 4; C2_5 tight at 2 and
-    # 3 (value 1), -3 at 4; the policy skips 0 and 1 and names 9
-    @example(profiles=Counter({(None, (2, 2, 0, 1), (9, 7, 4, 1, 1)): 1}),
-             policy=[4, 3, 2, 9])
-    def test_equals_pair_loop(self, profiles, policy):
+    # 3 (value 1), -3 at 4
+    @example(profiles=Counter({(None, (2, 2, 0, 1), (9, 7, 4, 1, 1)): 1}))
+    def test_equals_pair_loop(self, profiles):
         agg = verifier.new_aggregate()
         agg["profiles"].update(profiles)
-        rep = verifier.finish_report(
-            {}, agg, lambda r, shape: verifier._shape_rows(shape, r, policy),
-            0.0)
-        checks, violations, tight = _reference_resolve(profiles, policy)
+        rep = verifier.finish_report({}, agg, verifier._shape_rows, 0.0)
+        checks, violations, tight = _reference_resolve(profiles)
         assert rep.instances == sum(profiles.values())
         assert (rep.checks, rep.violations) == (checks, violations)
         assert rep.tight_by_theorem == tight
@@ -1015,17 +1011,13 @@ class TestEmpiricalMinimum:
         assert all(0 in w.elements for w in wits)
         assert [w.elements for w in wits] == [(-2, 0), (-1, 0), (0, 1), (0, 2)]
 
-    def test_witness_cap(self):
-        best, wits = empirical_minimum(2, 2, 2, "any", witness_cap=3)
-        assert best == 1
-        assert len(wits) == 3
-
     @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
     def test_matches_brute_force(self, policy):
         keep = {"any": lambda c: True, "require": lambda c: 0 in c,
                 "forbid": lambda c: 0 not in c}[policy]
-        # max_abs up to 5, so some cells have more than 17 canonical
-        # minimizers and a cap above WITNESS_CAP must reach the walk
+        # max_abs up to 5, so some cells have more than WITNESS_CAP
+        # minimizers and the cap cuts their lists
+        capped = 0
         for max_abs in range(6):
             for k in range(1, 5):
                 combos = [c for c in itertools.combinations(
@@ -1039,13 +1031,13 @@ class TestEmpiricalMinimum:
                              for c in combos]
                     best = min(sizes)
                     wits = [c for c, n in zip(combos, sizes) if n == best]
-                    # the first minimizer is kept whatever the cap
-                    for cap in (0, 1, 5, 16, 17):
-                        got, got_wits = empirical_minimum(
-                            k, alpha, max_abs, policy, witness_cap=cap)
-                        assert got == best, (max_abs, k, alpha)
-                        assert ([w.elements for w in got_wits]
-                                == wits[:max(cap, 1)]), (max_abs, k, alpha, cap)
+                    capped += len(wits) > WITNESS_CAP
+                    got, got_wits = empirical_minimum(k, alpha, max_abs,
+                                                      policy)
+                    assert got == best, (max_abs, k, alpha)
+                    assert ([w.elements for w in got_wits]
+                            == wits[:WITNESS_CAP]), (max_abs, k, alpha)
+        assert capped
 
     @pytest.mark.parametrize("policy", ["any", "require", "forbid"])
     def test_mirror_walk_matches_combinations(self, policy):
