@@ -58,6 +58,16 @@ class TestSetSweep:
         assert by_alpha[2]["size"] == 1
         assert by_alpha[2]["witnesses"] == ["{-1,0}", "{-1,1}", "{0,1}"]
 
+    def test_every_alpha_is_checked(self):
+        # the universe still names the policy, and each instance of r*k
+        # elements has a record and a minima cell at alphas 0..r*k
+        rep = sweep_sequences(1, [2], [1, 2], collect_records=True)
+        assert rep.universe["alpha_policy"] == "all"
+        assert len(rep.records) == 3 * (3 + 5)
+        assert [(c["r"], c["alpha"]) for c in rep.minima] == (
+            [(1, alpha) for alpha in range(3)]
+            + [(2, alpha) for alpha in range(5)])
+
     def test_options_are_keywords(self):
         # an old positional alpha policy or oracle flag is an error, not
         # a run with the oracle switched on
@@ -456,17 +466,25 @@ class TestAgainstBruteForce:
             _RecordingPool.sizes = []
         return request.param
 
-    @pytest.mark.parametrize("kind", ["sets", "sequences"])
+    # (max_abs, ks, rs); the last two start above k = 1 and r = 1 and
+    # name one size past the universe
+    UNIVERSES = {
+        "sets": (3, range(1, 6), [None]),
+        "sequences": (2, range(1, 4), range(1, 5)),
+        "sets-past-the-universe": (3, range(3, 9), [None]),
+        "sequences-past-the-universe": (2, range(3, 7), range(2, 6)),
+    }
+
+    @pytest.mark.parametrize("kind", list(UNIVERSES))
     def test_mirror_walk_equals_full_walk(self, kind, workers):
         # without records the walk visits only A <=lex -A and weights it;
         # the report, witness order included, is the full walk's, and its
         # counts and tight floors, resolved per size profile, are those
         # of a per-instance dispatch
-        if kind == "sets":
-            max_abs, ks, rs = 3, range(1, 6), [None]
+        max_abs, ks, rs = self.UNIVERSES[kind]
+        if rs == [None]:
             run = functools.partial(sweep_sets, max_abs, ks)
         else:
-            max_abs, ks, rs = 2, range(1, 4), range(1, 5)
             run = functools.partial(sweep_sequences, max_abs, ks, rs)
         half = run(workers=workers).to_json()
         full = run(workers=workers, collect_records=True).to_json()
@@ -827,6 +845,22 @@ class TestFloorTable:
         rep = sweep_sequences(2, range(1, 4), range(1, 4),
                               workers=workers, collect_records=True)
         assert rep.instances == 75
+        _assert_records_match_dispatch(
+            rep, lambda rec: parse_sequence(rec.instance, rec.r)
+        )
+
+    # sizes from k = 3 and r = 2, one past the universe: C(7, 3..7)
+    # sets, and C(5, 3..5) subsets at four r
+    def test_sets_past_the_universe(self, workers):
+        rep = sweep_sets(3, range(3, 9), workers=workers,
+                         collect_records=True)
+        assert rep.instances == 99
+        _assert_records_match_dispatch(rep, lambda rec: parse_set(rec.instance))
+
+    def test_sequences_past_the_universe(self, workers):
+        rep = sweep_sequences(2, range(3, 7), range(2, 6),
+                              workers=workers, collect_records=True)
+        assert rep.instances == 64
         _assert_records_match_dispatch(
             rep, lambda rec: parse_sequence(rec.instance, rec.r)
         )
