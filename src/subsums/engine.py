@@ -6,12 +6,13 @@ set-valued entry points wrap their argument at r = 1.
 
 Representation: one arbitrary-precision integer per count layer. Bit
 (s + offset) of layer c is set iff sum s is achievable by choosing
-exactly c terms. `extend_layers` is the DP's insertion: r copies of a
-term x go in as binary parts 1, 2, 4, ..., rest, each one top-down
-shift-or pass over the layers, so bit_length(r) passes per term.
-`sequence_layers` folds it over the sorted base, r copies each, up to
-the top layer its caller reads (one bottom-up pass per term when
-r >= top). The verifier's sweep walk reads only at-least windows, so
+exactly c terms. `extend_layers` is the DP's one insertion, cut at the
+top layer its caller reads: r copies of a term x go in as binary parts
+1, 2, 4, ..., rest, each one top-down shift-or pass over layers 0..top,
+so bit_length(r) passes per term, or as one bottom-up pass when
+r >= top, where the multiplicity cap cannot bind. `sequence_layers`
+folds it over the sorted base, r copies each, and no layer above top is
+built. The verifier's sweep walk reads only at-least windows, so
 it carries suffix unions (union c holds the sums of at least c terms)
 and extends a parent's with `extend_suffixes`, the same insertion on
 unions, at an offset that covers every instance of the walk.
@@ -57,38 +58,50 @@ from .model import (
 )
 
 
-def extend_layers(layers: list[int], x: int, copies: int) -> list[int]:
-    """A new list of count layers: these plus `copies` copies of term x.
-    Every layer must be nonempty, and the offset must already cover any
-    negative sum the new terms reach.
+def extend_layers(
+    layers: list[int], x: int, copies: int, top: int
+) -> list[int]:
+    """A new list of count layers, cut at `top`: layers 0..top of these
+    plus `copies` copies of term x, and none above top is built. Every
+    layer must be nonempty, and the offset must already cover any
+    negative sum the new terms reach in layers 0..top.
 
     The copies go in as binary parts 1, 2, 4, ..., rest, each a
-    top-down pass that adds w copies (w*x, w terms) at most once; every
-    count 0..copies is a sum of distinct parts, so bit_length(copies)
-    passes give the layers of `copies` one-copy passes."""
-    out = layers + [0] * copies
-    top, w = len(layers) - 1, 1
+    top-down pass that adds w copies (w*x, w terms) at most once and
+    stops at layer top; every count 0..copies is a sum of distinct
+    parts, so bit_length(copies) passes give the layers of `copies`
+    one-copy passes. When copies >= top the cap cannot bind, as no
+    layer up to top holds more than top terms, so one ascending pass of
+    w = 1, each layer feeding the next, takes x any number of times.
+    copies only falls, so that holds at the first pass or never."""
+    out = (layers + [0] * copies)[: top + 1]
+    high, w = len(layers) - 1, 1
     while copies:
-        if w > copies:
-            w = copies
+        if copies >= top:
+            cs, copies = range(top), 0
+        else:
+            # conditional expressions, not min(): the CLI's DPs are short,
+            # and min() calls here slow them by about 15 %
+            w = copies if w > copies else w
+            cs = range(high if high + w <= top else top - w, -1, -1)
+            high += w
+            copies -= w
         shift = w * x
         # the sign test sits outside the layer loop, which it would slow
         if shift >= 0:
-            for c in range(top, -1, -1):
+            for c in cs:
                 out[c + w] |= out[c] << shift
         else:
-            for c in range(top, -1, -1):
+            for c in cs:
                 out[c + w] |= out[c] >> -shift
-        top += w
-        copies -= w
         w += w
     return out
 
 
 def extend_suffixes(suffix: list[int], x: int, copies: int) -> list[int]:
     """A new list of suffix unions (see `suffix_unions`): these plus
-    `copies` copies of term x, under the same contract and binary-part
-    schedule as `extend_layers`.
+    `copies` copies of term x, under `extend_layers`' contract and
+    binary-part schedule but uncut: all len(suffix) + copies unions.
 
     A part of w copies sends S_c to S_c | S_max(c-w, 0) << w*x: a sum
     with at least c terms either skips the part or takes it on top of a
@@ -130,8 +143,9 @@ def sequence_layers(
 ) -> tuple[list[int], int]:
     """Bitmaps of achievable sums per term count, layers 0..top (default
     r*k); returns (layers, offset), the offset minus the least sum of at
-    most top terms. When r >= top the multiplicity cap cannot bind, so
-    each term is one ascending pass that reuses it freely.
+    most top terms. Each term goes in through `extend_layers`, r copies
+    cut at top, so no layer above top is built; when r >= top that is
+    one ascending pass.
 
     The DP runs on the base translated by t: term x enters as x - t, so
     layer c is c*t lower, and each layer is placed back at the end,
@@ -162,21 +176,9 @@ def sequence_layers(
     m = elements[0]
     t = m if 2 * offset > -m * top else 0
     low = 0 if t else offset
-    if r < top:
-        layers = [1 << low]
-        for x in elements:
-            # layers above top may drop bits below the offset; they are cut
-            layers = extend_layers(layers, x - t, r)[: top + 1]
-    else:
-        layers = [1 << low] + [0] * top
-        for x in elements:
-            y = x - t
-            if y >= 0:
-                for c in range(top):
-                    layers[c + 1] |= layers[c] << y
-            else:
-                for c in range(top):
-                    layers[c + 1] |= layers[c] >> -y
+    layers = [1 << low]
+    for x in elements:
+        layers = extend_layers(layers, x - t, r, top)
     if t:
         for c, layer in enumerate(layers):
             shift = c * t + offset

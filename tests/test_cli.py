@@ -477,6 +477,9 @@ class TestOnceBuiltParser:
              "--mode", "at-most"],
             ["bound", "--set", SPREAD_64, "--r", "64", "--alpha", "1",
              "--check"],
+            # top 56 <= r: extend_layers' ascending pass
+            ["compute", "--set", SPREAD_64, "--r", "64", "--alpha", "4040",
+             "--mode", "at-most"],
         ],
     )
     def test_oversize_dp_refused_before_any_work(self, capsys, monkeypatch, argv):

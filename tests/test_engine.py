@@ -303,7 +303,7 @@ def test_extend_layers_at_a_wider_offset(values, r, pad):
     parent = [1 << (offset + pad)]
     for x in s.base.elements:
         before = list(parent)
-        child = extend_layers(parent, x, r)
+        child = extend_layers(parent, x, r, len(parent) - 1 + r)
         assert parent == before  # the parent's list is left as it was
         parent = child
     assert parent == [layer << pad for layer in layers]
@@ -383,13 +383,20 @@ def linear_extend(layers, x, copies):
 @example([-1, 2], -9, 12)  # parts 1, 2, 4, 5
 @example([0, 3], 7, 70)  # parts 1, 2, 4, 8, 16, 32, 7
 @example([], 0, 64)
+@example([-2, 0, 5], 7, 3)  # copies below, equal to and above top
+@example([], -4, 0)  # no copies
 def test_extend_layers_binary_parts_match_one_copy_passes(values, x, copies):
+    # cut at every top from 0 past the uncut length, so parents shorter
+    # and longer than top + 1 and copies below, equal to and above top,
+    # the insertion keeps layers 0..top of the uncut one-copy passes
     offset = 6 * len(values) + 9 * copies
     parent = [1 << offset]
     for v in values:
         parent = linear_extend(parent, v, 1)
     before = list(parent)
-    assert extend_layers(parent, x, copies) == linear_extend(parent, x, copies)
+    uncut = linear_extend(parent, x, copies)
+    for top in range(len(uncut) + 2):
+        assert extend_layers(parent, x, copies, top) == uncut[: top + 1]
     assert parent == before
 
 
@@ -411,11 +418,11 @@ def test_extend_suffixes_is_suffix_unions_of_extend_layers(values, r, x,
     offset = 6 * r * len(values) + 9 * copies + pad
     layers = [1 << offset]
     for v in values:
-        layers = extend_layers(layers, v, r)
+        layers = extend_layers(layers, v, r, len(layers) - 1 + r)
     suffix = suffix_unions(layers)
     before = list(suffix)
     assert extend_suffixes(suffix, x, copies) == suffix_unions(
-        extend_layers(layers, x, copies))
+        extend_layers(layers, x, copies, len(layers) - 1 + copies))
     assert suffix == before  # the parent's list is left as it was
 
 
@@ -429,7 +436,7 @@ def test_extend_layers_matches_enumeration(data):
     offset = 6 * s.length
     layers = [1 << offset]
     for x in s.base.elements:
-        layers = extend_layers(layers, x, s.r)
+        layers = extend_layers(layers, x, s.r, len(layers) - 1 + s.r)
     assert [SumSet.from_bitmap(layer, offset).sums for layer in layers] == [
         tuple(sorted(sums)) for sums in sequence_sums_by_size(s)
     ]
@@ -450,22 +457,18 @@ def test_sequence_layers_k16_r64_within_half_a_second():
 
 
 def untranslated_layers(s, top):
-    # reference: the DP on the base as given, every layer at one offset
+    # reference: the DP on the base as given, every layer at one offset,
+    # one copy per pass; layers above top may drop bits below the offset,
+    # so they are cut after each term
     r = s.r
     offset = -sum(
         x * min(r, max(top - r * i, 0))
         for i, x in enumerate(s.base.elements)
         if x < 0
     )
-    if r < top:
-        layers = [1 << offset]
-        for x in s.base.elements:
-            layers = extend_layers(layers, x, r)[: top + 1]
-        return layers, offset
-    layers = [1 << offset] + [0] * top
+    layers = [1 << offset]
     for x in s.base.elements:
-        for c in range(top):
-            layers[c + 1] |= layers[c] << x if x >= 0 else layers[c] >> -x
+        layers = linear_extend(layers, x, r)[: top + 1]
     return layers, offset
 
 
@@ -492,7 +495,8 @@ near_extremes = st.builds(
 @example([10**6 - 30, 10**6 - 29, 10**6], 5)
 @settings(deadline=None)  # the reference shifts 10^6-bit layers
 def test_translated_layers_are_the_untranslated_ones(values, r):
-    # top <= r takes the ascending pass, top > r the extend_layers one
+    # top <= r takes extend_layers' ascending pass, top > r its binary
+    # parts; the reference shares no code with either
     s = RepSequence(IntegerSet(tuple(sorted(values))), r)
     x_max = s.base.elements[-1]
     for top in range(s.length + 1):
@@ -540,7 +544,8 @@ def test_oversize_dp_refused_before_any_insertion(monkeypatch):
         sequence_layers(s)
     with pytest.raises(BudgetExceeded):
         sigma_size(s, 1)
-    # at r >= top the ascending pass would run: still refused up front
+    # at r >= top extend_layers would take its ascending pass: still
+    # refused up front
     with pytest.raises(BudgetExceeded):
         fold_fast(SPREAD_64, 64, "unrestricted")
 

@@ -562,7 +562,8 @@ class TestAgainstBruteForce:
                     (max(mults) * kmax + m * k) * max_abs + 1)
                 layers = [1 << offset]
                 for x in chosen:
-                    layers = engine.extend_layers(layers, x, m)
+                    layers = engine.extend_layers(layers, x, m,
+                                                  len(layers) - 1 + m)
                 assert suffix == engine.suffix_unions(layers)
 
         verifier._walk(values, range(len(values)), range(1, kmax + 1), mults,
@@ -623,7 +624,8 @@ class TestAgainstBruteForce:
                 for m in mults:
                     layers = [1 << offset]
                     for x in elems:
-                        layers = engine.extend_layers(layers, x, m)
+                        layers = engine.extend_layers(layers, x, m,
+                                                      len(layers) - 1 + m)
                     unions.append(engine.suffix_unions(layers))
                 expected.append((elems, tuple(classify(IntegerSet(elems))),
                                  weight, unions))
