@@ -36,7 +36,7 @@ are stable strings that appear verbatim in JSON and CSV reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .model import IntegerSet, RepSequence, classify
+from .model import IntegerSet, RepSequence, check_alpha, classify
 
 T1_1 = "T1_1"
 T1_2 = "T1_2"
@@ -121,11 +121,6 @@ def m_index(alpha: int, r: int) -> int:
     return alpha // r + 1
 
 
-def _check_alpha(alpha: int, hi: int) -> None:
-    if not 0 <= alpha <= hi:
-        raise ValueError(f"alpha={alpha} out of range [0, {hi}]")
-
-
 def _check_k(k: int, least: int) -> None:
     if k < least:
         raise ValueError(f"k must be >= {least}")
@@ -141,7 +136,7 @@ def _seq_m(r: int, alpha: int, k: int) -> int:
     after checking r >= 1 and alpha < r*k."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    _check_alpha(alpha, r * k - 1)
+    check_alpha(alpha, r * k - 1)
     return alpha // r + 1
 
 
@@ -208,7 +203,7 @@ def bound_disjoint(k: int, alpha: int) -> BoundResult:
     """Floor k(k+1)/2 - alpha(alpha+1)/2 + 1 for sets where no element's
     negation is also present."""
     _check_k(k, 1)
-    _check_alpha(alpha, k)
+    check_alpha(alpha, k)
     value = _signed_floor(0, k, 0, 1, alpha)
     return BoundResult(T2_1, None, value, {"k": k, "alpha": alpha})
 
@@ -217,7 +212,7 @@ def bound_zero(k: int, alpha: int) -> BoundResult:
     """Floor k(k-1)/2 - alpha(alpha-1)/2 + 1 for sets where zero is the
     only element whose negation is also present."""
     _check_k(k, 1)
-    _check_alpha(alpha, k)
+    check_alpha(alpha, k)
     value = _signed_floor(0, k - 1, 1, 1, alpha)
     return BoundResult(C2_2, None, value, {"k": k, "alpha": alpha})
 
@@ -226,7 +221,7 @@ def bound_mixed(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative and p positive integers
     (no zero). Cases split on alpha <= n and alpha <= p."""
     _check_sides(n, p)
-    _check_alpha(alpha, n + p)
+    check_alpha(alpha, n + p)
     value = _signed_floor(n, p, 0, 1, alpha)
     return BoundResult(
         T2_3, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
@@ -238,7 +233,7 @@ def bound_mixed_zero(n: int, p: int, alpha: int) -> BoundResult:
     integers, and zero. Same case split as bound_mixed with the alpha
     correction terms shifted by one."""
     _check_sides(n, p)
-    _check_alpha(alpha, n + p + 1)
+    check_alpha(alpha, n + p + 1)
     value = _signed_floor(n, p, 1, 1, alpha)
     return BoundResult(
         C2_4, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
@@ -249,7 +244,7 @@ def bound_general(k: int, alpha: int, has_zero: bool) -> BoundResult:
     """Sign-agnostic floor for any set of k >= 2 integers, split only on
     whether zero is present. The case label records the parity of k."""
     _check_k(k, 2)
-    _check_alpha(alpha, k)
+    check_alpha(alpha, k)
     value = _agnostic_floor(k, int(has_zero), 1, alpha)
     case = "odd" if k % 2 else "even"
     return BoundResult(
@@ -340,7 +335,7 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     for subsets of nonzero residues with no self-negation coincidence."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    _check_alpha(alpha, size)
+    check_alpha(alpha, size)
     if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
     value = min(p, _signed_floor(0, size, 0, 1, alpha))
@@ -352,13 +347,19 @@ def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
     """(theorem_id, block helper, its leading parameters) of every floor
     whose hypotheses hold for the sign shape (n, p, zero, meet) at r. This
     is the one home of the applicability rules: which floors hold is
-    decided once per (shape, r)."""
+    decided once per (shape, r). A shape no set has is refused: a
+    negative n or p, a zero or meet other than 0 or 1, or meet 1 without
+    a negative and a positive."""
     k = n + p + zero
     if k < 1:
         raise ValueError("a shape needs at least one element")
     seq = r is not None
     if seq and r < 1:
         raise ValueError("r must be >= 1")
+    # n + p + zero >= 1 alone admits shapes no set has
+    if min(n, p) < 0 or not {zero, meet} <= {0, 1} or meet > min(n, p):
+        raise ValueError(f"no set has the sign shape n={n}, p={p}, "
+                         f"zero={zero}, meet={meet}")
     floors = []
     # the disjoint and zero floors need k >= 2 for sequences, k >= 1 for sets
     if not meet and k > seq:
@@ -449,7 +450,7 @@ def shape_bounds(n: int, p: int, zero: int, meet: int, r: int | None,
     floors = _shape_floors(n, p, zero, meet, r)
     k = n + p + zero
     top = k * (r or 1)
-    _check_alpha(alpha, top)
+    check_alpha(alpha, top)
     if r is not None and alpha == top:
         return []
     return [build_bound(theorem_id, k=k, n=n, p=p, r=r, alpha=alpha,

@@ -118,7 +118,7 @@ def _cmd_compute(args) -> int:
                 "r": args.r,
                 "alpha": args.alpha,
                 "mode": args.mode,
-                "sums": list(result.sums),
+                "sums": result.sums,
                 "size": result.size,
                 "profile": _profile_json(inst),
             }
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    except (OSError, UsageError) as exc:
+    except (OSError, UsageError, ValueError) as exc:
         # OSError: an --out or --csv path that cannot be written, e.g. in a
         # missing directory or naming one, refused before the sweep runs
         print(f"error: {exc}", file=sys.stderr)
@@ -370,9 +370,6 @@ def main(argv=None) -> int:
     except model.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

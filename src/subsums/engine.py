@@ -46,13 +46,13 @@ from .bounds import min_fold_size, min_sumset_size
 from .model import (
     AT_LEAST,
     AT_MOST,
-    GENERALIZED,
     IntegerSet,
     LAYER_BITS_BUDGET,
     RESTRICTED,
     RepSequence,
     SumSet,
     UNRESTRICTED,
+    fold_multiplicity,
     refuse_above,
     size_window,
 )
@@ -264,7 +264,8 @@ def h_fold(a: IntegerSet, h: int) -> SumSet:
 def fold_fast(
     a: IntegerSet, h: int, kind: str = RESTRICTED, r: int | None = None
 ) -> SumSet:
-    """h-term repeated-sum set; same contract as oracle_fold.
+    """h-term repeated-sum set; `model.fold_multiplicity` checks the
+    kind, h and r at every h and gives the multiplicity the DP runs at.
 
     kind "unrestricted" allows any multiplicity, "restricted" at most one
     use per element (h <= k), "generalized" at most r uses (h <= r*k).
@@ -273,22 +274,8 @@ def fold_fast(
     """
     if h < 0:
         raise ValueError("h must be >= 0")
+    r = fold_multiplicity(a.k, h, kind, r)
     if h == 0:
         return SumSet((0,))
-    if kind == UNRESTRICTED:
-        r = h
-    elif kind == RESTRICTED:
-        if h > a.k:
-            raise ValueError(f"restricted fold needs h <= k, got h={h}, k={a.k}")
-        r = 1
-    elif kind == GENERALIZED:
-        if r is None or r < 1:
-            raise ValueError("generalized fold needs multiplicity r >= 1")
-        if h > r * a.k:
-            raise ValueError(
-                f"generalized fold needs h <= r*k, got h={h}, r*k={r * a.k}"
-            )
-    else:
-        raise ValueError(f"unknown fold kind {kind!r}")
     layers, offset = sequence_layers(RepSequence(a, r), h)
     return SumSet.from_bitmap(layers[h], offset)

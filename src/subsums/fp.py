@@ -37,8 +37,8 @@ from operator import lt
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
-from .model import (DEFAULT_BUDGET, LAYER_BITS_BUDGET, SumSet, literal,
-                    refuse_above)
+from .model import (DEFAULT_BUDGET, LAYER_BITS_BUDGET, SumSet, check_alpha,
+                    literal, refuse_above)
 from .verifier import (
     WITNESS_CAP,
     CampaignReport,
@@ -113,8 +113,7 @@ def sigma_fp(a: FpSubset, alpha: int) -> tuple[int, ...]:
     p bits would exceed LAYER_BITS_BUDGET: p = 10^8 with four residues
     (5 * 10^8 bits) takes about 0.1 s, and one union near p = 10^9 is
     125 MB."""
-    if not 0 <= alpha <= a.size:
-        raise ValueError(f"alpha={alpha} out of range [0, {a.size}]")
+    check_alpha(alpha, a.size)
     bits = (a.size + 1) * a.p
     refuse_above(bits, LAYER_BITS_BUDGET, f"sigma_fp needs {a.size + 1} "
                  f"count layers of p={a.p} bits, {bits} bits")

@@ -13,6 +13,14 @@ Conventions:
   - SumSet is a sorted, duplicate-free value object. Its bitmap form
     sets bit (s + offset) for each achievable sum s, with offset equal
     to the negated minimum sum, so indices are always nonnegative.
+
+The argument rules that several modules share live here, each in one
+function that raises the one message for its inputs: `check_alpha` the
+threshold range 0 <= alpha <= hi, `size_window` the window of a mode,
+`fold_multiplicity` the fold contract, and `refuse_above` every
+up-front budget refusal. The engine and the oracle both call them, so
+they refuse the same inputs with the same words, while each computes
+its answer its own way.
 """
 
 from __future__ import annotations
@@ -76,15 +84,44 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
+def check_alpha(alpha: int, hi: int) -> None:
+    """The one alpha range check: ValueError unless 0 <= alpha <= hi."""
+    if not 0 <= alpha <= hi:
+        raise ValueError(f"alpha={alpha} out of range [0, {hi}]")
+
+
 def size_window(alpha: int, total: int, mode: str) -> range:
     """Member-count window selected by (alpha, mode) within [0, total]."""
-    if not 0 <= alpha <= total:
-        raise ValueError(f"alpha={alpha} out of range [0, {total}]")
+    check_alpha(alpha, total)
     if mode == AT_LEAST:
         return range(alpha, total + 1)
     if mode == AT_MOST:
         return range(0, total - alpha + 1)
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def fold_multiplicity(k: int, h: int, kind: str, r: int | None) -> int:
+    """The fold contract for h >= 0 terms of a k-element set, checked at
+    every h, h = 0 included: ValueError for an unknown kind, a restricted
+    fold with h > k, or a generalized fold without r >= 1 or with
+    h > r*k. Returns the multiplicity the fold's DP runs at: h for
+    "unrestricted", since h terms never use one element more than h
+    times, 1 for "restricted" and r for "generalized"."""
+    if kind == UNRESTRICTED:
+        return h
+    if kind == RESTRICTED:
+        if h > k:
+            raise ValueError(f"restricted fold needs h <= k, got h={h}, k={k}")
+        return 1
+    if kind == GENERALIZED:
+        if r is None or r < 1:
+            raise ValueError("generalized fold needs multiplicity r >= 1")
+        if h > r * k:
+            raise ValueError(
+                f"generalized fold needs h <= r*k, got h={h}, r*k={r * k}"
+            )
+        return r
+    raise ValueError(f"unknown fold kind {kind!r}")
 
 
 def literal(elems: Iterable[int]) -> str:

@@ -13,12 +13,12 @@ from math import comb
 
 from .model import (
     AT_LEAST,
-    GENERALIZED,
     IntegerSet,
     RESTRICTED,
     RepSequence,
     SumSet,
     UNRESTRICTED,
+    fold_multiplicity,
     size_window,
 )
 
@@ -99,10 +99,13 @@ def oracle_fold(
 
     kind "unrestricted" allows any multiplicity, "restricted" allows each
     element at most once (h <= k), "generalized" allows each element at
-    most r times (h <= r*k). h = 0 always yields the zero singleton.
+    most r times (h <= r*k), checked by `model.fold_multiplicity` as in
+    `engine.fold_fast`. h = 0 yields the zero singleton for every valid
+    kind.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
+    fold_multiplicity(a.k, h, kind, r)
     if h == 0:
         return SumSet((0,))
     if kind == UNRESTRICTED:
@@ -110,23 +113,14 @@ def oracle_fold(
         combos = itertools.combinations_with_replacement(a.elements, h)
         return SumSet.from_iterable(sum(c) for c in combos)
     if kind == RESTRICTED:
-        if h > a.k:
-            raise ValueError(f"restricted fold needs h <= k, got h={h}, k={a.k}")
         _guard_subsets(a.k)
         combos = itertools.combinations(a.elements, h)
         return SumSet.from_iterable(sum(c) for c in combos)
-    if kind == GENERALIZED:
-        if r is None or r < 1:
-            raise ValueError("generalized fold needs multiplicity r >= 1")
-        if h > r * a.k:
-            raise ValueError(
-                f"generalized fold needs h <= r*k, got h={h}, r*k={r * a.k}"
-            )
-        cap = min(r, h)
-        _guard_vectors((cap + 1) ** a.k)
-        sums = set()
-        for vec in itertools.product(range(cap + 1), repeat=a.k):
-            if sum(vec) == h:
-                sums.add(sum(m * x for m, x in zip(vec, a.elements)))
-        return SumSet.from_iterable(sums)
-    raise ValueError(f"unknown fold kind {kind!r}")
+    # "generalized", the one kind left
+    cap = min(r, h)
+    _guard_vectors((cap + 1) ** a.k)
+    sums = set()
+    for vec in itertools.product(range(cap + 1), repeat=a.k):
+        if sum(vec) == h:
+            sums.add(sum(m * x for m, x in zip(vec, a.elements)))
+    return SumSet.from_iterable(sums)

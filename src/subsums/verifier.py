@@ -77,7 +77,7 @@ from .bounds import BoundResult, shape_bounds, shape_floor_rows
 # perfbench's tracer hooks verifier.applicable_bounds; nothing here calls it
 from .bounds import applicable_bounds  # noqa: F401
 from .model import (DEFAULT_BUDGET, IntegerSet, LAYER_BITS_BUDGET,
-                    RepSequence, SumSet, literal, numeral,
+                    RepSequence, SumSet, check_alpha, literal, numeral,
                     refuse_above)
 
 WITNESS_CAP = 16
@@ -722,8 +722,7 @@ def empirical_minimum(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0 <= alpha <= k:
-        raise ValueError(f"alpha={alpha} out of range [0, {k}]")
+    check_alpha(alpha, k)
     if zero_policy not in ("any", "require", "forbid"):
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     _check_max_abs(max_abs)

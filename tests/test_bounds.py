@@ -638,6 +638,14 @@ class TestShapeFloorRows:
                 call(0, 0, 0, 0, None)
             with pytest.raises(ValueError, match="r must be >= 1"):
                 call(1, 1, 0, 0, 0)
+            # shapes no set has: a negative side, zero or meet outside
+            # {0, 1}, a meet without both signs
+            for shape in [(-1, 3, 0, 0, None), (2, -1, 0, 0, 2),
+                          (0, 2, 2, 0, None), (1, 1, 0, 2, None),
+                          (1, 1, -1, 1, 3), (0, 2, 0, 1, None),
+                          (2, 0, 1, 1, 2)]:
+                with pytest.raises(ValueError, match="no set has the sign shape"):
+                    call(*shape)
         # T3_1_disjoint and T3_2 over alpha 0 .. 4; none at alpha 4
         rows = shape_floor_rows(1, 1, 0, 0, 2)
         assert [(theorem_id, len(row)) for theorem_id, row in rows] == [

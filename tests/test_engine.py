@@ -178,6 +178,14 @@ def test_fold_fast_validates():
         fold_fast(a, -1)
     with pytest.raises(ValueError):
         fold_fast(a, 1, "sideways")
+    # the kind and r are checked at h = 0 too
+    for kind, r in [("sideways", None), ("generalized", None),
+                    ("generalized", 0)]:
+        with pytest.raises(ValueError):
+            fold_fast(a, 0, kind, r)
+    for kind, r in [("unrestricted", None), ("restricted", None),
+                    ("generalized", 1)]:
+        assert fold_fast(a, 0, kind, r).sums == (0,)
 
 
 def test_duality_reflection_exhaustive():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subsums import engine, fp, oracle, verifier
+from subsums import bounds, engine, fp, oracle, verifier, witnesses
 from subsums.model import (
     AT_LEAST,
     AT_MOST,
@@ -202,6 +202,44 @@ def test_size_window():
         size_window(-1, 5, AT_LEAST)
     with pytest.raises(ValueError):
         size_window(1, 5, "sideways")
+
+
+def test_argument_rules_raise_one_message_everywhere():
+    # every alpha entry point refuses through model.check_alpha, so its
+    # message is exactly this one; hi is the largest alpha it admits
+    a = IntegerSet((1, 2, 3))
+    s = RepSequence(a, 2)
+    entry_points = [
+        (lambda alpha: engine.sigma(a, alpha), 3),
+        (lambda alpha: engine.sigma_seq(s, alpha), 6),
+        (lambda alpha: engine.sigma_size(s, alpha, AT_MOST), 6),
+        (lambda alpha: fp.sigma_fp(fp.FpSubset(7, (1, 2)), alpha), 2),
+        (lambda alpha: verifier.empirical_minimum(3, alpha, 2), 3),
+        (lambda alpha: bounds.bound_disjoint(3, alpha), 3),
+        (lambda alpha: bounds.bound_seq_disjoint(3, 2, alpha), 5),
+        (lambda alpha: bounds.shape_bounds(1, 2, 0, 0, 2, alpha), 6),
+        (lambda alpha: witnesses.check_tightness(
+            witnesses.WitnessFamily(witnesses.POS_INTERVAL, k=3), alpha), 3),
+    ]
+    for call, hi in entry_points:
+        call(hi)
+        for bad in (-1, hi + 1):
+            with pytest.raises(ValueError,
+                               match=rf"^alpha={bad} out of range \[0, {hi}\]$"):
+                call(bad)
+    # the engine and the oracle refuse a fold through
+    # model.fold_multiplicity, h = 0 included, so in the same words
+    b = IntegerSet((1, 2))
+    for h, kind, r in [(3, "restricted", None), (5, "generalized", 2),
+                       (1, "generalized", None), (0, "generalized", None),
+                       (0, "generalized", 0), (1, "sideways", None),
+                       (0, "sideways", None), (-1, "restricted", None)]:
+        messages = set()
+        for fold in (engine.fold_fast, oracle.oracle_fold):
+            with pytest.raises(ValueError) as info:
+                fold(b, h, kind, r)
+            messages.add(str(info.value))
+        assert len(messages) == 1, (h, kind, r, messages)
 
 
 def test_sumset_basics():

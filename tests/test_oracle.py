@@ -102,6 +102,14 @@ def test_oracle_fold_kind_validation():
         oracle_fold(a, -1)
     with pytest.raises(ValueError):
         oracle_fold(a, 1, "sideways")
+    # the kind and r are checked at h = 0 too
+    for kind, r in [("sideways", None), ("generalized", None),
+                    ("generalized", 0)]:
+        with pytest.raises(ValueError):
+            oracle_fold(a, 0, kind, r)
+    for kind, r in [("unrestricted", None), ("restricted", None),
+                    ("generalized", 1)]:
+        assert oracle_fold(a, 0, kind, r).sums == (0,)
 
 
 def test_sums_by_size_shape():
