@@ -30,11 +30,12 @@ at-most window in either mode, since complements pair the sums of at
 least alpha terms with those of at most r*k - alpha (`sigma_size`), so
 its DP stops at layer r*k - alpha. `witnesses` counts the suffix unions
 of one full DP as they are formed: one DP serves every alpha of the
-most recent family. The decode,
-`SumSet.from_bitmap`, takes one Python step per run of consecutive
-sums, not one per sum, and sum sets are mostly long intervals. A fold
-of any kind reads layer h. All public functions return sums sorted
-ascending.
+most recent family. The decode, `SumSet.from_bitmap`, costs what the
+sums cost, not what their span does: C-level byte finds skip every
+long zero stretch, and between them it takes one Python step per run
+of consecutive sums, not one per sum, as sum sets are mostly long
+intervals. A fold of any kind reads layer h. All public functions
+return sums sorted ascending.
 """
 
 from __future__ import annotations
@@ -237,10 +238,13 @@ def add_sets(a: SumSet, b: SumSet) -> SumSet:
     """Exact pairwise-sum set {x + y : x in a, y in b}. Refused with
     BudgetExceeded before any bitmap is built when the result's span,
     one bit per integer from a.min + b.min to a.max + b.max, exceeds
-    LAYER_BITS_BUDGET bits."""
+    LAYER_BITS_BUDGET bits. The loop shifts one operand's bitmap once per
+    sum of the other, so it runs over whichever has fewer sums."""
     bits = a.max_sum - a.min_sum + b.max_sum - b.min_sum + 1
     refuse_above(bits, LAYER_BITS_BUDGET,
                  f"pairwise sum set needs {bits} bits")
+    if a.size > b.size:
+        a, b = b, a
     bitmap_b, _ = b.to_bitmap()
     acc = 0
     base_a = a.min_sum

@@ -586,6 +586,23 @@ def test_add_sets_budget_edge(monkeypatch):
         add_sets(SumSet((-3, 2)), SumSet((4, 9)))
 
 
+@given(st.sets(st.integers(-300, 300), min_size=1, max_size=12),
+       st.sets(st.integers(-300, 300), min_size=1, max_size=40))
+def test_add_sets_loops_over_the_smaller_operand(xs, ys):
+    # either order gives every pairwise sum, and only the operand with
+    # more sums is encoded, as the loop shifts it once per sum of the other
+    encoded = []
+    to_bitmap = SumSet.to_bitmap
+    a, b = SumSet.from_iterable(xs), SumSet.from_iterable(ys)
+    want = SumSet.from_iterable(x + y for x in xs for y in ys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SumSet, "to_bitmap",
+                      lambda self: encoded.append(self) or to_bitmap(self))
+        assert add_sets(a, b) == add_sets(b, a) == want
+    larger = b if b.size > a.size else a
+    assert [s.size for s in encoded] == [larger.size, larger.size]
+
+
 def test_add_sets_size_floor_holds():
     # the assert inside add_sets must never fire on valid inputs
     sets = [SumSet.from_iterable(c) for c in all_subsets(2, 1, 3)]

@@ -10,14 +10,19 @@ expressions, the mirror-walk sweeps before their floors were resolved
 as per-theorem rows over alpha, the long-block record CSV before record
 runs took their floors from the walk's sign shape, the mirror walk over
 [-3, 3] at r = 1..6 and the two small record CSVs at every alpha before
-sweeps lost their list alpha policies, at commit 13a9477);
-any change to a report body (every field but elapsed_ms),
-to the CSV bytes or to one floor's JSON fails here, so refactors of the
-engine, verifier, fp or bounds must reproduce them exactly.
+sweeps lost their list alpha policies, at commit 13a9477, and the
+benchmark's query streams before the decode cut bitmaps at long zero
+stretches); any change to a report body (every field but elapsed_ms),
+to the CSV bytes, to one floor's JSON or to one CLI call's exit code or
+stdout fails here, so refactors of the engine, verifier, fp, bounds or
+cli must reproduce them exactly.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,4 +157,29 @@ def test_floor_catalogue():
     assert rows == 77583
     assert digest.hexdigest() == (
         "b819ea36af5837454e894fcd22aba76036084e76e351c2b286350057f5fe9054"
+    )
+
+
+def test_query_streams(monkeypatch):
+    # argv, exit code and stdout of the 4,800 in-process CLI calls of the
+    # benchmark's query streams at seeds 0-9, each as one JSON array.
+    # perfbench/workloads.py is loaded by its path and only read: no
+    # bytecode is written beside it; its dataclasses look the module up
+    # in sys.modules while it runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    digest = hashlib.sha256()
+    calls = 0
+    for seed in range(10):
+        for argv in workloads.make_queries(seed):
+            code, out = workloads.call_cli(argv)
+            digest.update(json.dumps([argv, code, out]).encode())
+            calls += 1
+    assert calls == 4800
+    assert digest.hexdigest() == (
+        "b0df0aa31d283b037ded3fa2a09e8a2cb08a08171f050465b8ab86d94e669d9b"
     )

@@ -1,10 +1,12 @@
 """Domain-type tests: parsing, classification, and SumSet round trips."""
 
+import time
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subsums import bounds, engine, fp, oracle, verifier, witnesses
+from subsums import bounds, engine, fp, model, oracle, verifier, witnesses
 from subsums.model import (
     AT_LEAST,
     AT_MOST,
@@ -285,25 +287,59 @@ def test_sumset_from_bitmap_sparse_and_wide(positions, offset):
 
 def per_bit(bitmap, offset):
     """Reference decode, one bit at a time."""
-    return [i - offset for i in range(bitmap.bit_length()) if bitmap >> i & 1]
+    return [i - offset for i, bit in enumerate(bin(bitmap)[:1:-1]) if bit == "1"]
 
 
-@given(
-    st.integers(0, 300),
-    st.lists(st.tuples(st.integers(1, 200), st.integers(1, 50)),
-             min_size=1, max_size=20),
-    st.integers(-(10**4), 10**4),
-)
-def test_from_bitmap_by_runs_matches_per_bit(low, runs, offset):
-    # runs of ones of length 1..200 apart by gaps of 1..50 zeros, above
-    # `low` zero bits
+CUT = len(model._ZERO_STRETCH)  # zero bytes at which the decode cuts
+
+
+def runs_bitmap(low, runs):
+    """A bitmap of `low` zero bits, then for each (length, gap) a run of
+    `length` ones and a gap: `gap` zero bits, or for gap = (g, shift)
+    zeros to the next byte, g whole zero bytes and `shift` zero bits
+    inside the byte that holds the next run's first one."""
     bitmap, pos = 0, low
     for length, gap in runs:
         bitmap |= ((1 << length) - 1) << pos
-        pos += length + gap
+        pos += length
+        if isinstance(gap, int):
+            pos += gap
+        else:
+            pos = -(-pos // 8) * 8 + 8 * gap[0] + gap[1]
+    return bitmap
+
+
+@given(
+    st.integers(0, 16 * CUT),
+    st.lists(
+        st.tuples(
+            st.integers(1, 200),
+            st.one_of(
+                st.integers(1, 50),
+                st.tuples(st.sampled_from([CUT - 1, CUT, CUT + 1]),
+                          st.integers(0, 7)),
+            ),
+        ),
+        min_size=1, max_size=20,
+    ),
+    st.integers(-(10**4), 10**4),
+)
+# whole zero bytes one below, at and one above the decode's cut, between
+# runs that cross byte boundaries, at negative, zero and positive offsets
+@example(0, [(12, (CUT - 1, 0)), (9, 1)], -7)
+@example(5, [(3, (CUT, 3)), (17, 2)], 0)
+@example(8 * CUT, [(1, (CUT + 1, 7)), (1, (CUT, 0)), (30, 1)], 9)
+# the only set bit is bit 0
+@example(0, [(1, 1)], -3)
+@example(0, [(1, 1)], 3)
+def test_from_bitmap_by_runs_matches_per_bit(low, runs, offset):
+    # runs of ones of length 1..200 apart by gaps of 1..50 zero bits or
+    # of whole zero bytes near the cut, above up to 2*CUT zero bytes
+    bitmap = runs_bitmap(low, runs)
     s = SumSet.from_bitmap(bitmap, offset)
     assert list(s.sums) == per_bit(bitmap, offset)
     assert s.to_bitmap() == (bitmap >> low, offset - low)
+    assert SumSet.from_bitmap(*s.to_bitmap()) == s
 
 
 @pytest.mark.parametrize(
@@ -329,6 +365,34 @@ def test_from_bitmap_run_edges(bitmap, offset, sums):
 def test_from_bitmap_rejects_empty_and_negative(bitmap):
     with pytest.raises(ValueError):
         SumSet.from_bitmap(bitmap, 0)
+
+
+def best_of_three(call):
+    """The least wall time of three calls, and the last result."""
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - started)
+    return min(times), out
+
+
+def test_decode_skips_zero_stretches_at_c_speed():
+    # two sums 10^8 apart: a walk over every bit took 0.29 s
+    bitmap = 1 | 1 << 10**8
+    elapsed, s = best_of_three(lambda: SumSet.from_bitmap(bitmap, 0))
+    assert s.sums == (0, 10**8)
+    assert elapsed < 0.1
+
+
+def test_encode_is_linear_in_the_span():
+    # 20,000 isolated sums over 2*10^6 bits: one shift-or per run into
+    # a growing int took 0.2 s
+    s = SumSet(tuple(range(0, 2 * 10**6, 100)))
+    elapsed, (bitmap, offset) = best_of_three(s.to_bitmap)
+    assert (bitmap.bit_count(), bitmap.bit_length(), offset) == (
+        20000, 2 * 10**6 - 99, 0)
+    assert elapsed < 0.05
 
 
 def test_refuse_above_admits_the_budget_itself():
