@@ -17,10 +17,12 @@ the lanes' bit counts, are read all at once through a byte popcount
 table. It fills the campaign aggregate of `verifier`: each distinct
 sizes is a profile (None, size, sizes), weighted by the subsets that
 have it, twice over for the mirrors, and `verifier.finish_report`
-compares it once with the size's floors, as it does a sweep's. Minima
-are keyed as in a set sweep, where sets run as r = 1 sequences marked
-r = None: the cells carry k and alpha, no r, and are noted through the
-sweep's keeper, `verifier.note_sizes`.
+compares it once with the size's floors, as it does a sweep's. Each
+distinct sizes also keeps its first `WITNESS_CAP` subsets in walk order,
+and the minima cells come from those lists through the sweep's
+`verifier.minima_cells`, tied lists merged in product order. They are
+keyed as in a set sweep, where sets run as r = 1 sequences marked
+r = None: the cells carry k and alpha, no r.
 `oracle.residue_sums_by_size` is the enumeration these unions are
 checked against. Both refusals go through `model.refuse_above` before
 any work: a prime by its count of admissible subsets against the
@@ -31,9 +33,8 @@ campaigns' instance budget, `DEFAULT_BUDGET` (`check_prime`), and
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from operator import lt
+from functools import partial
 from typing import Callable, Iterable
 
 from .bounds import T1_3, bound_fp, is_prime
@@ -43,8 +44,8 @@ from .verifier import (
     WITNESS_CAP,
     CampaignReport,
     finish_report,
+    minima_cells,
     new_aggregate,
-    note_sizes,
 )
 
 # Popcount of each byte value: a bytes translate through it counts the
@@ -235,10 +236,12 @@ def verify_balandraud(p: int) -> CampaignReport:
     visits the canonical half and counts each visit twice. A visit adds
     one to the count of its sizes, |Σ_alpha| per alpha, and
     `finish_report` compares the floors once per distinct sizes
-    afterwards. Each minima cell keeps the first WITNESS_CAP canonical
-    minimizers, then takes them with their mirrors in product order: a
-    canonical subset comes before its mirror, so the first WITNESS_CAP of
-    all minimizers are among these."""
+    afterwards. Each distinct sizes also keeps its first WITNESS_CAP
+    canonical subsets in walk order, product order, and each minima cell
+    takes the first WITNESS_CAP canonical minimizers from them
+    (`verifier.minima_cells`), then those with their mirrors in product
+    order: a canonical subset comes before its mirror, so the first
+    WITNESS_CAP of all minimizers are among these."""
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
@@ -247,29 +250,30 @@ def verify_balandraud(p: int) -> CampaignReport:
         tuple(bound_fp(size, alpha, p).value for alpha in range(size + 1))
         for size in range(1, half + 1)
     ]
-    # a witness is kept only when note_minimum would keep it: below the
-    # admit threshold it last returned for the cell
-    admit = [[p + 1] * (size + 1) for size in range(half + 1)]
-    agg = new_aggregate()
-    minima = agg["minima"]
-    profiles: Counter = Counter()
+    # sizes -> [count, first WITNESS_CAP instances], one byte per alpha
+    profiles: dict[bytes, list] = {}
 
     def visit(lanes: int, sizes: bytes, chosen: list[int]) -> None:
-        # sizes, one byte per alpha, is the profile key as it stands
-        profiles[sizes] += 1
-        cell_admit = admit[len(sizes) - 1]
-        if any(map(lt, sizes, cell_admit)):
-            note_sizes(minima, cell_admit, len(sizes) - 1, None, sizes,
-                       tuple(chosen))
+        entry = profiles.get(sizes)
+        if entry is None:
+            profiles[sizes] = [1, [tuple(chosen)]]
+        else:
+            entry[0] += 1
+            if len(entry[1]) < WITNESS_CAP:
+                entry[1].append(tuple(chosen))
 
     _walk(p, visit)
+    agg = new_aggregate()
     # each canonical subset stands for its mirror too
     agg["profiles"].update({(None, len(sizes) - 1, sizes): 2 * count
-                            for sizes, count in profiles.items()})
+                            for sizes, (count, _) in profiles.items()})
+    order = partial(_product_key, half=half)
+    minima = agg["minima"] = minima_cells(
+        ((None, sizes, wits) for sizes, (_, wits) in profiles.items()), order)
     for key, (got, wits) in minima.items():
         # tuple() of a list, whose length it knows, sizes the tuple once
         both = set(wits).union(tuple([-y for y in w]) for w in wits)
-        first = sorted(both, key=lambda w: _product_key(w, half))[:WITNESS_CAP]
+        first = sorted(both, key=order)[:WITNESS_CAP]
         minima[key] = got, [literal(sorted(y % p for y in w)) for w in first]
     # a size's floors are its only theorem's, T1_3, one per alpha
     return finish_report({"kind": "fp", "p": p}, agg,

@@ -12,27 +12,28 @@ terms, for every c) are its parent's plus one `engine.extend_suffixes`
 insertion, and it carries its sign shape, which with r fixes k and
 every floor. A subset N + {0} + P, N negative and nonempty and P
 positive, takes no insertion: 0 adds terms but no sum, so its unions are
-those of its twin N + P with union 0 repeated r times in front. It must
-still be visited before N + P, as combinations order asks, so the walk
-visits the twin as it walks N's positive subtree and keeps the visits of
-that subtree's own nodes in a list until the twins are done. A node's
-tallies depend only on its profile (r, shape, sizes), sizes[alpha]
-being the bit count of union alpha, so the walk only adds each node's
-weight to its profile and keeps the minima, each witness a tuple of
-elements. After the merge each (r, shape) takes its floors once from
+those of its twin N + P with union 0 repeated r times in front, and the
+walk visits it as it walks N's positive subtree. A node's tallies
+depend only on its profile (r, shape, sizes), sizes[alpha] being the bit
+count of union alpha, so the walk only adds each node's weight to its
+profile, which also keeps its first WITNESS_CAP instances, each a tuple
+of elements. The twins, the subsets of shape n >= 1 and zero = 1, are
+the only subsets of their shapes, so every profile sees its instances
+in combinations order, and each walk unit takes its (k, r, alpha) minima
+cells from the profiles' lists (`minima_cells`). After the merge each
+(r, shape) takes its floors once from
 `bounds.shape_floor_rows`, as one vector over alpha per theorem and
 their greatest, each a row filled one block m = alpha//r + 1 at a time.
 Each distinct profile is compared with them by C-level counts
 (`sum(map(lt, ...))`), which gives the instance, check, violation and
 tight counts; `finish_report` makes them, so every report has them.
-A visit whose size is below a cell's admit threshold at some alpha
-notes its witness there through `note_sizes`. Witnesses become
-report literals (`model.literal`) last, each distinct one formatted
-once. Runs that collect records keep one plain row (elements, r,
-shape, sizes) per instance and r; after the merge each (r, shape,
-alpha) takes its BoundResults from `bounds.shape_bounds` at the walk's
-own shape once per sweep, each (r, shape, alpha, size) its checks and
-violation flag once, and the rows become records.
+Witnesses become report literals (`model.literal`) last, each distinct
+one formatted once. Runs that collect records keep one plain row
+(elements, r, shape, sizes) per instance and r; after the merge each
+k's rows are sorted by elements, each (r, shape, alpha) takes its
+BoundResults from `bounds.shape_bounds` at the walk's own shape once per
+sweep, each (r, shape, alpha, size) its checks and violation flag once,
+and the rows become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -42,13 +43,16 @@ Each distinct witness list of the minima cells gains the mirrors of its
 canonical witnesses once, re-sorted and capped, which gives exactly the
 full walk's list. Runs that collect records or check the oracle emit or
 check one row per instance, so they walk every subset.
-`empirical_minimum` takes the same mirror walk and keeps its one minima
-cell with `note_minimum`.
+`empirical_minimum` takes the same mirror walk, its profiles keyed by
+twin class and by the size at its one alpha.
 
-Determinism: each k's subsets come in combinations order, r ascending;
-with several workers each first-element subtree is a unit, merged in
-subtree order with record rows kept per k, so reports and record CSVs do
-not depend on the worker count; walk units evaluate no floors. The pool
+Determinism: with several workers each first-element subtree is a unit,
+and units merge in any order (`_merge_aggs`): profile weights add, a
+minima cell keeps the least size and the first WITNESS_CAP of the tied
+witness lists in tuple order, and record rows are kept per k and sorted
+before the records are built. So reports and record CSVs do not depend
+on the worker count or the order in which units finish; walk units
+evaluate no floors and return cells, not witness lists. The pool
 (`ProcessPoolExecutor`) and `csv` are imported on first use, so a
 process that starts no pool and writes no CSV loads neither. Work is
 refused up front, through `model.refuse_above`, when the pair count or,
@@ -56,9 +60,9 @@ with the oracle, its vector count would exceed the budget (a count too
 long to print is named by `model.numeral`), and only the
 sizes that have subsets are walked. The subset counts per size come
 from one multiplicative recurrence, so a span of many sizes is refused
-as fast as one. `fp` fills the same aggregate,
-its profiles keyed by subset size and its minima noted through
-`note_sizes`, and reports through the same `finish_report`.
+as fast as one. `fp` fills the same aggregate, its profiles keyed by
+subset size and its cells taken by `minima_cells` in its walk's product
+order, and reports through the same `finish_report`.
 """
 
 from __future__ import annotations
@@ -67,9 +71,9 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from math import comb, inf
-from operator import eq, lt, or_
+from itertools import chain, compress
+from math import comb
+from operator import eq, itemgetter, lt, or_
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
@@ -197,38 +201,42 @@ def new_aggregate() -> dict:
             "oracle_checked": 0}
 
 
-def note_minimum(minima: dict, key: tuple, size: int, witness: tuple) -> int:
-    """Keep the least size seen for a minima cell and up to WITNESS_CAP
-    witnesses attaining it, in the order seen. Witnesses stay tuples of
-    elements until the report formats them. Returns the cell's admit
-    threshold: a later witness is kept iff its size is below it."""
-    cur = minima.get(key)
-    if cur is None or size < cur[0]:
-        minima[key] = cur = (size, [witness])
-    elif size == cur[0] and len(cur[1]) < WITNESS_CAP:
-        cur[1].append(witness)
-    return cur[0] + (len(cur[1]) < WITNESS_CAP)
-
-
-def note_sizes(minima: dict, admit: list, k: int, r: int | None,
-               sizes: Sequence[int], witness: tuple) -> None:
-    """Note witness in each (k, r, alpha) minima cell whose size,
-    sizes[alpha], is below admit[alpha], and set admit[alpha] to the
-    threshold `note_minimum` returns. sizes is a tuple or bytes, one size
-    per alpha; admit is a list as long."""
-    # the lazy map reads admit[alpha] before that entry is updated
-    for alpha in compress(range(len(sizes)), map(lt, sizes, admit)):
-        admit[alpha] = note_minimum(minima, (k, r, alpha), sizes[alpha],
-                                    witness)
+def minima_cells(profiles: Iterable[tuple], order: Callable | None = None
+                 ) -> dict:
+    """The (k, r, alpha) minima cells, each (least size, witnesses), of
+    profiles given as (r, sizes, witnesses) triples, sizes[alpha] per
+    alpha and witnesses the first WITNESS_CAP instances of that profile
+    in the campaign's order, whose sort key is order (None: tuple order).
+    A cell's witnesses are its only minimizing profile's list as it
+    stands, or the first WITNESS_CAP of several such lists merged."""
+    groups: dict[tuple, list] = {}
+    for r, sizes, wits in profiles:
+        groups.setdefault((r, len(sizes)), []).append((sizes, wits))
+    cells = {}
+    for (r, width), group in groups.items():
+        k = (width - 1) // (r or 1)
+        columns, lists = zip(*group)
+        for alpha, column in enumerate(zip(*columns)):
+            least = min(column)
+            tied = list(compress(lists, map(least.__eq__, column)))
+            cells[k, r, alpha] = least, tied[0] if len(tied) == 1 else sorted(
+                chain.from_iterable(tied), key=order)[:WITNESS_CAP]
+    return cells
 
 
 def _merge_aggs(dst: dict, src: dict) -> None:
-    """Fold a later walk unit's aggregate into dst."""
+    """Fold a walk unit's aggregate into dst, in any order of units: a
+    minima cell keeps the least size, and the first WITNESS_CAP of the
+    tied lists in tuple order."""
     dst["oracle_checked"] += src["oracle_checked"]
     dst["profiles"].update(src["profiles"])
+    minima = dst["minima"]
     for key, (size, wits) in src["minima"].items():
-        for witness in wits:
-            note_minimum(dst["minima"], key, size, witness)
+        cur = minima.get(key)
+        if cur is None or size < cur[0]:
+            minima[key] = size, wits
+        elif size == cur[0]:
+            minima[key] = size, sorted(cur[1] + wits)[:WITNESS_CAP]
     for k, recs in src["records"].items():
         dst["records"].setdefault(k, []).extend(recs)
 
@@ -240,13 +248,17 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
           mirror: bool) -> None:
     """Call visit(chosen, suffix_sets, shape, weight) on each subset of the
     ascending values with a size in ks and its least element values[i], i
-    in firsts, each size's subsets in itertools.combinations order. Per m
-    in mults, a subset's suffix unions are `engine.suffix_unions` of its
-    elements repeated m times, at an offset of at least
-    max(mults) * max|v| * max(ks). shape is (n, p, zero, meet): negatives,
-    positives, 1 if 0 is chosen, 1 if some x and -x both are. Size 0 is
-    the empty subset at the root, visited whatever firsts is. visit only
-    reads chosen: a list reused between calls, or a tuple.
+    in firsts. Per m in mults, a subset's suffix unions are
+    `engine.suffix_unions` of its elements repeated m times, at an offset
+    of at least max(mults) * max|v| * max(ks). shape is (n, p, zero,
+    meet): negatives, positives, 1 if 0 is chosen, 1 if some x and -x
+    both are. Size 0 is the empty subset at the root, visited whatever
+    firsts is. visit only reads chosen, a list reused between calls.
+
+    Order: the twins, the subsets of shape n >= 1 and zero = 1, come in
+    itertools.combinations order within each size, and so do all other
+    subsets; the two streams interleave. A sweep's profile holds one
+    shape, so it sees its instances in combinations order.
 
     The walk is depth first, next elements ascending, a node before its
     children, and a node's unions are its parent's plus one
@@ -255,14 +267,10 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     child 0. Its subset N + {0} + P, P positive, is the twin of N + P: m
     zeros add terms but no sum, so union c of the twin is union
     max(c - m, 0) of N + P, and the twin's unions are [s[0]] * m + s.
-    At each size combinations order puts every N + {0} + P before every
-    N + P. So at N the walk visits N + {0}, then walks the positive
-    subtree, each node pruned as its twin, one larger, would be: it
-    visits each node's twin and keeps the node's own visit, a tuple of
-    visit's arguments, in a replay list, visited last. That list holds
-    at most the subsets of size in ks among N plus the positives, and
-    only one is alive at a time. Under a first element 0 every node is
-    inserted.
+    So at N the walk visits N + {0}, then walks the positive subtree,
+    each node pruned as its twin, one larger, would be, and visits each
+    node's twin and then the node itself. Under a first element 0 every
+    node is inserted.
 
     Without mirror every subset is visited with weight 1. With mirror the
     values must be symmetric about 0, and only the canonical subsets A,
@@ -285,12 +293,12 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     cap, tie, full = last, None, 1
 
     def descend(indices: Iterable, suffix_sets: list, shape: tuple, negs: int,
-                replay: list | None = None) -> None:
-        # negs has bit -x set for each chosen negative x. Given replay,
-        # the nodes are N + P, N = chosen[:n], and visit their twins
+                twins: bool = False) -> None:
+        # negs has bit -x set for each chosen negative x. With twins, the
+        # nodes are N + P, N = chosen[:n], and visit their twins too
         depth = len(chosen) + 1
         n, p, zero, meet = shape
-        keep, need = (tally, kmin) if replay is None else (either, kmin - 1)
+        keep, need = (either, kmin - 1) if twins else (tally, kmin)
         for i in indices:
             x = values[i]
             if x < 0:
@@ -307,11 +315,8 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                           [[s[0]] * m + s for s, m in zip(suffix_sets, mults)],
                           (n, 0, 1, 0), full)
                     chosen.pop()
-                replay = []
                 descend(range(i + 1, min(cap, cap - kmin + depth + 1)),
-                        suffix_sets, shape, negs, replay)
-                for args in replay:
-                    visit(*args)
+                        suffix_sets, shape, negs, True)
                 return
             else:
                 here, below = (n, p, 1, meet), negs
@@ -322,21 +327,18 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                 if x == tie:
                     mirrored = [-y for y in reversed(chosen)]
                     weight = (chosen <= mirrored) + (chosen < mirrored)
-                if weight and replay is None:
+                if weight and twins and tally[depth + 1]:
+                    chosen.insert(n, 0)
+                    visit(chosen,
+                          [[s[0]] * m + s for s, m in zip(child, mults)],
+                          (n, p + 1, 1, here[3]), weight)
+                    del chosen[n]
+                if weight and tally[depth]:
                     visit(chosen, child, here, weight)
-                elif weight:
-                    if tally[depth + 1]:
-                        chosen.insert(n, 0)
-                        visit(chosen,
-                              [[s[0]] * m + s for s, m in zip(child, mults)],
-                              (n, p + 1, 1, here[3]), weight)
-                        del chosen[n]
-                    if tally[depth]:
-                        replay.append((tuple(chosen), child, here, weight))
             if depth < kmax:
                 # a child at index j needs need - depth - 1 elements above j
                 stop = min(cap, cap - need + depth + 1)
-                descend(range(i + 1, stop), child, here, below, replay)
+                descend(range(i + 1, stop), child, here, below, twins)
             chosen.pop()
 
     root = [[1 << offset] for _ in mults]
@@ -353,9 +355,10 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
 
 def _with_mirrors(wits: Sequence[tuple]) -> list[tuple]:
     """The first WITNESS_CAP of wits and their mirrors, ascending. If wits
-    are the first minimizers a mirror walk saw, up to the cap, these are
-    the first WITNESS_CAP of all minimizers: a canonical subset precedes
-    its mirror, so each of them is among wits or is the mirror of one."""
+    are canonical minimizers that include the first WITNESS_CAP of them,
+    these are the first WITNESS_CAP of all minimizers: a canonical subset
+    precedes its mirror, so each of them is among wits or is the mirror
+    of one."""
     mirrors = (tuple(-x for x in reversed(w)) for w in wits)
     return sorted(set(wits).union(mirrors))[:WITNESS_CAP]
 
@@ -398,35 +401,28 @@ def _walk_unit(payload) -> dict:
     walk offset that `_sweep` admitted. Unless records are
     collected or the oracle checks, the walk is the mirror walk: its
     weights count mirror pairs twice and its minima hold only canonical
-    witnesses. A witness tuple is built only below its cell's admit
-    threshold."""
+    witnesses. Each profile keeps its weight and its first WITNESS_CAP
+    instances, in combinations order as `_walk` visits them, and the
+    unit returns the minima cells derived from them (`minima_cells`)
+    with plain weights."""
     values, firsts, ks, rs, use_oracle, collect, offset = payload
     mults = [r or 1 for r in rs]
     agg = new_aggregate()
-    minima, profiles, by_k = agg["minima"], agg["profiles"], agg["records"]
-    # admits[k][i][alpha]: a size at (k, rs[i], alpha) must be below it
-    # to reach note_minimum
-    admits = [[] for _ in range(max(ks) + 1)]
-    for k in ks:
-        admits[k] = [[inf] * (k * m + 1) for m in mults]
+    by_k = agg["records"]
+    # (r, shape, sizes) -> [weight, first WITNESS_CAP instances]
+    profiles: dict[tuple, list] = {}
 
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
-        k = len(chosen)
-        witness = None
-        for r, suffix, admit in zip(rs, suffix_sets, admits[k]):
-            sizes = tuple(map(int.bit_count, suffix))
-            profiles[r, shape, sizes] += weight
-            # most visits admit nothing, and any() costs them less than
-            # the keeper's loop
-            if any(map(lt, sizes, admit)):
-                witness = witness or tuple(chosen)
-                note_sizes(minima, admit, k, r, sizes, witness)
-
-    def visit_each(chosen: list[int], suffix_sets: list, shape: tuple,
-                   weight: int) -> None:
-        visit(chosen, suffix_sets, shape, weight)
         for r, suffix in zip(rs, suffix_sets):
+            sizes = tuple(map(int.bit_count, suffix))
+            entry = profiles.get((r, shape, sizes))
+            if entry is None:
+                profiles[r, shape, sizes] = [weight, [tuple(chosen)]]
+            else:
+                entry[0] += weight
+                if len(entry[1]) < WITNESS_CAP:
+                    entry[1].append(tuple(chosen))
             if use_oracle:
                 expected = _oracle_suffixes(chosen, r)
                 for alpha, union in enumerate(suffix):
@@ -439,11 +435,13 @@ def _walk_unit(payload) -> dict:
                 agg["oracle_checked"] += len(suffix)
             if collect:
                 by_k.setdefault(len(chosen), []).append(
-                    (tuple(chosen), r, shape, tuple(map(int.bit_count, suffix))))
+                    (tuple(chosen), r, shape, sizes))
 
-    _walk(values, firsts, ks, mults, offset,
-          visit_each if collect or use_oracle else visit,
-          not (collect or use_oracle))
+    _walk(values, firsts, ks, mults, offset, visit, not (collect or use_oracle))
+    agg["profiles"].update({key: weight
+                            for key, (weight, _) in profiles.items()})
+    agg["minima"] = minima_cells((r, sizes, wits) for (r, _, sizes), (_, wits)
+                                 in profiles.items())
     return agg
 
 
@@ -564,6 +562,9 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     floors: dict[tuple, list] = {}
     for k, rows in agg["records"].items():
         recs = agg["records"][k] = []
+        # combinations order, r ascending within an instance; the walk
+        # and the merge leave rows in neither
+        rows.sort(key=itemgetter(0))
         for chosen, r, shape, sizes in rows:
             per_alpha = floors.get((r, shape))
             if per_alpha is None:
@@ -745,20 +746,23 @@ def empirical_minimum(
     values = range(-max_abs, max_abs + 1)
     if zero_policy != "any":
         values = [v for v in values if v]
-    minima: dict = {}
-    admit = inf
+    # (twin, size at alpha) -> the first WITNESS_CAP instances, twin 1 for
+    # the subsets of shape n >= 1, zero = 1: each key's instances come in
+    # combinations order
+    profiles: dict[tuple, list] = {}
     zeros = (0,) if size_k < k else ()
 
     # each zero_policy's universe is closed under negation, so the mirror
     # walk sees each minimizer or its mirror
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
-        nonlocal admit
-        size = suffix_sets[0][low].bit_count()
-        if size < admit:
-            admit = note_minimum(minima, None, size,
-                                 tuple(sorted((*chosen, *zeros))))
+        wits = profiles.setdefault(
+            (shape[0] and shape[2], suffix_sets[0][low].bit_count()), [])
+        if len(wits) < WITNESS_CAP:
+            wits.append(tuple(sorted((*chosen, *zeros))))
 
     _walk(values, range(len(values)), [size_k], [1], offset, visit, True)
-    best, wits = minima[None]
+    # one cell, its sizes those at alpha: the least and its first witnesses
+    best, wits = minima_cells((None, (size,), got) for (_, size), got
+                              in profiles.items())[0, None, 0]
     return best, [IntegerSet(w) for w in _with_mirrors(wits)]

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subsums import engine, verifier
+from subsums import engine, fp, verifier
 from subsums.bounds import applicable_bounds, shape_bounds, shape_floor_rows
 from subsums.model import (
     BudgetExceeded, IntegerSet, RepSequence, classify, parse_sequence,
@@ -440,6 +441,26 @@ def brute_force(max_abs, ks, rs):
     return cells, keys, {"counts": counts, "tight_by_theorem": dict(tight)}
 
 
+def _twin(elems):
+    """A twin of the walk: a negative and 0 chosen, shape n >= 1, zero = 1."""
+    return elems[0] < 0 and 0 in elems
+
+
+def assert_walk_order(stream, expected):
+    """The visit order `_walk` promises: stream, one item per visit with
+    the subset first, holds the items of expected, which lists them in
+    combinations order, in that order within each size and twin class.
+    So each size's visits equal expected's as a multiset."""
+    def classes(items):
+        out = {}
+        for item in items:
+            out.setdefault((len(item[0]), _twin(item[0])), []).append(item)
+        return out
+
+    assert len(stream) == len(expected)
+    assert classes(stream) == classes(expected)
+
+
 class TestAgainstBruteForce:
     """Every minima cell, with its witness list, and the record order
     (k, combinations, r, alpha) equal a per-instance recomputation."""
@@ -514,7 +535,7 @@ class TestAgainstBruteForce:
                 mirror = tuple(-x for x in reversed(elems))
                 if elems <= mirror:
                     expected.append((elems, 1 if elems == mirror else 2))
-        assert sorted(seen, key=lambda item: len(item[0])) == expected
+        assert_walk_order(seen, expected)
         weights = dict(seen)
         # a tie, min + max = 0, settled by the next pair of elements
         assert weights[-2, -1, 2] == 2 and (-2, 1, 2) not in weights
@@ -591,11 +612,11 @@ class TestAgainstBruteForce:
     @example(max_abs=4, ks=[3, 5], mults=[3], mirror=False, data=None)
     def test_walk_stream_is_combinations_reference(self, max_abs, ks, mults,
                                                    mirror, data):
-        # every visit, in order within each size, against a reference
-        # that builds each subset's unions from scratch: subsets holding 0
-        # take their unions from a zero-free twin, so this pins the twin
-        # unions, shapes and weights, the pruning one size lower, and
-        # combinations order at every size
+        # every visit against a reference that builds each subset's
+        # unions from scratch: subsets holding 0 take their unions from a
+        # zero-free twin, so this pins the twin unions, shapes and
+        # weights, the pruning one size lower, and combinations order
+        # within each size and twin class
         values = range(-max_abs, max_abs + 1)
         first = None if data is None else data.draw(
             st.one_of(st.none(), st.integers(0, len(values) - 1)))
@@ -629,9 +650,7 @@ class TestAgainstBruteForce:
                     unions.append(engine.suffix_unions(layers))
                 expected.append((elems, tuple(classify(IntegerSet(elems))),
                                  weight, unions))
-        assert [item for k in ks for item in stream if len(item[0]) == k] \
-            == expected
-        assert len(stream) == len(expected)
+        assert_walk_order(stream, expected)
 
     def test_subsets_with_zero_take_no_insertion(self, monkeypatch):
         # a subset that holds 0 below its first element takes its unions
@@ -670,6 +689,45 @@ class _RecordingPool:
 
     def map(self, fn, items):
         return map(fn, items)
+
+
+class _ShufflingPool(_RecordingPool):
+    """A `_RecordingPool` whose map hands back the units' aggregates in a
+    shuffled order, seeded by `seed`."""
+
+    seed = 0
+
+    def map(self, fn, items):
+        parts = list(map(fn, items))
+        random.Random(self.seed).shuffle(parts)
+        return parts
+
+
+class TestMergeOrder:
+    """Walk units merge in any order: one `_walk_unit` per first element,
+    merged in shuffled orders, gives the report and the records of the
+    in-order merge."""
+
+    @pytest.mark.parametrize("sweep", [
+        functools.partial(sweep_sets, 4, range(1, 6)),
+        functools.partial(sweep_sequences, 2, range(1, 4), range(1, 4)),
+    ], ids=["sets", "sequences"])
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_shuffled_units_merge_alike(self, sweep, collect, monkeypatch):
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verifier, "_CHUNK", 1)
+        runs = []
+        # the in-order merge first
+        for seed in [None, *range(6)]:
+            pool = _RecordingPool if seed is None else _ShufflingPool
+            monkeypatch.setattr(verifier, "ProcessPoolExecutor", pool)
+            pool.sizes, _ShufflingPool.seed = [], seed
+            rep = sweep(workers=2, collect_records=collect)
+            # one unit per first element: a pool of two
+            assert pool.sizes == [2]
+            runs.append((rep.to_json() | {"elapsed_ms": 0}, rep.records))
+        assert all(run == runs[0] for run in runs)
+        assert bool(runs[0][1]) == collect
 
 
 class TestWorkerCount:
@@ -939,41 +997,66 @@ class TestResolveProfiles:
 
 
 @st.composite
-def admitting_visits(draw):
-    """A minima cell shape (k, r), starting admit thresholds as sweeps
-    (0 or inf) and fp (a bound above every size) set them, and visits of
-    small sizes, so that ties fill cells up to the witness cap."""
-    k = draw(st.integers(0, 4))
-    r = draw(st.sampled_from([None, 1, 3]))
-    width = k * (r or 1) + 1
-    start = draw(st.lists(st.sampled_from([0, 9, float("inf")]),
-                          min_size=width, max_size=width))
-    visits = draw(st.lists(st.lists(st.integers(0, 8), min_size=width,
-                                    max_size=width), max_size=40))
-    return k, r, start, visits
+def profile_streams(draw):
+    """Instances (r, sizes, witness) in a campaign's order, and that
+    order's sort key: sweeps' tuple order over sorted element tuples, or
+    fp's product order over picks listed as `fp._walk` lists them, sizes
+    then as bytes. Each instance takes one of a few profile keys of small
+    sizes, so cells tie across profiles and lists reach the cap."""
+    half = 4
+    if draw(st.booleans()):
+        order, form = None, tuple
+        pool = [elems for k in range(1, 4)
+                for elems in itertools.combinations(range(-6, 7), k)]
+    else:
+        order, form = functools.partial(fp._product_key, half=half), bytes
+        # a pick per pair {x, p - x}, digit 0 (none), 1 (x) or 2 (-x)
+        pool = [tuple(x if d == 1 else -x for x, d in enumerate(ds, 1) if d)
+                for ds in itertools.product((0, 1, 2), repeat=half) if any(ds)]
+    rng = draw(st.randoms(use_true_random=False))
+    witnesses = sorted(rng.sample(pool, draw(st.integers(0, 60))), key=order)
+    keys = draw(st.lists(st.tuples(st.sampled_from([None, 1, 3]),
+                                   st.integers(0, 3)).flatmap(
+        lambda rk: st.tuples(st.just(rk[0]), st.lists(
+            st.integers(1, 3), min_size=rk[1] * (rk[0] or 1) + 1,
+            max_size=rk[1] * (rk[0] or 1) + 1).map(form))),
+        min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(keys) - 1),
+                          min_size=len(witnesses), max_size=len(witnesses)))
+    stream = [keys[i] + (w,) for i, w in zip(picks, witnesses)]
+    return stream, order, rng
 
 
-class TestNoteSizes:
-    """The keeper sweeps and fp share leaves what per-alpha `note_minimum`
-    calls below each threshold leave."""
+class TestMinimaCells:
+    """The cells `minima_cells` derives from per-profile witness lists
+    equal a per-instance keeper's, which sees every instance in the
+    campaign's order and keeps each cell's first WITNESS_CAP minimizers."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=admitting_visits())
-    @example(case=(1, None, [float("inf")] * 2, [[3, 1]] * 20))
-    def test_equals_per_alpha_calls(self, case):
-        k, r, start, visits = case
-        expected, admit = {}, list(start)
-        for i, sizes in enumerate(visits):
-            for alpha, got in enumerate(sizes):
-                if got < admit[alpha]:
-                    admit[alpha] = verifier.note_minimum(
-                        expected, (k, r, alpha), got, (i,))
-        for form in (tuple, bytes):
-            minima, kept = {}, list(start)
-            for i, sizes in enumerate(visits):
-                verifier.note_sizes(minima, kept, k, r, form(sizes), (i,))
-            assert minima == expected
-            assert kept == admit
+    @given(case=profile_streams())
+    def test_equals_per_instance_keeper(self, case):
+        stream, order, rng = case
+        expected = {}
+        for r, sizes, witness in stream:
+            k = (len(sizes) - 1) // (r or 1)
+            for alpha, size in enumerate(sizes):
+                best, wits = expected.get((k, r, alpha), (size + 1, []))
+                if size < best:
+                    expected[k, r, alpha] = size, [witness]
+                elif size == best and len(wits) < WITNESS_CAP:
+                    wits.append(witness)
+        # each profile keeps its first WITNESS_CAP instances, as the walks
+        # do, and is handed over in any order
+        profiles = {}
+        for r, sizes, witness in stream:
+            wits = profiles.setdefault((r, sizes), [])
+            if len(wits) < WITNESS_CAP:
+                wits.append(witness)
+        items = list(profiles.items())
+        rng.shuffle(items)
+        got = verifier.minima_cells(
+            ((r, sizes, wits) for (r, sizes), wits in items), order)
+        assert got == expected
 
 
 class TestReportShape:
