@@ -112,15 +112,6 @@ def min_fold_size(h: int, k: int) -> int:
     return h * k - h + 1
 
 
-def m_index(alpha: int, r: int) -> int:
-    """Block index m with (m-1)*r <= alpha < m*r, i.e. alpha//r + 1."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return alpha // r + 1
-
-
 def _check_k(k: int, least: int) -> None:
     if k < least:
         raise ValueError(f"k must be >= {least}")

@@ -14,15 +14,15 @@ later one nothing, x or p - x. The walk keeps a subset's suffix unions
 as lanes of one int (`_lanes`), its parent's plus one insertion: a fixed
 number of big-int operations whatever the depth. Its sizes per alpha,
 the lanes' bit counts, are read all at once through a byte popcount
-table. It fills the campaign aggregate of `verifier`: each distinct
-sizes is a profile (None, size, sizes), weighted by the subsets that
-have it, twice over for the mirrors, and `verifier.finish_report`
-compares it once with the size's floors, as it does a sweep's. Each
-distinct sizes also keeps its first `WITNESS_CAP` subsets in walk order,
-and the minima cells come from those lists through the sweep's
-`verifier.minima_cells`, tied lists merged in product order. They are
-keyed as in a set sweep, where sets run as r = 1 sequences marked
-r = None: the cells carry k and alpha, no r.
+table. Each visit goes to the sweep's profile keeper, `verifier.Profiles`,
+keyed by its sizes and weighted 2, since a canonical subset stands for
+its mirror too; the keeper also keeps each sizes' first `WITNESS_CAP`
+subsets in walk order. After the walk each sizes is re-keyed once to
+the profile (None, size, sizes), and `Profiles.aggregate` gives the
+weights and the minima cells, tied lists merged in product order. They
+are keyed as in a set sweep, where sets run as r = 1 sequences marked
+r = None: the cells carry k and alpha, no r. `verifier.finish_report`
+compares each profile once with its size's floors, as it does a sweep's.
 `oracle.residue_sums_by_size` is the enumeration these unions are
 checked against. Both refusals go through `model.refuse_above` before
 any work: a prime by its count of admissible subsets against the
@@ -35,18 +35,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bounds import T1_3, bound_fp, is_prime
 from .model import (DEFAULT_BUDGET, LAYER_BITS_BUDGET, SumSet, check_alpha,
                     literal, refuse_above)
-from .verifier import (
-    WITNESS_CAP,
-    CampaignReport,
-    finish_report,
-    minima_cells,
-    new_aggregate,
-)
+from .verifier import WITNESS_CAP, CampaignReport, Profiles, finish_report
 
 # Popcount of each byte value: a bytes translate through it counts the
 # set bits of every byte of an int at once
@@ -69,16 +63,6 @@ class FpSubset:
             raise ValueError("residues must lie in [0, p)")
         if any(b <= a for a, b in zip(self.elements, self.elements[1:])):
             raise ValueError("residues must be strictly increasing")
-
-    @classmethod
-    def from_residues(cls, p: int, values: Iterable[int]) -> "FpSubset":
-        """Reduce values mod p; rejects collisions after reduction."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        reduced = [v % p for v in values]
-        if len(set(reduced)) != len(reduced):
-            raise ValueError("values collide after reduction mod p")
-        return cls(p, tuple(sorted(reduced)))
 
     @property
     def size(self) -> int:
@@ -234,14 +218,14 @@ def verify_balandraud(p: int) -> CampaignReport:
 
     Negation keeps a subset admissible and every |Σ_alpha|, so the walk
     visits the canonical half and counts each visit twice. A visit adds
-    one to the count of its sizes, |Σ_alpha| per alpha, and
+    two to the weight of its sizes, |Σ_alpha| per alpha, and
     `finish_report` compares the floors once per distinct sizes
     afterwards. Each distinct sizes also keeps its first WITNESS_CAP
     canonical subsets in walk order, product order, and each minima cell
     takes the first WITNESS_CAP canonical minimizers from them
-    (`verifier.minima_cells`), then those with their mirrors in product
-    order: a canonical subset comes before its mirror, so the first
-    WITNESS_CAP of all minimizers are among these."""
+    (`verifier.Profiles.aggregate`), then those with their mirrors in
+    product order: a canonical subset comes before its mirror, so the
+    first WITNESS_CAP of all minimizers are among these."""
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
@@ -250,26 +234,15 @@ def verify_balandraud(p: int) -> CampaignReport:
         tuple(bound_fp(size, alpha, p).value for alpha in range(size + 1))
         for size in range(1, half + 1)
     ]
-    # sizes -> [count, first WITNESS_CAP instances], one byte per alpha
-    profiles: dict[bytes, list] = {}
-
-    def visit(lanes: int, sizes: bytes, chosen: list[int]) -> None:
-        entry = profiles.get(sizes)
-        if entry is None:
-            profiles[sizes] = [1, [tuple(chosen)]]
-        else:
-            entry[0] += 1
-            if len(entry[1]) < WITNESS_CAP:
-                entry[1].append(tuple(chosen))
-
-    _walk(p, visit)
-    agg = new_aggregate()
-    # each canonical subset stands for its mirror too
-    agg["profiles"].update({(None, len(sizes) - 1, sizes): 2 * count
-                            for sizes, (count, _) in profiles.items()})
+    # keyed by sizes, one byte per alpha, while the walk runs; each
+    # canonical subset stands for its mirror too
+    profiles = Profiles()
+    add = profiles.add
+    _walk(p, lambda lanes, sizes, chosen: add(sizes, 2, chosen))
     order = partial(_product_key, half=half)
-    minima = agg["minima"] = minima_cells(
-        ((None, sizes, wits) for sizes, (_, wits) in profiles.items()), order)
+    agg = Profiles({(None, len(sizes) - 1, sizes): entry
+                    for sizes, entry in profiles.items()}).aggregate(order)
+    minima = agg["minima"]
     for key, (got, wits) in minima.items():
         # tuple() of a list, whose length it knows, sizes the tuple once
         both = set(wits).union(tuple([-y for y in w]) for w in wits)

@@ -16,11 +16,12 @@ those of its twin N + P with union 0 repeated r times in front, and the
 walk visits it as it walks N's positive subtree. A node's tallies
 depend only on its profile (r, shape, sizes), sizes[alpha] being the bit
 count of union alpha, so the walk only adds each node's weight to its
-profile, which also keeps its first WITNESS_CAP instances, each a tuple
-of elements. The twins, the subsets of shape n >= 1 and zero = 1, are
-the only subsets of their shapes, so every profile sees its instances
-in combinations order, and each walk unit takes its (k, r, alpha) minima
-cells from the profiles' lists (`minima_cells`). After the merge each
+profile in `Profiles`, the one keeper, which also keeps the profile's
+first WITNESS_CAP instances, each a tuple of elements. The twins, the
+subsets of shape n >= 1 and zero = 1, are the only subsets of their
+shapes, so every profile sees its instances in combinations order, and
+each walk unit takes its (k, r, alpha) minima cells from the profiles'
+lists (`Profiles.aggregate`, through `minima_cells`). After the merge each
 (r, shape) takes its floors once from
 `bounds.shape_floor_rows`, as one vector over alpha per theorem and
 their greatest, each a row filled one block m = alpha//r + 1 at a time.
@@ -43,8 +44,8 @@ Each distinct witness list of the minima cells gains the mirrors of its
 canonical witnesses once, re-sorted and capped, which gives exactly the
 full walk's list. Runs that collect records or check the oracle emit or
 check one row per instance, so they walk every subset.
-`empirical_minimum` takes the same mirror walk, its profiles keyed by
-twin class and by the size at its one alpha.
+`empirical_minimum` runs one walk unit of the mirror walk over its zero
+policy's universe, as a set sweep of one size, and reads its one cell.
 
 Determinism: with several workers each first-element subtree is a unit,
 and units merge in any order (`_merge_aggs`): profile weights add, a
@@ -60,9 +61,9 @@ with the oracle, its vector count would exceed the budget (a count too
 long to print is named by `model.numeral`), and only the
 sizes that have subsets are walked. The subset counts per size come
 from one multiplicative recurrence, so a span of many sizes is refused
-as fast as one. `fp` fills the same aggregate, its profiles keyed by
-subset size and its cells taken by `minima_cells` in its walk's product
-order, and reports through the same `finish_report`.
+as fast as one. `fp` keeps its profiles in a `Profiles` too, re-keys
+them by subset size, aggregates them in its walk's product order and
+reports through the same `finish_report`.
 """
 
 from __future__ import annotations
@@ -222,6 +223,35 @@ def minima_cells(profiles: Iterable[tuple], order: Callable | None = None
             cells[k, r, alpha] = least, tied[0] if len(tied) == 1 else sorted(
                 chain.from_iterable(tied), key=order)[:WITNESS_CAP]
     return cells
+
+
+class Profiles(dict):
+    """The walks' profile keeper: (r, shape, sizes) -> [weight, first
+    WITNESS_CAP instances], each a tuple, in the order they are added.
+    A walk may key its entries otherwise while it runs, and re-key them
+    to such triples before `aggregate`."""
+
+    def add(self, key, weight: int, chosen: Iterable[int]) -> None:
+        """Add weight to key's profile and keep chosen as a witness while
+        it has fewer than WITNESS_CAP."""
+        entry = self.get(key)
+        if entry is None:
+            self[key] = [weight, [tuple(chosen)]]
+        else:
+            entry[0] += weight
+            if len(entry[1]) < WITNESS_CAP:
+                entry[1].append(tuple(chosen))
+
+    def aggregate(self, order: Callable | None = None) -> dict:
+        """A `new_aggregate` holding the profile weights and the minima
+        cells of the witness lists (`minima_cells`, with order)."""
+        agg = new_aggregate()
+        agg["profiles"].update({key: weight
+                                for key, (weight, _) in self.items()})
+        agg["minima"] = minima_cells(
+            ((r, sizes, wits) for (r, _, sizes), (_, wits) in self.items()),
+            order)
+        return agg
 
 
 def _merge_aggs(dst: dict, src: dict) -> None:
@@ -402,27 +432,21 @@ def _walk_unit(payload) -> dict:
     collected or the oracle checks, the walk is the mirror walk: its
     weights count mirror pairs twice and its minima hold only canonical
     witnesses. Each profile keeps its weight and its first WITNESS_CAP
-    instances, in combinations order as `_walk` visits them, and the
-    unit returns the minima cells derived from them (`minima_cells`)
-    with plain weights."""
+    instances in `Profiles`, in combinations order as `_walk` visits
+    them, and the unit returns their `Profiles.aggregate`."""
     values, firsts, ks, rs, use_oracle, collect, offset = payload
     mults = [r or 1 for r in rs]
-    agg = new_aggregate()
-    by_k = agg["records"]
-    # (r, shape, sizes) -> [weight, first WITNESS_CAP instances]
-    profiles: dict[tuple, list] = {}
+    profiles = Profiles()
+    add = profiles.add
+    by_k: dict[int, list] = {}
+    checked = 0
 
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
               weight: int) -> None:
+        nonlocal checked
         for r, suffix in zip(rs, suffix_sets):
             sizes = tuple(map(int.bit_count, suffix))
-            entry = profiles.get((r, shape, sizes))
-            if entry is None:
-                profiles[r, shape, sizes] = [weight, [tuple(chosen)]]
-            else:
-                entry[0] += weight
-                if len(entry[1]) < WITNESS_CAP:
-                    entry[1].append(tuple(chosen))
+            add((r, shape, sizes), weight, chosen)
             if use_oracle:
                 expected = _oracle_suffixes(chosen, r)
                 for alpha, union in enumerate(suffix):
@@ -432,16 +456,14 @@ def _walk_unit(payload) -> dict:
                         raise RuntimeError(
                             f"engine/oracle mismatch on {where} alpha={alpha}"
                         )
-                agg["oracle_checked"] += len(suffix)
+                checked += len(suffix)
             if collect:
                 by_k.setdefault(len(chosen), []).append(
                     (tuple(chosen), r, shape, sizes))
 
     _walk(values, firsts, ks, mults, offset, visit, not (collect or use_oracle))
-    agg["profiles"].update({key: weight
-                            for key, (weight, _) in profiles.items()})
-    agg["minima"] = minima_cells((r, sizes, wits) for (r, _, sizes), (_, wits)
-                                 in profiles.items())
+    agg = profiles.aggregate()
+    agg["records"], agg["oracle_checked"] = by_k, checked
     return agg
 
 
@@ -709,7 +731,9 @@ def empirical_minimum(
     combinations order.
 
     zero_policy "require" keeps only subsets containing zero, "forbid"
-    only those avoiding it, "any" all of them.
+    only those avoiding it, "any" all of them. Under "any" the result is
+    the (k, alpha) cell of `sweep_sets(max_abs, [k])`: both come from
+    the sweep's walk unit (`_walk_unit`).
 
     Refused up front with BudgetExceeded when the subsets walked exceed
     budget: C(2*max_abs + 1, k), or C(2*max_abs, k - 1) under "require"
@@ -746,23 +770,12 @@ def empirical_minimum(
     values = range(-max_abs, max_abs + 1)
     if zero_policy != "any":
         values = [v for v in values if v]
-    # (twin, size at alpha) -> the first WITNESS_CAP instances, twin 1 for
-    # the subsets of shape n >= 1, zero = 1: each key's instances come in
-    # combinations order
-    profiles: dict[tuple, list] = {}
-    zeros = (0,) if size_k < k else ()
-
-    # each zero_policy's universe is closed under negation, so the mirror
-    # walk sees each minimizer or its mirror
-    def visit(chosen: list[int], suffix_sets: list, shape: tuple,
-              weight: int) -> None:
-        wits = profiles.setdefault(
-            (shape[0] and shape[2], suffix_sets[0][low].bit_count()), [])
-        if len(wits) < WITNESS_CAP:
-            wits.append(tuple(sorted((*chosen, *zeros))))
-
-    _walk(values, range(len(values)), [size_k], [1], offset, visit, True)
-    # one cell, its sizes those at alpha: the least and its first witnesses
-    best, wits = minima_cells((None, (size,), got) for (_, size), got
-                              in profiles.items())[0, None, 0]
+    # each zero_policy's universe is closed under negation, so the sweep's
+    # mirror walk sees each minimizer or its mirror; one unit, r None
+    cells = _walk_unit((values, range(len(values)), [size_k], [None], False,
+                        False, offset))["minima"]
+    best, wits = cells[size_k, None, low]
+    if size_k < k:
+        # putting 0 back keeps the witnesses in tuple order
+        wits = [tuple(sorted((*w, 0))) for w in wits]
     return best, [IntegerSet(w) for w in _with_mirrors(wits)]

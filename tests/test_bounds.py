@@ -25,7 +25,6 @@ from subsums.bounds import (
     bound_zero,
     build_bound,
     is_prime,
-    m_index,
     min_fold_size,
     min_sumset_size,
     shape_bounds,
@@ -36,24 +35,28 @@ from subsums.oracle import oracle_sigma_seq, oracle_sigma_set
 
 
 class TestBlockIndex:
+    """The block index m that `bound_seq_disjoint` echoes in its params,
+    at a base of k values large enough that alpha < r*k."""
+
     @pytest.mark.parametrize(
         "alpha,r,expected",
         [(0, 2, 1), (1, 2, 1), (2, 2, 2), (5, 2, 3), (3, 1, 4), (0, 1, 1), (7, 3, 3)],
     )
     def test_values(self, alpha, r, expected):
-        assert m_index(alpha, r) == expected
+        assert bound_seq_disjoint(5, r, alpha).params["m"] == expected
 
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_bracketing(self, alpha, r):
+    @given(st.integers(2, 200), st.integers(1, 64), st.data())
+    def test_bracketing(self, k, r, data):
         # m is the unique index with (m-1)*r <= alpha < m*r
-        m = m_index(alpha, r)
+        alpha = data.draw(st.integers(0, r * k - 1))
+        m = bound_seq_disjoint(k, r, alpha).params["m"]
         assert (m - 1) * r <= alpha < m * r
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            m_index(-1, 2)
+            bound_seq_disjoint(5, 2, -1)
         with pytest.raises(ValueError):
-            m_index(0, 0)
+            bound_seq_disjoint(5, 0, 0)
 
 
 class TestPairwiseFloors:
@@ -172,7 +175,7 @@ class TestSequenceFloors:
         res = bound_seq_disjoint(k, r, alpha)
         assert res.theorem_id == "T3_1_disjoint"
         assert res.value == value
-        assert res.params["m"] == m_index(alpha, r)
+        assert res.params["m"] == alpha // r + 1
 
     @pytest.mark.parametrize(
         "k,r,alpha,value",

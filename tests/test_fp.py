@@ -83,14 +83,6 @@ class TestFpSubset:
         with pytest.raises(ValueError):
             FpSubset(7, ())
 
-    def test_from_residues_reduces(self):
-        a = FpSubset.from_residues(7, [8, -1, 3])
-        assert a.elements == (1, 3, 6)
-
-    def test_from_residues_rejects_collision(self):
-        with pytest.raises(ValueError):
-            FpSubset.from_residues(7, [1, 8])
-
     def test_self_disjoint(self):
         assert FpSubset(7, (1, 2)).self_disjoint
         assert not FpSubset(7, (2, 5)).self_disjoint  # 2 + 5 = 7

@@ -1028,9 +1028,10 @@ def profile_streams(draw):
 
 
 class TestMinimaCells:
-    """The cells `minima_cells` derives from per-profile witness lists
-    equal a per-instance keeper's, which sees every instance in the
-    campaign's order and keeps each cell's first WITNESS_CAP minimizers."""
+    """The weights and cells `Profiles.aggregate` derives from the
+    keeper's per-profile witness lists equal a per-instance keeper's,
+    which sees every instance in the campaign's order and keeps each
+    cell's first WITNESS_CAP minimizers."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=profile_streams())
@@ -1045,18 +1046,20 @@ class TestMinimaCells:
                     expected[k, r, alpha] = size, [witness]
                 elif size == best and len(wits) < WITNESS_CAP:
                     wits.append(witness)
-        # each profile keeps its first WITNESS_CAP instances, as the walks
-        # do, and is handed over in any order
-        profiles = {}
+        # the walks' keeper adds each instance's weight to its profile and
+        # keeps its first WITNESS_CAP instances; profiles are handed over
+        # in any order
+        profiles = verifier.Profiles()
+        weights = Counter()
         for r, sizes, witness in stream:
-            wits = profiles.setdefault((r, sizes), [])
-            if len(wits) < WITNESS_CAP:
-                wits.append(witness)
+            weight = rng.randint(1, 3)
+            profiles.add((r, None, sizes), weight, witness)
+            weights[r, None, sizes] += weight
         items = list(profiles.items())
         rng.shuffle(items)
-        got = verifier.minima_cells(
-            ((r, sizes, wits) for (r, sizes), wits in items), order)
-        assert got == expected
+        agg = verifier.Profiles(items).aggregate(order)
+        assert agg["profiles"] == weights
+        assert agg["minima"] == expected
 
 
 class TestReportShape:
@@ -1179,6 +1182,21 @@ class TestEmpiricalMinimum:
                     got, got_wits = empirical_minimum(k, alpha, max_abs, policy)
                     assert got == best, (max_abs, k, alpha)
                     assert [w.elements for w in got_wits] == wits[:WITNESS_CAP]
+
+    def test_any_equals_sweep_cells(self):
+        # both entry points take their cells from the same walk and
+        # keeper: under "any" each of the sweep's 112 (k, alpha) cells
+        # here has empirical_minimum's size and witnesses
+        cells = 0
+        for max_abs in range(6):
+            ks = range(1, min(6, 2 * max_abs + 1) + 1)
+            for cell in sweep_sets(max_abs, ks).minima:
+                best, wits = empirical_minimum(cell["k"], cell["alpha"],
+                                               max_abs)
+                assert (best, [w.literal() for w in wits]) == (
+                    cell["size"], cell["witnesses"]), (max_abs, cell)
+                cells += 1
+        assert cells == 112
 
     def test_require_zero_walks_only_subsets_with_zero(self, monkeypatch):
         # the budget counts C(2M, k - 1) subsets; the walk must not visit
