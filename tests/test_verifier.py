@@ -1027,6 +1027,25 @@ def profile_streams(draw):
     return stream, order, rng
 
 
+class TestProfiles:
+    def test_add_copies_reused_chosen_and_caps_witnesses(self):
+        # the walks hand add one list, mutated between calls: each
+        # witness is a copy taken at add time, and weights keep adding
+        # after the list is full
+        profiles = verifier.Profiles()
+        chosen = []
+        for i in range(WITNESS_CAP + 3):
+            chosen[:] = [i, i + 1]
+            profiles.add("key", 2, chosen)
+        chosen[:] = [-1]
+        weight, wits = profiles["key"]
+        assert weight == 2 * (WITNESS_CAP + 3)
+        assert wits == [(i, i + 1) for i in range(WITNESS_CAP)]
+
+    def test_empty_aggregate_is_new_aggregate(self):
+        assert verifier.Profiles().aggregate() == verifier.new_aggregate()
+
+
 class TestMinimaCells:
     """The weights and cells `Profiles.aggregate` derives from the
     keeper's per-profile witness lists equal a per-instance keeper's,
