@@ -22,11 +22,13 @@ Both expressions are written once, as block helpers: within a block
 m = alpha//r + 1 (r = 1 for sets) a floor is base + d*(m*r - alpha), an
 arithmetic progression in alpha, with d = dn + dp for the sign-aware
 floor and d = 0 for the sign-agnostic one. Which floors hold for a sign
-shape and r is decided in one place. From there `shape_floor_rows`
-fills each floor's row over every alpha one block at a time, and
-`shape_bounds` builds one alpha's floors through their public
-constructors, which evaluate that alpha alone; `applicable_bounds` is
-`shape_bounds` at an instance's shape.
+shape and r, and the block helper and parameters each one evaluates,
+are stated in one place, `_shape_floors`. Everything else reads its
+entries: `shape_floor_rows` fills each floor's row over every alpha one
+block at a time; `shape_bounds` builds one alpha's `BoundResult`s;
+`shape_bound` builds one theorem's at a given shape; and each public
+constructor is its argument check plus `shape_bound` at its own shape.
+`applicable_bounds` is `shape_bounds` at an instance's shape.
 
 All arithmetic is exact integer arithmetic. A boundary index equal to n
 or p always falls into the <= branch. Identifiers such as T2_1 or C3_4
@@ -122,15 +124,6 @@ def _check_sides(n: int, p: int) -> None:
         raise ValueError("n and p must be >= 1")
 
 
-def _seq_m(r: int, alpha: int, k: int) -> int:
-    """Block index of alpha for a base of k values repeated r times,
-    after checking r >= 1 and alpha < r*k."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    check_alpha(alpha, r * k - 1)
-    return alpha // r + 1
-
-
 def _signed_block(n: int, p: int, zero: int, r: int, m: int) -> tuple[int, int]:
     """(base, d) of the sign-aware floor for n negative values, p positive
     values and `zero` zeros, each repeated r times, in block m: at alpha
@@ -173,11 +166,6 @@ def _at(block, params: tuple, r: int, alpha: int) -> int:
     return base + d * (m * r - alpha)
 
 
-def _signed_floor(n: int, p: int, zero: int, r: int, alpha: int) -> int:
-    """Sign-aware floor at alpha (see `_signed_block`)."""
-    return _at(_signed_block, (n, p, zero), r, alpha)
-
-
 def _case(i: int, n: int, p: int) -> str:
     """Mixed-floor case label at index i (alpha for sets, m for
     sequences); a boundary i equal to n or p falls into the <= branch."""
@@ -194,29 +182,21 @@ def bound_disjoint(k: int, alpha: int) -> BoundResult:
     """Floor k(k+1)/2 - alpha(alpha+1)/2 + 1 for sets where no element's
     negation is also present."""
     _check_k(k, 1)
-    check_alpha(alpha, k)
-    value = _signed_floor(0, k, 0, 1, alpha)
-    return BoundResult(T2_1, None, value, {"k": k, "alpha": alpha})
+    return shape_bound(T2_1, 0, k, 0, None, alpha)
 
 
 def bound_zero(k: int, alpha: int) -> BoundResult:
     """Floor k(k-1)/2 - alpha(alpha-1)/2 + 1 for sets where zero is the
     only element whose negation is also present."""
     _check_k(k, 1)
-    check_alpha(alpha, k)
-    value = _signed_floor(0, k - 1, 1, 1, alpha)
-    return BoundResult(C2_2, None, value, {"k": k, "alpha": alpha})
+    return shape_bound(C2_2, 0, k - 1, 1, None, alpha)
 
 
 def bound_mixed(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative and p positive integers
     (no zero). Cases split on alpha <= n and alpha <= p."""
     _check_sides(n, p)
-    check_alpha(alpha, n + p)
-    value = _signed_floor(n, p, 0, 1, alpha)
-    return BoundResult(
-        T2_3, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
-    )
+    return shape_bound(T2_3, n, p, 0, None, alpha)
 
 
 def bound_mixed_zero(n: int, p: int, alpha: int) -> BoundResult:
@@ -224,23 +204,15 @@ def bound_mixed_zero(n: int, p: int, alpha: int) -> BoundResult:
     integers, and zero. Same case split as bound_mixed with the alpha
     correction terms shifted by one."""
     _check_sides(n, p)
-    check_alpha(alpha, n + p + 1)
-    value = _signed_floor(n, p, 1, 1, alpha)
-    return BoundResult(
-        C2_4, _case(alpha, n, p), value, {"n": n, "p": p, "alpha": alpha}
-    )
+    return shape_bound(C2_4, n, p, 1, None, alpha)
 
 
 def bound_general(k: int, alpha: int, has_zero: bool) -> BoundResult:
     """Sign-agnostic floor for any set of k >= 2 integers, split only on
     whether zero is present. The case label records the parity of k."""
     _check_k(k, 2)
-    check_alpha(alpha, k)
-    value = _agnostic_floor(k, int(has_zero), 1, alpha)
-    case = "odd" if k % 2 else "even"
-    return BoundResult(
-        C2_5, case, value, {"k": k, "alpha": alpha, "has_zero": int(has_zero)}
-    )
+    zero = int(has_zero)
+    return shape_bound(C2_5, 0, k - zero, zero, None, alpha)
 
 
 def bound_seq_disjoint(k: int, r: int, alpha: int) -> BoundResult:
@@ -249,22 +221,14 @@ def bound_seq_disjoint(k: int, r: int, alpha: int) -> BoundResult:
     alpha < r*k; the alpha = r*k query degenerates to a singleton and is
     handled by callers, not here."""
     _check_k(k, 2)
-    m = _seq_m(r, alpha, k)
-    value = _signed_floor(0, k, 0, r, alpha)
-    return BoundResult(
-        T3_1_DISJOINT, None, value, {"k": k, "r": r, "alpha": alpha, "m": m}
-    )
+    return shape_bound(T3_1_DISJOINT, 0, k, 0, r, alpha)
 
 
 def bound_seq_zero(k: int, r: int, alpha: int) -> BoundResult:
     """Repeated-sequence floor r(k(k-1)/2 - m(m-1)/2) + (m-1)(mr - alpha) + 1
     for base sets where zero is the only self-negation coincidence."""
     _check_k(k, 2)
-    m = _seq_m(r, alpha, k)
-    value = _signed_floor(0, k - 1, 1, r, alpha)
-    return BoundResult(
-        T3_1_ZERO, None, value, {"k": k, "r": r, "alpha": alpha, "m": m}
-    )
+    return shape_bound(T3_1_ZERO, 0, k - 1, 1, r, alpha)
 
 
 def bound_seq_mixed(n: int, p: int, r: int, alpha: int) -> BoundResult:
@@ -272,11 +236,7 @@ def bound_seq_mixed(n: int, p: int, r: int, alpha: int) -> BoundResult:
     p positive integers (no zero). Cases split on m <= n and m <= p,
     where m is the block index of alpha."""
     _check_sides(n, p)
-    m = _seq_m(r, alpha, n + p)
-    value = _signed_floor(n, p, 0, r, alpha)
-    return BoundResult(
-        T3_2, _case(m, n, p), value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
-    )
+    return shape_bound(T3_2, n, p, 0, r, alpha)
 
 
 def bound_seq_mixed_zero(n: int, p: int, r: int, alpha: int) -> BoundResult:
@@ -284,11 +244,7 @@ def bound_seq_mixed_zero(n: int, p: int, r: int, alpha: int) -> BoundResult:
     integers, p positive integers, and zero. Same case split as
     bound_seq_mixed with shifted correction terms and coefficients."""
     _check_sides(n, p)
-    m = _seq_m(r, alpha, n + p + 1)
-    value = _signed_floor(n, p, 1, r, alpha)
-    return BoundResult(
-        C3_3, _case(m, n, p), value, {"n": n, "p": p, "r": r, "alpha": alpha, "m": m}
-    )
+    return shape_bound(C3_3, n, p, 1, r, alpha)
 
 
 def bound_seq_general(k: int, r: int, alpha: int, has_zero: bool) -> BoundResult:
@@ -296,15 +252,8 @@ def bound_seq_general(k: int, r: int, alpha: int, has_zero: bool) -> BoundResult
     integers, split only on zero membership. Case label is the parity of
     k."""
     _check_k(k, 3)
-    m = _seq_m(r, alpha, k)
-    value = _agnostic_floor(k, int(has_zero), r, m)
-    case = "odd" if k % 2 else "even"
-    return BoundResult(
-        C3_4,
-        case,
-        value,
-        {"k": k, "r": r, "alpha": alpha, "m": m, "has_zero": int(has_zero)},
-    )
+    zero = int(has_zero)
+    return shape_bound(C3_4, 0, k - zero, zero, r, alpha)
 
 
 def is_prime(n: int) -> bool:
@@ -329,7 +278,7 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     check_alpha(alpha, size)
     if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
-    value = min(p, _signed_floor(0, size, 0, 1, alpha))
+    value = min(p, _at(_signed_block, (0, size, 0), 1, alpha))
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 
@@ -337,10 +286,10 @@ def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
                   ) -> list[tuple]:
     """(theorem_id, block helper, its leading parameters) of every floor
     whose hypotheses hold for the sign shape (n, p, zero, meet) at r. This
-    is the one home of the applicability rules: which floors hold is
-    decided once per (shape, r). A shape no set has is refused: a
-    negative n or p, a zero or meet other than 0 or 1, or meet 1 without
-    a negative and a positive."""
+    is the one home of the applicability rules and of each floor's
+    parameters: which floors hold is decided once per (shape, r). A shape
+    no set has is refused: a negative n or p, a zero or meet other than 0
+    or 1, or meet 1 without a negative and a positive."""
     k = n + p + zero
     if k < 1:
         raise ValueError("a shape needs at least one element")
@@ -370,6 +319,46 @@ def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
         floors.append((C3_4 if seq else C2_5, _agnostic_block,
                        (k, zero, 1 - seq)))
     return floors
+
+
+def _result(theorem_id: str, block, params: tuple, r: int | None,
+            alpha: int) -> BoundResult:
+    """The `BoundResult` of one `_shape_floors` entry at alpha, for a set
+    (r None) or a sequence at r. Its case label is the mixed-floor case
+    at alpha for sets and at m for sequences, the parity of k for the
+    sign-agnostic floor, and None otherwise. Its params echo k (n and p
+    for a mixed floor), alpha, has_zero for the sign-agnostic floor, and
+    r and m for sequences."""
+    m = alpha // (r or 1) + 1
+    value = _at(block, params, r or 1, alpha)
+    where = {"alpha": alpha} if r is None else {"r": r, "alpha": alpha, "m": m}
+    if block is _agnostic_block:
+        k, zero, _ = params
+        return BoundResult(theorem_id, "odd" if k % 2 else "even", value,
+                           {"k": k, **where, "has_zero": zero})
+    n, p, zero = params
+    # the disjoint and zero floors are written with n = 0, the mixed
+    # ones with n >= 1
+    if n:
+        return BoundResult(theorem_id, _case(alpha if r is None else m, n, p),
+                           value, {"n": n, "p": p, **where})
+    return BoundResult(theorem_id, None, value, {"k": p + zero, **where})
+
+
+def shape_bound(theorem_id: str, n: int, p: int, zero: int, r: int | None,
+                alpha: int) -> BoundResult:
+    """The set or sequence floor theorem_id at alpha for n negatives, p
+    positives and `zero` zeros, no nonzero value beside its negation: a
+    set for r None, else that base repeated r times. Sets accept alpha in
+    [0, k] and sequences alpha in [0, r*k - 1]. A theorem that does not
+    hold at that shape, T1_3 among them, is refused."""
+    for floor in _shape_floors(n, p, zero, 0, r):
+        if floor[0] == theorem_id:
+            k = n + p + zero
+            check_alpha(alpha, k if r is None else r * k - 1)
+            return _result(*floor, r, alpha)
+    raise ValueError(f"no set or sequence floor {theorem_id!r} at n={n}, "
+                     f"p={p}, zero={zero}, r={r}")
 
 
 def shape_floor_rows(
@@ -407,35 +396,11 @@ def shape_floor_rows(
     return rows
 
 
-# theorem ID -> (constructor, names of its parameters in call order)
-_BUILDERS = {
-    T2_1: (bound_disjoint, ("k", "alpha")),
-    C2_2: (bound_zero, ("k", "alpha")),
-    T2_3: (bound_mixed, ("n", "p", "alpha")),
-    C2_4: (bound_mixed_zero, ("n", "p", "alpha")),
-    C2_5: (bound_general, ("k", "alpha", "has_zero")),
-    T3_1_DISJOINT: (bound_seq_disjoint, ("k", "r", "alpha")),
-    T3_1_ZERO: (bound_seq_zero, ("k", "r", "alpha")),
-    T3_2: (bound_seq_mixed, ("n", "p", "r", "alpha")),
-    C3_3: (bound_seq_mixed_zero, ("n", "p", "r", "alpha")),
-    C3_4: (bound_seq_general, ("k", "r", "alpha", "has_zero")),
-}
-
-
-def build_bound(theorem_id: str, **params) -> BoundResult:
-    """The set or sequence floor theorem_id, built by its public
-    constructor from the named parameters it takes; others are ignored."""
-    if theorem_id not in _BUILDERS:
-        raise ValueError(f"no set or sequence floor {theorem_id!r}")
-    constructor, names = _BUILDERS[theorem_id]
-    return constructor(*[params[name] for name in names])
-
-
 def shape_bounds(n: int, p: int, zero: int, meet: int, r: int | None,
                  alpha: int) -> list[BoundResult]:
     """Every floor whose hypotheses hold for the sign shape (n, p, zero,
     meet) at r (None for a set, as in `shape_floor_rows`), built at alpha
-    by `build_bound`, in the order of that function's rows. Sets accept
+    by `_result`, in the order of that function's rows. Sets accept
     alpha in [0, k], sequences alpha in [0, r*k], and the degenerate
     alpha = r*k of a sequence has no floors."""
     floors = _shape_floors(n, p, zero, meet, r)
@@ -444,9 +409,7 @@ def shape_bounds(n: int, p: int, zero: int, meet: int, r: int | None,
     check_alpha(alpha, top)
     if r is not None and alpha == top:
         return []
-    return [build_bound(theorem_id, k=k, n=n, p=p, r=r, alpha=alpha,
-                        has_zero=zero)
-            for theorem_id, _, _ in floors]
+    return [_result(*floor, r, alpha) for floor in floors]
 
 
 def applicable_bounds(

@@ -167,28 +167,29 @@ def _lanes(p: int) -> tuple[Callable[[int, int], int],
     return insert, sizes
 
 
-def _walk(p: int, visit: Callable[[int, bytes, list[int]], None]) -> None:
-    """Call visit(lanes, sizes, chosen) on every canonical admissible subset
-    mod p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order.
+def _walk(p: int, add: Callable[[bytes, int, list[int]], None]) -> None:
+    """Call add(sizes, 2, chosen) on every canonical admissible subset mod
+    p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order: the
+    signature of `Profiles.add`, each subset weighted 2 for its mirror.
 
     A subset picks from each inverse pair {x, p - x}, x = 1 .. (p - 1) / 2,
     nothing (digit 0), x (1) or p - x (2); negation swaps 1 and 2. It is
     canonical when its first chosen pair picks x, which holds for exactly
     one of each mirror pair, and no nonempty admissible subset is its own
     mirror. chosen lists the picks in pair order, x as x and p - x as -x,
-    and is reused between calls. lanes packs the suffix unions as `_lanes`
-    lays them out, lane c the union of the sums of c or more members, a
-    child's its parent's plus one insertion; sizes is the bit count of
-    each of its len(chosen) + 1 lanes. A node comes before its children,
-    and they add a later pair, the last first, so the visits follow the
-    digit tuples.
+    and is reused between calls. The walk packs a subset's suffix unions
+    as `_lanes` lays them out, lane c the union of the sums of c or more
+    members, a child's its parent's plus one insertion; sizes is the bit
+    count of each of its len(chosen) + 1 lanes. A node comes before its
+    children, and they add a later pair, the last first, so the visits
+    follow the digit tuples.
     """
     half = (p - 1) // 2
     insert, sizes = _lanes(p)
     chosen: list[int] = []
 
     def descend(v: int, n: int, last: int) -> None:
-        visit(v, sizes(v, n), chosen)
+        add(sizes(v, n), 2, chosen)
         for x in range(half, last, -1):
             for y in (x, -x):
                 chosen.append(y)
@@ -237,8 +238,7 @@ def verify_balandraud(p: int) -> CampaignReport:
     # keyed by sizes, one byte per alpha, while the walk runs; each
     # canonical subset stands for its mirror too
     profiles = Profiles()
-    add = profiles.add
-    _walk(p, lambda lanes, sizes, chosen: add(sizes, 2, chosen))
+    _walk(p, profiles.add)
     order = partial(_product_key, half=half)
     agg = Profiles({(None, len(sizes) - 1, sizes): entry
                     for sizes, entry in profiles.items()}).aggregate(order)

@@ -3,11 +3,13 @@ a checker that confirms tightness point by point.
 
 Each family pairs a construction (an interval-shaped set or repeated
 sequence) with the one floor it is claimed to attain for every alpha in
-the floor's range. check_tightness counts the achievable sums with the
+the floor's range. A family's sign shape (n, p, zero) gives both: its
+base is the integers from -n to p, without 0 unless zero is 1, and its
+floor is `bounds.shape_bound` at that shape, which checks alpha's range
+before any DP runs. check_tightness counts the achievable sums with the
 engine, a set family as its r = 1 sequence, and compares sizes exactly;
 one DP serves every alpha of the most recent family, its suffix unions
-counted as they are formed. The claimed floor's constructor checks
-alpha's range, before any DP runs.
+counted as they are formed.
 """
 
 from __future__ import annotations
@@ -108,37 +110,38 @@ class TightnessReport:
         }
 
 
-def _interval(fam: WitnessFamily) -> tuple[int, int, bool]:
-    """(least, greatest, punctured): the family's base is the integers
-    from least to greatest, without 0 when punctured."""
+def _shape(fam: WitnessFamily) -> tuple[int, int, int]:
+    """(n, p, zero): the family's base is the integers from -n to p,
+    without 0 unless zero is 1."""
     if fam.family_id in (POS_INTERVAL, POS_INTERVAL_R):
-        return 1, fam.k, False
+        return 0, fam.k, 0
     if fam.family_id in (NONNEG_INTERVAL, NONNEG_INTERVAL_R):
-        return 0, fam.k - 1, False
-    return -fam.n, fam.p, fam.family_id in (MIXED_PUNCTURED, MIXED_PUNCTURED_R)
+        return 0, fam.k - 1, 1
+    return fam.n, fam.p, int(fam.family_id in (MIXED_FULL, MIXED_FULL_R))
 
 
 def witness(fam: WitnessFamily) -> IntegerSet | RepSequence:
     """Materialize the family's instance. The layer budget of its DP is
     checked first, in closed form, so a family too large for it is
     refused with BudgetExceeded before its base is built: the DP reads
-    every layer, r times the base size, its largest term is the base's
-    greatest, and its offset is r*n(n + 1)/2, r copies of -n .. -1."""
-    least, greatest, punctured = _interval(fam)
-    r, n = fam.r or 1, max(-least, 0)
-    engine.check_layer_bits(r * (greatest - least + 1 - punctured),
-                            r * n * (n + 1) // 2, greatest)
-    base = IntegerSet(tuple(x for x in range(least, greatest + 1)
-                            if x or not punctured))
+    every layer, r times the base size n + p + zero, its largest term is
+    p, and its offset is r*n(n + 1)/2, r copies of -n .. -1."""
+    n, p, zero = _shape(fam)
+    r = fam.r or 1
+    engine.check_layer_bits(r * (n + p + zero), r * n * (n + 1) // 2, p)
+    base = IntegerSet(tuple(x for x in range(-n, p + 1) if x or zero))
     if fam.is_sequence:
         return RepSequence(base, fam.r)
     return base
 
 
 def claimed_bound(fam: WitnessFamily, alpha: int) -> bounds.BoundResult:
-    """The floor this family is claimed to attain, evaluated at alpha."""
-    return bounds.build_bound(_FAMILIES[fam.family_id][0], k=fam.k, n=fam.n,
-                              p=fam.p, r=fam.r, alpha=alpha)
+    """The floor this family is claimed to attain, evaluated at alpha by
+    `bounds.shape_bound` at the family's sign shape. It refuses an alpha
+    outside [0, k] for sets and [0, r*k - 1] for sequences before any
+    family is built."""
+    return bounds.shape_bound(_FAMILIES[fam.family_id][0], *_shape(fam),
+                              fam.r, alpha)
 
 
 def alpha_values(fam: WitnessFamily) -> range:
@@ -158,8 +161,8 @@ def _sizes(fam: WitnessFamily) -> tuple[int, ...]:
 
 
 def check_tightness(fam: WitnessFamily, alpha: int) -> TightnessReport:
-    """Compare the engine-computed size against the claimed floor. The
-    floor's constructor refuses an alpha outside its range, [0, k] for
+    """Compare the engine-computed size against the claimed floor.
+    `claimed_bound` refuses an alpha outside the floor's range, [0, k] for
     sets and [0, r*k - 1] for sequences, before any DP runs."""
     bound = claimed_bound(fam, alpha)
     size = _sizes(fam)[alpha]

@@ -23,10 +23,10 @@ from subsums.bounds import (
     bound_seq_mixed_zero,
     bound_seq_zero,
     bound_zero,
-    build_bound,
     is_prime,
     min_fold_size,
     min_sumset_size,
+    shape_bound,
     shape_bounds,
     shape_floor_rows,
 )
@@ -546,24 +546,60 @@ class TestShapeDispatch:
         assert shape_bounds(1, 2, 1, 1, 3, 12) == []
         assert floor_pairs(1, 2, 1, 1, 3, 12) == []
 
-    def test_build_bound_by_id(self):
-        params = dict(k=5, n=2, p=3, r=3, alpha=4, has_zero=1)
-        for theorem_id, direct in [
-            ("T2_1", bound_disjoint(5, 4)),
-            ("C2_2", bound_zero(5, 4)),
-            ("T2_3", bound_mixed(2, 3, 4)),
-            ("C2_4", bound_mixed_zero(2, 3, 4)),
-            ("C2_5", bound_general(5, 4, True)),
-            ("T3_1_disjoint", bound_seq_disjoint(5, 3, 4)),
-            ("T3_1_zero", bound_seq_zero(5, 3, 4)),
-            ("T3_2", bound_seq_mixed(2, 3, 3, 4)),
-            ("C3_3", bound_seq_mixed_zero(2, 3, 3, 4)),
-            ("C3_4", bound_seq_general(5, 3, 4, True)),
+    def test_shape_bound_by_id(self):
+        # n != p, so a swapped side shows
+        for theorem_id, shape, direct in [
+            ("T2_1", (0, 5, 0, None), bound_disjoint(5, 4)),
+            ("C2_2", (0, 4, 1, None), bound_zero(5, 4)),
+            ("T2_3", (2, 3, 0, None), bound_mixed(2, 3, 4)),
+            ("C2_4", (2, 3, 1, None), bound_mixed_zero(2, 3, 4)),
+            ("C2_5", (0, 4, 1, None), bound_general(5, 4, True)),
+            ("T3_1_disjoint", (0, 5, 0, 3), bound_seq_disjoint(5, 3, 4)),
+            ("T3_1_zero", (0, 4, 1, 3), bound_seq_zero(5, 3, 4)),
+            ("T3_2", (2, 3, 0, 3), bound_seq_mixed(2, 3, 3, 4)),
+            ("C3_3", (2, 3, 1, 3), bound_seq_mixed_zero(2, 3, 3, 4)),
+            ("C3_4", (0, 4, 1, 3), bound_seq_general(5, 3, 4, True)),
         ]:
-            assert build_bound(theorem_id, **params) == direct
-        for theorem_id in ("T1_3", "X"):
+            assert shape_bound(theorem_id, *shape, 4) == direct
+        for theorem_id, shape in [("T1_3", (0, 5, 0, None)),
+                                  ("X", (0, 5, 0, None)),
+                                  ("T2_3", (0, 5, 0, None))]:
             with pytest.raises(ValueError, match="no set or sequence floor"):
-                build_bound(theorem_id, **params)
+                shape_bound(theorem_id, *shape, 4)
+        # a sequence's degenerate alpha = r*k has no floor
+        with pytest.raises(ValueError, match=r"out of range \[0, 14\]"):
+            shape_bound("T3_1_disjoint", 0, 5, 0, 3, 15)
+
+    def test_shape_bounds_equal_constructors(self):
+        # every BoundResult of the dispatch, its value, case label and
+        # params, is its public constructor's at that floor's own arguments
+        constructors = {
+            "T2_1": lambda n, p, z, r, a: bound_disjoint(n + p + z, a),
+            "C2_2": lambda n, p, z, r, a: bound_zero(n + p + z, a),
+            "T2_3": lambda n, p, z, r, a: bound_mixed(n, p, a),
+            "C2_4": lambda n, p, z, r, a: bound_mixed_zero(n, p, a),
+            "C2_5": lambda n, p, z, r, a: bound_general(n + p + z, a,
+                                                        bool(z)),
+            "T3_1_disjoint": lambda n, p, z, r, a: bound_seq_disjoint(
+                n + p + z, r, a),
+            "T3_1_zero": lambda n, p, z, r, a: bound_seq_zero(n + p + z, r, a),
+            "T3_2": lambda n, p, z, r, a: bound_seq_mixed(n, p, r, a),
+            "C3_3": lambda n, p, z, r, a: bound_seq_mixed_zero(n, p, r, a),
+            "C3_4": lambda n, p, z, r, a: bound_seq_general(n + p + z, r, a,
+                                                            bool(z)),
+        }
+        results = 0
+        for n, p, zero, meet in valid_shapes():
+            for r in (None, 1, 2, 3, 4):
+                for alpha in range((n + p + zero) * (r or 1) + 1):
+                    for b in shape_bounds(n, p, zero, meet, r, alpha):
+                        direct = constructors[b.theorem_id](n, p, zero, r,
+                                                            alpha)
+                        # params in order: they are written to JSON as is
+                        assert (b, list(b.params.items())) == (
+                            direct, list(direct.params.items()))
+                        results += 1
+        assert results == 32058
 
 
 def valid_shapes():

@@ -137,24 +137,38 @@ class TestSigmaFp:
 
 class TestCyclicLayers:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_walk_layers_match_enumeration(self, p):
+    def test_walk_layers_match_enumeration(self, p, monkeypatch):
         # the depth-first walk visits every canonical admissible subset
-        # once, in product order; each lane holds exactly the residues the
-        # enumeration oracle reaches with that many members or more, and
-        # sizes is each lane's bit count
-        seen = []
+        # once, in product order, at weight 2; each lane holds exactly the
+        # residues the enumeration oracle reaches with that many members
+        # or more, and sizes is each lane's bit count. The lanes are read
+        # as the walk hands them to sizes, just before each visit
+        seen, packed = [], []
+        real_lanes = fp._lanes
 
-        def visit(lanes, sizes, chosen):
+        def recording_lanes(p):
+            insert, sizes = real_lanes(p)
+
+            def recording_sizes(v, n):
+                packed.append(v)
+                return sizes(v, n)
+
+            return insert, recording_sizes
+
+        def add(sizes, weight, chosen):
+            assert weight == 2
             elements = tuple(sorted(y % p for y in chosen))
             seen.append(elements)
             unions = suffix_residues(residue_sums_by_size(elements, p))
-            split = split_lanes(lanes, p, len(chosen) + 1)
+            split = split_lanes(packed[-1], p, len(chosen) + 1)
             assert [residues(union) for union in split] == unions
             assert sizes == bytes(union.bit_count() for union in split)
             for alpha, union in enumerate(unions):
                 assert sigma_fp(FpSubset(p, elements), alpha) == tuple(sorted(union))
 
-        fp._walk(p, visit)
+        monkeypatch.setattr(fp, "_lanes", recording_lanes)
+        fp._walk(p, add)
+        assert len(packed) == len(seen)
         assert seen == list(canonical_in_product_order(p))
         assert len(seen) == (3 ** ((p - 1) // 2) - 1) // 2
 
