@@ -10,19 +10,24 @@ its additive inverse (which also rules out zero), so they have at most
 the same |Σ_alpha| for every alpha, and none is its own mirror, so
 verification walks only the canonical half: depth first over the
 inverse pairs {x, p - x}, the first chosen pair picking x and every
-later one nothing, x or p - x. The walk keeps a subset's suffix unions
-as lanes of one int (`_lanes`), its parent's plus one insertion: a fixed
-number of big-int operations whatever the depth. Its sizes per alpha,
-the lanes' bit counts, are read all at once through a byte popcount
-table. Each visit goes to the sweep's profile keeper, `verifier.Profiles`,
-keyed by its sizes and weighted 2, since a canonical subset stands for
-its mirror too; the keeper also keeps each sizes' first `WITNESS_CAP`
-subsets in walk order. After the walk each sizes is re-keyed once to
-the profile (None, size, sizes), and `Profiles.aggregate` gives the
-weights and the minima cells, tied lists merged in product order. They
-are keyed as in a set sweep, where sets run as r = 1 sequences marked
-r = None: the cells carry k and alpha, no r. `verifier.finish_report`
-compares each profile once with its size's floors, as it does a sweep's.
+later one nothing, x or p - x. A subset is its digit tuple, one digit
+per pair (0 none, 1 x, 2 p - x), and the walk visits the digit tuples
+in ascending order, as a sweep visits its element tuples. The walk
+keeps a subset's suffix unions as lanes of one int (`_lanes`), its
+parent's plus one insertion: a fixed number of big-int operations
+whatever the depth. Its sizes per alpha, the lanes' bit counts, are
+read all at once through a byte popcount table. Each visit goes to the
+sweep's profile keeper, `verifier.Profiles`, keyed by its sizes and
+weighted 2, since a canonical subset stands for its mirror too; the
+keeper also keeps each sizes' first `WITNESS_CAP` digit tuples. After
+the walk each sizes is re-keyed once to the profile (None, size,
+sizes), and `Profiles.aggregate` gives the weights and the minima cells
+in tuple order, as for a sweep. They are keyed as in a set sweep, where
+sets run as r = 1 sequences marked r = None: the cells carry k and
+alpha, no r. `verifier.finish_report` compares each profile once with
+its size's floors and completes the witnesses, as it does a sweep's:
+fp's mirror swaps digits 1 and 2, and a witness is named by its sorted
+residues.
 `oracle.residue_sums_by_size` is the enumeration these unions are
 checked against. Both refusals go through `model.refuse_above` before
 any work: a prime by its count of admissible subsets against the
@@ -34,13 +39,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .bounds import T1_3, bound_fp, is_prime
 from .model import (DEFAULT_BUDGET, LAYER_BITS_BUDGET, SumSet, check_alpha,
                     literal, refuse_above)
-from .verifier import WITNESS_CAP, CampaignReport, Profiles, finish_report
+from .verifier import CampaignReport, Profiles, finish_report
 
 # Popcount of each byte value: a bytes translate through it counts the
 # set bits of every byte of an int at once
@@ -168,7 +172,7 @@ def _lanes(p: int) -> tuple[Callable[[int, int], int],
 
 
 def _walk(p: int, add: Callable[[bytes, int, list[int]], None]) -> None:
-    """Call add(sizes, 2, chosen) on every canonical admissible subset mod
+    """Call add(sizes, 2, digits) on every canonical admissible subset mod
     p, in itertools.product((0, 1, 2), repeat=(p - 1) // 2) order: the
     signature of `Profiles.add`, each subset weighted 2 for its mirror.
 
@@ -176,38 +180,31 @@ def _walk(p: int, add: Callable[[bytes, int, list[int]], None]) -> None:
     nothing (digit 0), x (1) or p - x (2); negation swaps 1 and 2. It is
     canonical when its first chosen pair picks x, which holds for exactly
     one of each mirror pair, and no nonempty admissible subset is its own
-    mirror. chosen lists the picks in pair order, x as x and p - x as -x,
-    and is reused between calls. The walk packs a subset's suffix unions
-    as `_lanes` lays them out, lane c the union of the sums of c or more
-    members, a child's its parent's plus one insertion; sizes is the bit
-    count of each of its len(chosen) + 1 lanes. A node comes before its
-    children, and they add a later pair, the last first, so the visits
-    follow the digit tuples.
+    mirror. digits holds the subset's digit per pair, digits[x - 1] for
+    pair x, and is reused between calls; as tuples, digit lists sort in
+    the walk's order. The walk packs a subset's suffix unions as `_lanes`
+    lays them out, lane c the union of the sums of c or more members, a
+    child's its parent's plus one insertion; sizes is the bit count of
+    each of its lanes, one more than its nonzero digits. A node comes
+    before its children, and they add a later pair, the last first, so
+    the visits follow the digit tuples.
     """
     half = (p - 1) // 2
     insert, sizes = _lanes(p)
-    chosen: list[int] = []
+    digits = [0] * half
 
     def descend(v: int, n: int, last: int) -> None:
-        add(sizes(v, n), 2, chosen)
+        add(sizes(v, n), 2, digits)
         for x in range(half, last, -1):
-            for y in (x, -x):
-                chosen.append(y)
-                descend(insert(v, y % p), n + 1, x)
-                chosen.pop()
+            for digit, z in ((1, x), (2, p - x)):
+                digits[x - 1] = digit
+                descend(insert(v, z), n + 1, x)
+            digits[x - 1] = 0
 
     for x in range(half, 0, -1):
-        chosen.append(x)
+        digits[x - 1] = 1
         descend(insert(1, x), 2, x)
-        chosen.pop()
-
-
-def _product_key(chosen: tuple[int, ...], half: int) -> list[int]:
-    """The product-order digits of a subset listed as `_walk` lists it."""
-    digits = [0] * half
-    for y in chosen:
-        digits[abs(y) - 1] = 1 if y > 0 else 2
-    return digits
+        digits[x - 1] = 0
 
 
 def verify_balandraud(p: int) -> CampaignReport:
@@ -222,11 +219,11 @@ def verify_balandraud(p: int) -> CampaignReport:
     two to the weight of its sizes, |Σ_alpha| per alpha, and
     `finish_report` compares the floors once per distinct sizes
     afterwards. Each distinct sizes also keeps its first WITNESS_CAP
-    canonical subsets in walk order, product order, and each minima cell
-    takes the first WITNESS_CAP canonical minimizers from them
-    (`verifier.Profiles.aggregate`), then those with their mirrors in
-    product order: a canonical subset comes before its mirror, so the
-    first WITNESS_CAP of all minimizers are among these."""
+    canonical subsets as digit tuples (`_walk`), whose tuple order is the
+    walk's, so the minima cells are a sweep's (`verifier.minima_cells`),
+    and `finish_report` completes them as a sweep's: with the mirrors,
+    digits 1 and 2 swapped, and each witness named by its sorted
+    residues."""
     check_prime(p)
     started = time.perf_counter()
     half = (p - 1) // 2
@@ -239,17 +236,13 @@ def verify_balandraud(p: int) -> CampaignReport:
     # canonical subset stands for its mirror too
     profiles = Profiles()
     _walk(p, profiles.add)
-    order = partial(_product_key, half=half)
     agg = Profiles({(None, len(sizes) - 1, sizes): entry
-                    for sizes, entry in profiles.items()}).aggregate(order)
-    minima = agg["minima"]
-    for key, (got, wits) in minima.items():
-        # tuple() of a list, whose length it knows, sizes the tuple once
-        both = set(wits).union(tuple([-y for y in w]) for w in wits)
-        first = sorted(both, key=order)[:WITNESS_CAP]
-        minima[key] = got, [literal(sorted(y % p for y in w)) for w in first]
-    # a size's floors are its only theorem's, T1_3, one per alpha
-    return finish_report({"kind": "fp", "p": p}, agg,
-                         lambda r, size: (size + 1, floors[size],
-                                          [(T1_3, floors[size])]),
-                         started)
+                    for sizes, entry in profiles.items()}).aggregate()
+    # a size's floors are its only theorem's, T1_3, one per alpha; the
+    # mirror swaps digits 1 and 2, and a witness is named by its residues
+    return finish_report(
+        {"kind": "fp", "p": p}, agg,
+        lambda r, size: (size + 1, floors[size], [(T1_3, floors[size])]),
+        started, lambda w: tuple((0, 2, 1)[d] for d in w),
+        lambda w: literal(sorted(x if d == 1 else p - x
+                                 for x, d in enumerate(w, 1) if d)))

@@ -28,13 +28,14 @@ their greatest, each a row filled one block m = alpha//r + 1 at a time.
 Each distinct profile is compared with them by C-level counts
 (`sum(map(lt, ...))`), which gives the instance, check, violation and
 tight counts; `finish_report` makes them, so every report has them.
-Witnesses become report literals (`model.literal`) last, each distinct
-one formatted once. Runs that collect records keep one plain row
-(elements, r, shape, sizes) per instance and r; after the merge each
-k's rows are sorted by elements, each (r, shape, alpha) takes its
-BoundResults from `bounds.shape_bounds` at the walk's own shape once per
-sweep, each (r, shape, alpha, size) its checks and violation flag once,
-and the rows become records.
+Witnesses become report literals (`model.literal`) last, in
+`finish_report`, each distinct one formatted once. Runs that collect
+records keep one plain row (elements, r, shape, sizes) per instance and
+r, in one list; after the merge the rows are sorted once by size and
+elements, each (r, shape, alpha) takes its BoundResults from
+`bounds.shape_bounds` at the walk's own shape once per sweep, each (r,
+shape, alpha, size) its checks and violation flag once, and the rows
+become records.
 
 Negation is a symmetry of the campaign: |Sigma_alpha(-A)| = |Sigma_alpha(A)|
 for sets and sequences, and the floors are symmetric in n <-> p. So a
@@ -42,15 +43,16 @@ sweep walks only the canonical subsets, A <=lex -A, and counts each with
 weight 2 when A <lex -A (it stands for its mirror too) and 1 when A = -A.
 Each distinct witness list of the minima cells gains the mirrors of its
 canonical witnesses once, re-sorted and capped, which gives exactly the
-full walk's list. Runs that collect records or check the oracle emit or
-check one row per instance, so they walk every subset.
+full walk's list; `finish_report` does this for every campaign, given
+the campaign's mirror. Runs that collect records or check the oracle
+emit or check one row per instance, so they walk every subset.
 `empirical_minimum` runs one walk unit of the mirror walk over its zero
 policy's universe, as a set sweep of one size, and reads its one cell.
 
 Determinism: with several workers each first-element subtree is a unit,
 and units merge in any order (`_merge_aggs`): profile weights add, a
 minima cell keeps the least size and the first WITNESS_CAP of the tied
-witness lists in tuple order, and record rows are kept per k and sorted
+witness lists in tuple order, and record rows are extended and sorted
 before the records are built. So reports and record CSVs do not depend
 on the worker count or the order in which units finish; walk units
 evaluate no floors and return cells, not witness lists. The pool
@@ -61,9 +63,10 @@ with the oracle, its vector count would exceed the budget (a count too
 long to print is named by `model.numeral`), and only the
 sizes that have subsets are walked. The subset counts per size come
 from one multiplicative recurrence, so a span of many sizes is refused
-as fast as one. `fp` keeps its profiles in a `Profiles` too, re-keys
-them by subset size, aggregates them in its walk's product order and
-reports through the same `finish_report`.
+as fast as one. `fp` keeps its profiles in a `Profiles` too, its
+witnesses digit tuples whose tuple order is its walk's, re-keys them by
+subset size, aggregates them like a sweep's and reports through the same
+`finish_report`, with its own mirror and names.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from math import comb
-from operator import eq, itemgetter, lt, or_
+from operator import eq, lt, or_
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
@@ -140,7 +143,8 @@ class CampaignReport:
     elapsed_ms: int
     records: list[VerificationRecord] = field(default_factory=list)
 
-    def to_json(self) -> dict:
+    def body(self) -> dict:
+        """The report without its volatile keys: what equal runs share."""
         return {
             "universe": self.universe,
             "counts": {
@@ -151,8 +155,10 @@ class CampaignReport:
             },
             "tight_by_theorem": dict(sorted(self.tight_by_theorem.items())),
             "minima": self.minima,
-            "elapsed_ms": self.elapsed_ms,
         }
+
+    def to_json(self) -> dict:
+        return {**self.body(), "elapsed_ms": self.elapsed_ms}
 
 
 def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
@@ -195,21 +201,21 @@ def write_records_csv(records: Iterable[VerificationRecord], path: str) -> None:
 def new_aggregate() -> dict:
     """Empty walk output: the instance weight per (r, shape, sizes)
     profile, minima keyed by (k, r, alpha) with r None outside sequences,
-    records (in a sweep's walk units, record rows) in lists keyed by k,
-    and the oracle check count. `finish_report` derives the instance,
-    check, violation and tight counts from the profiles."""
-    return {"profiles": Counter(), "minima": {}, "records": {},
+    the list of records (in a sweep's walk units, record rows), and the
+    oracle check count. `finish_report` derives the instance, check,
+    violation and tight counts from the profiles."""
+    return {"profiles": Counter(), "minima": {}, "records": [],
             "oracle_checked": 0}
 
 
-def minima_cells(profiles: Iterable[tuple], order: Callable | None = None
-                 ) -> dict:
+def minima_cells(profiles: Iterable[tuple]) -> dict:
     """The (k, r, alpha) minima cells, each (least size, witnesses), of
     profiles given as (r, sizes, witnesses) triples, sizes[alpha] per
     alpha and witnesses the first WITNESS_CAP instances of that profile
-    in the campaign's order, whose sort key is order (None: tuple order).
-    A cell's witnesses are its only minimizing profile's list as it
-    stands, or the first WITNESS_CAP of several such lists merged."""
+    in the campaign's order, which is tuple order: a sweep's element
+    tuples, fp's digit tuples. A cell's witnesses are its only minimizing
+    profile's list as it stands, or the first WITNESS_CAP of several such
+    lists merged."""
     groups: dict[tuple, list] = {}
     for r, sizes, wits in profiles:
         groups.setdefault((r, len(sizes)), []).append((sizes, wits))
@@ -221,7 +227,7 @@ def minima_cells(profiles: Iterable[tuple], order: Callable | None = None
             least = min(column)
             tied = list(compress(lists, map(least.__eq__, column)))
             cells[k, r, alpha] = least, tied[0] if len(tied) == 1 else sorted(
-                chain.from_iterable(tied), key=order)[:WITNESS_CAP]
+                chain.from_iterable(tied))[:WITNESS_CAP]
     return cells
 
 
@@ -242,15 +248,14 @@ class Profiles(dict):
             if len(entry[1]) < WITNESS_CAP:
                 entry[1].append(tuple(chosen))
 
-    def aggregate(self, order: Callable | None = None) -> dict:
+    def aggregate(self) -> dict:
         """A `new_aggregate` holding the profile weights and the minima
-        cells of the witness lists (`minima_cells`, with order)."""
+        cells of the witness lists (`minima_cells`), in tuple order."""
         agg = new_aggregate()
         agg["profiles"].update({key: weight
                                 for key, (weight, _) in self.items()})
         agg["minima"] = minima_cells(
-            ((r, sizes, wits) for (r, _, sizes), (_, wits) in self.items()),
-            order)
+            (r, sizes, wits) for (r, _, sizes), (_, wits) in self.items())
         return agg
 
 
@@ -267,8 +272,7 @@ def _merge_aggs(dst: dict, src: dict) -> None:
             minima[key] = size, wits
         elif size == cur[0]:
             minima[key] = size, sorted(cur[1] + wits)[:WITNESS_CAP]
-    for k, recs in src["records"].items():
-        dst["records"].setdefault(k, []).extend(recs)
+    dst["records"].extend(src["records"])
 
 
 # -- the depth-first walk ----------------------------------------------
@@ -383,14 +387,18 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
         descend((i,), root, (0, 0, 0, 0), 0)
 
 
-def _with_mirrors(wits: Sequence[tuple]) -> list[tuple]:
-    """The first WITNESS_CAP of wits and their mirrors, ascending. If wits
-    are canonical minimizers that include the first WITNESS_CAP of them,
-    these are the first WITNESS_CAP of all minimizers: a canonical subset
-    precedes its mirror, so each of them is among wits or is the mirror
-    of one."""
-    mirrors = (tuple(-x for x in reversed(w)) for w in wits)
-    return sorted(set(wits).union(mirrors))[:WITNESS_CAP]
+def _negated(w: tuple) -> tuple:
+    """The mirror -A of a subset A, ascending like A."""
+    return tuple(-x for x in reversed(w))
+
+
+def _with_mirrors(wits: Sequence[tuple], mirror: Callable) -> list[tuple]:
+    """The first WITNESS_CAP of wits and their mirrors, mirror(w) each,
+    in tuple order. If wits are canonical minimizers that include the
+    first WITNESS_CAP of them, these are the first WITNESS_CAP of all
+    minimizers: a canonical subset precedes its mirror, so each of them
+    is among wits or is the mirror of one."""
+    return sorted(set(wits).union(map(mirror, wits)))[:WITNESS_CAP]
 
 
 def _shape_rows(r: int | None, shape: tuple) -> tuple:
@@ -426,7 +434,7 @@ def _walk_unit(payload) -> dict:
     every r in rs (None for sets): profile weights, minima, and oracle
     checks or record rows when asked for. A record row is the plain tuple
     (elements, r, shape, sizes) of one instance, sizes[alpha] the bit
-    count of union alpha, kept per k; a unit evaluates no floors, and
+    count of union alpha, in visit order; a unit evaluates no floors, and
     `_sweep` builds the records after the merge. The unions sit at the
     walk offset that `_sweep` admitted. Unless records are
     collected or the oracle checks, the walk is the mirror walk: its
@@ -438,7 +446,7 @@ def _walk_unit(payload) -> dict:
     mults = [r or 1 for r in rs]
     profiles = Profiles()
     add = profiles.add
-    by_k: dict[int, list] = {}
+    rows: list[tuple] = []
     checked = 0
 
     def visit(chosen: list[int], suffix_sets: list, shape: tuple,
@@ -458,12 +466,11 @@ def _walk_unit(payload) -> dict:
                         )
                 checked += len(suffix)
             if collect:
-                by_k.setdefault(len(chosen), []).append(
-                    (tuple(chosen), r, shape, sizes))
+                rows.append((tuple(chosen), r, shape, sizes))
 
     _walk(values, firsts, ks, mults, offset, visit, not (collect or use_oracle))
     agg = profiles.aggregate()
-    agg["records"], agg["oracle_checked"] = by_k, checked
+    agg["records"], agg["oracle_checked"] = rows, checked
     return agg
 
 
@@ -565,52 +572,43 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
             for part in pool.map(_walk_unit,
                                  ((values, [i]) + common for i in firsts)):
                 _merge_aggs(agg, part)
-    # many cells share one witness list: each distinct list is mirrored
-    # and each distinct witness formatted once
-    lists: dict[tuple, list[str]] = {}
-    literals: dict[tuple, str] = {}
-    for key, (size, wits) in agg["minima"].items():
-        wits = tuple(wits)
-        out = lists.get(wits)
-        if out is None:
-            out = lists[wits] = [
-                literals.get(w) or literals.setdefault(w, literal(w))
-                for w in (_with_mirrors(wits) if mirror else wits)]
-        agg["minima"][key] = size, out[:]
     # each (r, shape, alpha) takes its BoundResults once per sweep, from
     # the walk's shape, and each (r, shape, alpha, size) its checks and
     # violation flag, kept per alpha by size and shared by every record
     # with that key
     floors: dict[tuple, list] = {}
-    for k, rows in agg["records"].items():
-        recs = agg["records"][k] = []
-        # combinations order, r ascending within an instance; the walk
-        # and the merge leave rows in neither
-        rows.sort(key=itemgetter(0))
-        for chosen, r, shape, sizes in rows:
-            per_alpha = floors.get((r, shape))
-            if per_alpha is None:
-                per_alpha = floors[r, shape] = [
-                    (alpha, tuple(shape_bounds(*shape, r, alpha)), {})
-                    for alpha in range(len(sizes))]
-            name = literals.get(chosen) or literals.setdefault(
-                chosen, literal(chosen))
-            for alpha, bounds, by_size in per_alpha:
-                size = sizes[alpha]
-                found = by_size.get(size)
-                if found is None:
-                    found = by_size[size] = (
-                        tuple(BoundCheck(b, b.value == size) for b in bounds),
-                        any(b.value > size for b in bounds))
-                checks, violation = found
-                recs.append(VerificationRecord(name, r, alpha, size, checks,
-                                               oracle_check, violation))
+    rows, recs = agg["records"], []
+    # combinations order within each size, sizes ascending; the sort is
+    # stable, so r stays ascending within an instance, and an instance's
+    # rows come from one unit
+    rows.sort(key=lambda row: (len(row[0]), row[0]))
+    last = name = None
+    for chosen, r, shape, sizes in rows:
+        per_alpha = floors.get((r, shape))
+        if per_alpha is None:
+            per_alpha = floors[r, shape] = [
+                (alpha, tuple(shape_bounds(*shape, r, alpha)), {})
+                for alpha in range(len(sizes))]
+        if chosen != last:
+            last, name = chosen, literal(chosen)
+        for alpha, bounds, by_size in per_alpha:
+            size = sizes[alpha]
+            found = by_size.get(size)
+            if found is None:
+                found = by_size[size] = (
+                    tuple(BoundCheck(b, b.value == size) for b in bounds),
+                    any(b.value > size for b in bounds))
+            checks, violation = found
+            recs.append(VerificationRecord(name, r, alpha, size, checks,
+                                           oracle_check, violation))
+    agg["records"] = recs
     universe = {"kind": kind, "max_abs": max_abs, "k": ks}
     if r_range is not None:
         universe["r"] = rs
     universe["alpha_policy"] = "all"
     universe["oracle"] = oracle_check
-    return finish_report(universe, agg, _shape_rows, started)
+    return finish_report(universe, agg, _shape_rows, started,
+                         _negated if mirror else None, literal)
 
 
 def sweep_sets(
@@ -669,7 +667,8 @@ def sweep_sequences(
 
 
 def finish_report(universe: dict, agg: dict, rows: Callable,
-                  started: float) -> CampaignReport:
+                  started: float, mirror: Callable | None,
+                  name: Callable) -> CampaignReport:
     """The report of a merged aggregate. Its counts come from the
     profiles: each distinct (r, shape, sizes) is compared once with
     rows(r, shape), its floor vectors as `_shape_rows` gives them,
@@ -677,10 +676,17 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
     size is below the greatest floor, and a theorem is tight where its
     floor equals the size; tight_by_theorem names only theorems with a
     hit. Sweeps pass `_shape_rows`, every alpha's floors, and `fp` its
-    sizes' prime-field floors, shape being the subset size. Minima cells
-    come in key order, each with an r field only when its key has one;
-    elapsed time since `started` (a perf_counter reading); records k by
-    k."""
+    sizes' prime-field floors, shape being the subset size.
+
+    Minima cells come in key order, each with an r field only when its
+    key has one. The one completion step of every campaign's witnesses:
+    a walk that visits only canonical instances passes their mirror, and
+    each cell's list gains the mirrors (`_with_mirrors`); a full walk
+    passes None, and its lists stand. Each witness is reported as
+    name(w). Many cells share one list, so each distinct list is
+    completed and each distinct witness named once. Elapsed time is
+    since `started` (a perf_counter reading); records are agg's, as they
+    stand."""
     table: dict[tuple, tuple] = {}
     tight: Counter = Counter()
     checks = violations = 0
@@ -695,15 +701,23 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
             hits = sum(map(eq, sizes, vec))
             if hits:
                 tight[theorem_id] += weight * hits
+    lists: dict[tuple, list[str]] = {}
+    names: dict[tuple, str] = {}
     minima = []
     for (k, r, alpha) in sorted(agg["minima"]):
         size, wits = agg["minima"][k, r, alpha]
+        wits = tuple(wits)
+        out = lists.get(wits)
+        if out is None:
+            out = lists[wits] = [
+                names.get(w) or names.setdefault(w, name(w))
+                for w in (_with_mirrors(wits, mirror) if mirror else wits)]
         cell = {"k": k}
         if r is not None:
             cell["r"] = r
         cell["alpha"] = alpha
         cell["size"] = size
-        cell["witnesses"] = wits
+        cell["witnesses"] = out[:]
         minima.append(cell)
     return CampaignReport(
         universe=universe,
@@ -714,7 +728,7 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
         tight_by_theorem=dict(tight),
         minima=minima,
         elapsed_ms=int((time.perf_counter() - started) * 1000),
-        records=[rec for k in sorted(agg["records"]) for rec in agg["records"][k]],
+        records=agg["records"],
     )
 
 
@@ -778,4 +792,4 @@ def empirical_minimum(
     if size_k < k:
         # putting 0 back keeps the witnesses in tuple order
         wits = [tuple(sorted((*w, 0))) for w in wits]
-    return best, [IntegerSet(w) for w in _with_mirrors(wits)]
+    return best, [IntegerSet(w) for w in _with_mirrors(wits, _negated)]

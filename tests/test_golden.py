@@ -32,9 +32,8 @@ from subsums.verifier import sweep_sequences, sweep_sets, write_records_csv
 
 
 def report_digest(report):
-    body = report.to_json()
-    body.pop("elapsed_ms")
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    body = json.dumps(report.body(), sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def csv_digest(report, tmp_path):
