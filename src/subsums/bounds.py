@@ -9,9 +9,10 @@ floors come from two shared expressions, with T(x) = x(x+1)/2:
   multiplicity r: with m = alpha//r + 1, dn = max(m - n - zero, 0) and
   dp = max(m - p - zero, 0), the floor is
   r(T(n) + T(p) - T(dn) - T(dp)) + (dn + dp)(mr - alpha) + 1.
-  T3_1_disjoint is (0, k, 0, r), and T2_1 and T1_3 (before its cap at
-  p) are its r = 1 case; T3_1_zero is (0, k - 1, 1, r) and C2_2 its
-  r = 1 case; T2_3, C2_4, T3_2 and C3_3 pass their own n, p and zero.
+  T3_1_disjoint is (0, k, 0, r) and T2_1 its r = 1 case; T3_1_zero is
+  (0, k - 1, 1, r) and C2_2 its r = 1 case; T2_3, C2_4, T3_2 and C3_3
+  pass their own n, p and zero. The prime-field floor T1_3 reads T2_1's
+  entry and caps it at p.
 - sign-agnostic, for k values: r((k + 1 - zero)^2 // 4 - T(i - zero)) + 1.
 
 The index i of the sign-agnostic floor and of the mixed-floor case
@@ -23,11 +24,13 @@ m = alpha//r + 1 (r = 1 for sets) a floor is base + d*(m*r - alpha), an
 arithmetic progression in alpha, with d = dn + dp for the sign-aware
 floor and d = 0 for the sign-agnostic one. Which floors hold for a sign
 shape and r, and the block helper and parameters each one evaluates,
-are stated in one place, `_shape_floors`. Everything else reads its
-entries: `shape_floor_rows` fills each floor's row over every alpha one
-block at a time; `shape_bounds` builds one alpha's `BoundResult`s;
-`shape_bound` builds one theorem's at a given shape; and each public
-constructor is its argument check plus `shape_bound` at its own shape.
+are stated in one place, `_shape_floors`, which keeps its last shape,
+so the alphas of one shape resolve its entries once. Everything else
+reads its entries: `shape_floor_rows` fills each floor's row over every
+alpha one block at a time; `shape_bounds` builds one alpha's
+`BoundResult`s; `shape_bound` builds one theorem's at a given shape;
+each public constructor is its argument check plus `shape_bound` at its
+own shape; and `bound_fp` is T2_1's `shape_bound` capped at p.
 `applicable_bounds` is `shape_bounds` at an instance's shape.
 
 All arithmetic is exact integer arithmetic. A boundary index equal to n
@@ -37,6 +40,7 @@ are stable strings that appear verbatim in JSON and CSV reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from .model import IntegerSet, RepSequence, check_alpha, classify
 
@@ -140,30 +144,16 @@ def _signed_block(n: int, p: int, zero: int, r: int, m: int) -> tuple[int, int]:
     return r * twice // 2 + 1, dn + dp
 
 
-def _agnostic_floor(k: int, zero: int, r: int, i: int) -> int:
-    """Sign-agnostic floor for k values (`zero` of them zero), repeated
-    r times, at index i: alpha for sets, the block index m for
-    sequences. The floor-division core is asserted equal to its
-    parity-resolved form."""
+def _agnostic_block(k: int, zero: int, lag: int, r: int, m: int) -> tuple[int, int]:
+    """(base, 0) of the sign-agnostic floor for k values (`zero` of them
+    zero), repeated r times, in block m, where it is constant:
+    r((k + 1 - zero)^2 // 4 - T(i - zero)) + 1 at index i = m - lag, lag
+    1 for sets (index alpha = m - 1) and 0 for sequences (index m). The
+    floor-division core is asserted equal to its parity-resolved form."""
     j = k + 1 - zero
     core = j * j // 4
     assert core == ((j * j - 1) // 4 if j % 2 else j * j // 4)
-    return r * (core - _tri(i - zero)) + 1
-
-
-def _agnostic_block(k: int, zero: int, lag: int, r: int, m: int) -> tuple[int, int]:
-    """(base, 0) of the sign-agnostic floor in block m, where it is
-    constant: its index is m - lag, lag 1 for sets (index alpha = m - 1)
-    and 0 for sequences (index m)."""
-    return _agnostic_floor(k, zero, r, m - lag), 0
-
-
-def _at(block, params: tuple, r: int, alpha: int) -> int:
-    """The floor with block helper `block` at alpha: base + d*(m*r - alpha)
-    in its block m = alpha//r + 1."""
-    m = alpha // r + 1
-    base, d = block(*params, r, m)
-    return base + d * (m * r - alpha)
+    return r * (core - _tri(m - lag - zero)) + 1, 0
 
 
 def _case(i: int, n: int, p: int) -> str:
@@ -278,18 +268,23 @@ def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     check_alpha(alpha, size)
     if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
-    value = min(p, _at(_signed_block, (0, size, 0), 1, alpha))
+    value = min(p, shape_bound(T2_1, 0, size, 0, None, alpha).value)
     return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
 
 
+# one entry: a shape's alphas come together, and an unbounded memo raised
+# sweep peak RSS. typed: a bool zero equals 1 as a key, and has_zero
+# echoes the zero its entry was built with
+@functools.lru_cache(maxsize=1, typed=True)
 def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
-                  ) -> list[tuple]:
+                  ) -> tuple[tuple, ...]:
     """(theorem_id, block helper, its leading parameters) of every floor
     whose hypotheses hold for the sign shape (n, p, zero, meet) at r. This
     is the one home of the applicability rules and of each floor's
-    parameters: which floors hold is decided once per (shape, r). A shape
-    no set has is refused: a negative n or p, a zero or meet other than 0
-    or 1, or meet 1 without a negative and a positive."""
+    parameters: which floors hold is decided once per (shape, r), and the
+    last (shape, r) is kept, so the alphas of one shape share its entries.
+    A shape no set has is refused: a negative n or p, a zero or meet
+    other than 0 or 1, or meet 1 without a negative and a positive."""
     k = n + p + zero
     if k < 1:
         raise ValueError("a shape needs at least one element")
@@ -318,19 +313,22 @@ def _shape_floors(n: int, p: int, zero: int, meet: int, r: int | None
     if k > 1 + seq:
         floors.append((C3_4 if seq else C2_5, _agnostic_block,
                        (k, zero, 1 - seq)))
-    return floors
+    return tuple(floors)
 
 
 def _result(theorem_id: str, block, params: tuple, r: int | None,
             alpha: int) -> BoundResult:
     """The `BoundResult` of one `_shape_floors` entry at alpha, for a set
-    (r None) or a sequence at r. Its case label is the mixed-floor case
-    at alpha for sets and at m for sequences, the parity of k for the
-    sign-agnostic floor, and None otherwise. Its params echo k (n and p
-    for a mixed floor), alpha, has_zero for the sign-agnostic floor, and
-    r and m for sequences."""
-    m = alpha // (r or 1) + 1
-    value = _at(block, params, r or 1, alpha)
+    (r None) or a sequence at r. Its value is base + d*(m*r - alpha) from
+    the entry's block helper in block m = alpha//r + 1 (r = 1 for sets).
+    Its case label is the mixed-floor case at alpha for sets and at m for
+    sequences, the parity of k for the sign-agnostic floor, and None
+    otherwise. Its params echo k (n and p for a mixed floor), alpha,
+    has_zero for the sign-agnostic floor, and r and m for sequences."""
+    reps = r or 1
+    m = alpha // reps + 1
+    base, d = block(*params, reps, m)
+    value = base + d * (m * reps - alpha)
     where = {"alpha": alpha} if r is None else {"r": r, "alpha": alpha, "m": m}
     if block is _agnostic_block:
         k, zero, _ = params

@@ -45,7 +45,8 @@ Each distinct witness list of the minima cells gains the mirrors of its
 canonical witnesses once, re-sorted and capped, which gives exactly the
 full walk's list; `finish_report` does this for every campaign, given
 the campaign's mirror. Runs that collect records or check the oracle
-emit or check one row per instance, so they walk every subset.
+emit or check one row per instance, so they walk every subset; `_sweep`
+picks the walk once and hands each walk unit its mirror flag.
 `empirical_minimum` runs one walk unit of the mirror walk over its zero
 policy's universe, as a set sweep of one size, and reads its one cell.
 
@@ -77,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from math import comb
-from operator import eq, lt, or_
+from operator import eq, lt
 from typing import Callable, Iterable, Sequence
 
 from . import engine, oracle
@@ -303,8 +304,10 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     max(c - m, 0) of N + P, and the twin's unions are [s[0]] * m + s.
     So at N the walk visits N + {0}, then walks the positive subtree,
     each node pruned as its twin, one larger, would be, and visits each
-    node's twin and then the node itself. Under a first element 0 every
-    node is inserted.
+    node's twin and then the node itself. One local `twin` visits both
+    kinds, N + {0} and N + {0} + P: it puts 0 after N, visits and takes
+    it out again, and like every visit it checks its own size against
+    ks. Under a first element 0 every node is inserted.
 
     Without mirror every subset is visited with weight 1. With mirror the
     values must be symmetric about 0, and only the canonical subsets A,
@@ -317,14 +320,21 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
     of its N + P."""
     last, kmin, kmax = len(values), min(ks), max(ks)
     extend = engine.extend_suffixes
-    # tally[size]: size is visited. A positive node of size s under N is
-    # kept when s or its twin's s + 1 is; one of size kmax has no twin
+    # tally[size]: size is visited; a twin of size kmax + 1 is not
     tally = [size in ks for size in range(kmax + 2)]
-    either = list(map(or_, tally, tally[1:] + [False]))
     chosen: list[int] = []
     # per first element: the end of the index range, the element that
     # makes a tie (None: no ties) and the weight of every other node
     cap, tie, full = last, None, 1
+
+    def twin(n: int, suffix_sets: list, shape: tuple, weight: int) -> None:
+        # chosen is N + P, N = chosen[:n], with unions suffix_sets; its
+        # twin N + {0} + P has unions [s[0]] * m + s
+        if tally[len(chosen) + 1]:
+            chosen.insert(n, 0)
+            visit(chosen, [[s[0]] * m + s for s, m in zip(suffix_sets, mults)],
+                  shape, weight)
+            del chosen[n]
 
     def descend(indices: Iterable, suffix_sets: list, shape: tuple, negs: int,
                 twins: bool = False) -> None:
@@ -332,7 +342,8 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
         # nodes are N + P, N = chosen[:n], and visit their twins too
         depth = len(chosen) + 1
         n, p, zero, meet = shape
-        keep, need = (either, kmin - 1) if twins else (tally, kmin)
+        # a node under N stands for its twin too, one larger
+        need = kmin - twins
         for i in indices:
             x = values[i]
             if x < 0:
@@ -343,12 +354,7 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                 # chosen is N: N + {0}, then the rest of indices, its
                 # positive children, whose first level runs to the stop
                 # of the 0-child's children
-                if tally[depth]:
-                    chosen.append(0)
-                    visit(chosen,
-                          [[s[0]] * m + s for s, m in zip(suffix_sets, mults)],
-                          (n, 0, 1, 0), full)
-                    chosen.pop()
+                twin(n, suffix_sets, (n, 0, 1, 0), full)
                 descend(range(i + 1, min(cap, cap - kmin + depth + 1)),
                         suffix_sets, shape, negs, True)
                 return
@@ -356,18 +362,14 @@ def _walk(values: Sequence[int], firsts: Iterable[int], ks: Sequence[int],
                 here, below = (n, p, 1, meet), negs
             child = [extend(suffix, x, m) for suffix, m in zip(suffix_sets, mults)]
             chosen.append(x)
-            if keep[depth]:
-                weight = full
-                if x == tie:
-                    mirrored = [-y for y in reversed(chosen)]
-                    weight = (chosen <= mirrored) + (chosen < mirrored)
-                if weight and twins and tally[depth + 1]:
-                    chosen.insert(n, 0)
-                    visit(chosen,
-                          [[s[0]] * m + s for s, m in zip(child, mults)],
-                          (n, p + 1, 1, here[3]), weight)
-                    del chosen[n]
-                if weight and tally[depth]:
+            weight = full
+            if x == tie:
+                mirrored = [-y for y in reversed(chosen)]
+                weight = (chosen <= mirrored) + (chosen < mirrored)
+            if weight:
+                if twins:
+                    twin(n, child, (n, p + 1, 1, here[3]), weight)
+                if tally[depth]:
                     visit(chosen, child, here, weight)
             if depth < kmax:
                 # a child at index j needs need - depth - 1 elements above j
@@ -436,13 +438,13 @@ def _walk_unit(payload) -> dict:
     (elements, r, shape, sizes) of one instance, sizes[alpha] the bit
     count of union alpha, in visit order; a unit evaluates no floors, and
     `_sweep` builds the records after the merge. The unions sit at the
-    walk offset that `_sweep` admitted. Unless records are
-    collected or the oracle checks, the walk is the mirror walk: its
-    weights count mirror pairs twice and its minima hold only canonical
-    witnesses. Each profile keeps its weight and its first WITNESS_CAP
-    instances in `Profiles`, in combinations order as `_walk` visits
-    them, and the unit returns their `Profiles.aggregate`."""
-    values, firsts, ks, rs, use_oracle, collect, offset = payload
+    walk offset that `_sweep` admitted. With mirror, which `_sweep` sets
+    unless records are collected or the oracle checks, the walk is the
+    mirror walk: its weights count mirror pairs twice and its minima hold
+    only canonical witnesses. Each profile keeps its weight and its first
+    WITNESS_CAP instances in `Profiles`, in combinations order as `_walk`
+    visits them, and the unit returns their `Profiles.aggregate`."""
+    values, firsts, ks, rs, use_oracle, collect, offset, mirror = payload
     mults = [r or 1 for r in rs]
     profiles = Profiles()
     add = profiles.add
@@ -468,7 +470,7 @@ def _walk_unit(payload) -> dict:
             if collect:
                 rows.append((tuple(chosen), r, shape, sizes))
 
-    _walk(values, firsts, ks, mults, offset, visit, not (collect or use_oracle))
+    _walk(values, firsts, ks, mults, offset, visit, mirror)
     agg = profiles.aggregate()
     agg["records"], agg["oracle_checked"] = rows, checked
     return agg
@@ -561,7 +563,7 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
     # _CHUNK-instance shares (the mirror walk's half): a fork pool starts all
     count = -(-sum(subsets.values()) * len(rs) // (1 + mirror))
     procs = min(workers, os.cpu_count() or 1, -(-count // _CHUNK), len(firsts))
-    common = (walked, rs, oracle_check, collect_records, offset)
+    common = (walked, rs, oracle_check, collect_records, offset, mirror)
     if not walked:
         agg = new_aggregate()
     elif procs <= 1:
@@ -787,7 +789,7 @@ def empirical_minimum(
     # each zero_policy's universe is closed under negation, so the sweep's
     # mirror walk sees each minimizer or its mirror; one unit, r None
     cells = _walk_unit((values, range(len(values)), [size_k], [None], False,
-                        False, offset))["minima"]
+                        False, offset, True))["minima"]
     best, wits = cells[size_k, None, low]
     if size_k < k:
         # putting 0 back keeps the witnesses in tuple order

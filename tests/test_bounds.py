@@ -542,6 +542,28 @@ class TestShapeDispatch:
             with pytest.raises(ValueError):
                 shape_bounds(*args)
 
+    def test_last_shape_kept_immutable(self):
+        # one kept entry: the alphas of a shape share it, a new shape
+        # replaces it, and callers cannot change what the next one reads
+        from subsums.bounds import _shape_floors
+
+        _shape_floors.cache_clear()
+        first = _shape_floors(2, 3, 1, 0, 4)
+        for alpha in range(20):
+            shape_bounds(2, 3, 1, 0, 4, alpha)
+        assert _shape_floors(2, 3, 1, 0, 4) is first
+        assert _shape_floors.cache_info().misses == 1
+        assert isinstance(first, tuple) and all(
+            isinstance(entry, tuple) and isinstance(entry[2], tuple)
+            for entry in first)
+        _shape_floors(0, 5, 0, 0, None)
+        assert _shape_floors(2, 3, 1, 0, 4) is not first
+        assert _shape_floors.cache_info().misses == 3
+        # equal arguments of another type are kept apart: a bool zero
+        # does not reach the next call's int has_zero
+        shape_bounds(0, 3, True, 0, None, 0)
+        assert type(bound_general(4, 0, True).params["has_zero"]) is int
+
     def test_full_alpha_sequence_is_degenerate(self):
         assert shape_bounds(1, 2, 1, 1, 3, 12) == []
         assert floor_pairs(1, 2, 1, 1, 3, 12) == []
@@ -660,6 +682,20 @@ class TestShapeFloorRows:
             assert bound_pairs(n, p, zero, meet, r, alpha) == [
                 (row[alpha], theorem_id) for theorem_id, row in rows
                 if row[alpha] is not None]
+
+    def test_rows_fresh_on_each_call(self):
+        # _shape_floors keeps its last shape, but each call builds its own
+        # rows: a write into one call's row, as a sweep's _shape_rows makes
+        # at a sequence's degenerate alpha, does not reach the next call
+        for shape in [(1, 2, 1, 0, 3), (1, 2, 1, 0, None)]:
+            first = shape_floor_rows(*shape)
+            again = shape_floor_rows(*shape)
+            assert first == again and first is not again
+            for (_, row), (_, other) in zip(first, again):
+                assert row is not other
+                row[-1] = 0
+                row[0] = -1
+            assert shape_floor_rows(*shape) == again
 
     def test_out_of_range_alpha_refused_as_one_alpha(self):
         for n, p, zero, meet in valid_shapes():

@@ -304,6 +304,20 @@ class TestExtremal:
         for rep in reports:
             assert rep["size"] == engine.sigma_size(inst, rep["alpha"])
 
+    def test_all_alphas_share_one_floor_lookup(self, capsys):
+        from subsums import bounds, witnesses
+
+        # the 12 alphas of one family's shape resolve its floors once
+        bounds._shape_floors.cache_clear()
+        code, out, _ = run(capsys, "extremal", "--family", "mixed-full-r",
+                           "--n", "2", "--p", "1", "--r", "3", "--json")
+        assert code == EXIT_OK
+        reports = json.loads(out)["reports"]
+        fam = witnesses.WitnessFamily("mixed-full-r", n=2, p=1, r=3)
+        assert len(reports) == len(witnesses.alpha_values(fam)) == 12
+        info = bounds._shape_floors.cache_info()
+        assert (info.misses, info.hits) == (1, len(reports) - 1)
+
     # sha256 of the full `--alpha all --json` stdout, taken before each
     # family's instance was built once per call instead of once per alpha
     @pytest.mark.parametrize("argv, digest", [
