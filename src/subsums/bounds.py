@@ -26,11 +26,15 @@ floor and d = 0 for the sign-agnostic one. Which floors hold for a sign
 shape and r, and the block helper and parameters each one evaluates,
 are stated in one place, `_shape_floors`, which keeps its last shape,
 so the alphas of one shape resolve its entries once. Everything else
-reads its entries: `shape_floor_rows` fills each floor's row over every
-alpha one block at a time; `shape_bounds` builds one alpha's
-`BoundResult`s; `shape_bound` builds one theorem's at a given shape;
-each public constructor is its argument check plus `shape_bound` at its
-own shape; and `bound_fp` is T2_1's `shape_bound` capped at p.
+reads its entries: `shape_floor_rows` fills each floor's row over the
+alphas that have floors, one block at a time; `shape_bounds` builds one
+alpha's `BoundResult`s; `shape_bound` builds one theorem's at a given
+shape; each public constructor is `shape_bound` at its own shape; and
+`bound_fp` is T2_1's `shape_bound` capped at p, after a check that p is
+prime. So every refusal of a shape comes from `_shape_floors`: a shape
+no set has or an r below 1 it raises itself, and a theorem whose
+hypotheses fail there, such as k >= 2 for T3_1_disjoint, is missing
+from its entries, which `shape_bound` refuses.
 `applicable_bounds` is `shape_bounds` at an instance's shape.
 
 All arithmetic is exact integer arithmetic. A boundary index equal to n
@@ -118,16 +122,6 @@ def min_fold_size(h: int, k: int) -> int:
     return h * k - h + 1
 
 
-def _check_k(k: int, least: int) -> None:
-    if k < least:
-        raise ValueError(f"k must be >= {least}")
-
-
-def _check_sides(n: int, p: int) -> None:
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-
-
 def _signed_block(n: int, p: int, zero: int, r: int, m: int) -> tuple[int, int]:
     """(base, d) of the sign-aware floor for n negative values, p positive
     values and `zero` zeros, each repeated r times, in block m: at alpha
@@ -171,21 +165,18 @@ def _case(i: int, n: int, p: int) -> str:
 def bound_disjoint(k: int, alpha: int) -> BoundResult:
     """Floor k(k+1)/2 - alpha(alpha+1)/2 + 1 for sets where no element's
     negation is also present."""
-    _check_k(k, 1)
     return shape_bound(T2_1, 0, k, 0, None, alpha)
 
 
 def bound_zero(k: int, alpha: int) -> BoundResult:
     """Floor k(k-1)/2 - alpha(alpha-1)/2 + 1 for sets where zero is the
     only element whose negation is also present."""
-    _check_k(k, 1)
     return shape_bound(C2_2, 0, k - 1, 1, None, alpha)
 
 
 def bound_mixed(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative and p positive integers
     (no zero). Cases split on alpha <= n and alpha <= p."""
-    _check_sides(n, p)
     return shape_bound(T2_3, n, p, 0, None, alpha)
 
 
@@ -193,14 +184,12 @@ def bound_mixed_zero(n: int, p: int, alpha: int) -> BoundResult:
     """Four-case floor for sets of n negative integers, p positive
     integers, and zero. Same case split as bound_mixed with the alpha
     correction terms shifted by one."""
-    _check_sides(n, p)
     return shape_bound(C2_4, n, p, 1, None, alpha)
 
 
 def bound_general(k: int, alpha: int, has_zero: bool) -> BoundResult:
     """Sign-agnostic floor for any set of k >= 2 integers, split only on
     whether zero is present. The case label records the parity of k."""
-    _check_k(k, 2)
     zero = int(has_zero)
     return shape_bound(C2_5, 0, k - zero, zero, None, alpha)
 
@@ -210,14 +199,12 @@ def bound_seq_disjoint(k: int, r: int, alpha: int) -> BoundResult:
     for base sets where no element's negation is present. Requires
     alpha < r*k; the alpha = r*k query degenerates to a singleton and is
     handled by callers, not here."""
-    _check_k(k, 2)
     return shape_bound(T3_1_DISJOINT, 0, k, 0, r, alpha)
 
 
 def bound_seq_zero(k: int, r: int, alpha: int) -> BoundResult:
     """Repeated-sequence floor r(k(k-1)/2 - m(m-1)/2) + (m-1)(mr - alpha) + 1
     for base sets where zero is the only self-negation coincidence."""
-    _check_k(k, 2)
     return shape_bound(T3_1_ZERO, 0, k - 1, 1, r, alpha)
 
 
@@ -225,7 +212,6 @@ def bound_seq_mixed(n: int, p: int, r: int, alpha: int) -> BoundResult:
     """Four-case repeated-sequence floor for base sets of n negative and
     p positive integers (no zero). Cases split on m <= n and m <= p,
     where m is the block index of alpha."""
-    _check_sides(n, p)
     return shape_bound(T3_2, n, p, 0, r, alpha)
 
 
@@ -233,7 +219,6 @@ def bound_seq_mixed_zero(n: int, p: int, r: int, alpha: int) -> BoundResult:
     """Four-case repeated-sequence floor for base sets of n negative
     integers, p positive integers, and zero. Same case split as
     bound_seq_mixed with shifted correction terms and coefficients."""
-    _check_sides(n, p)
     return shape_bound(C3_3, n, p, 1, r, alpha)
 
 
@@ -241,7 +226,6 @@ def bound_seq_general(k: int, r: int, alpha: int, has_zero: bool) -> BoundResult
     """Sign-agnostic repeated-sequence floor for any base set of k >= 3
     integers, split only on zero membership. Case label is the parity of
     k."""
-    _check_k(k, 3)
     zero = int(has_zero)
     return shape_bound(C3_4, 0, k - zero, zero, r, alpha)
 
@@ -263,13 +247,11 @@ def is_prime(n: int) -> bool:
 def bound_fp(size: int, alpha: int, p: int) -> BoundResult:
     """Prime-field floor min(p, size(size+1)/2 - alpha(alpha+1)/2 + 1)
     for subsets of nonzero residues with no self-negation coincidence."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    check_alpha(alpha, size)
+    floor = shape_bound(T2_1, 0, size, 0, None, alpha).value
     if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
-    value = min(p, shape_bound(T2_1, 0, size, 0, None, alpha).value)
-    return BoundResult(T1_3, None, value, {"size": size, "alpha": alpha, "p": p})
+    return BoundResult(T1_3, None, min(p, floor),
+                       {"size": size, "alpha": alpha, "p": p})
 
 
 # one entry: a shape's alphas come together, and an unbounded memo raised
@@ -361,16 +343,18 @@ def shape_bound(theorem_id: str, n: int, p: int, zero: int, r: int | None,
 
 def shape_floor_rows(
     n: int, p: int, zero: int, meet: int, r: int | None
-) -> list[tuple[str, list[int | None]]]:
+) -> list[tuple[str, list[int]]]:
     """(theorem_id, row) of every floor whose hypotheses hold for the
     sign shape (n, p, zero, meet) that `model.classify` returns and the
     sweep walk carries: n negatives, p positives, zero 1 if 0 is present,
     meet 1 if some nonzero x and -x both are. r None means the set
     itself, else that base repeated r times. row[alpha] is the floor's
-    value at alpha, for alpha in [0, k] for sets and [0, r*k] for
-    sequences; only the degenerate alpha = r*k of a sequence, whose
-    achievable set is the singleton full sum, matches no floor, and its
-    entry is None. Values are not clamped: floors <= 1 are vacuous.
+    value at alpha, and a row covers exactly the alphas that have
+    floors: [0, k] for sets and [0, r*k - 1] for sequences. The
+    degenerate alpha = r*k of a sequence, whose achievable set is the
+    singleton full sum, has none, so its rows end one short of its
+    sizes. Values are not clamped: floors <= 1 are vacuous. Each call
+    builds new rows.
 
     Each floor is an arithmetic progression in alpha within a block
     m = alpha//r + 1 (r = 1 for sets): the sign-aware floors fall by a
@@ -378,18 +362,15 @@ def shape_floor_rows(
     is filled one block at a time.
     """
     k = n + p + zero
-    seq = r is not None
-    reps = r if seq else 1
+    reps = r or 1
     rows = []
     for theorem_id, block, params in _shape_floors(n, p, zero, meet, r):
         row = []
         # blocks 1 .. k cover alpha 0 .. r*k - 1; a set's block k + 1 is
         # its alpha k
-        for m in range(1, k + 1 + (not seq)):
+        for m in range(1, k + 1 + (r is None)):
             base, d = block(*params, reps, m)
             row += range(base + d * reps, base, -d) if d else [base] * reps
-        if seq:
-            row.append(None)
         rows.append((theorem_id, row))
     return rows
 
@@ -399,8 +380,9 @@ def shape_bounds(n: int, p: int, zero: int, meet: int, r: int | None,
     """Every floor whose hypotheses hold for the sign shape (n, p, zero,
     meet) at r (None for a set, as in `shape_floor_rows`), built at alpha
     by `_result`, in the order of that function's rows. Sets accept
-    alpha in [0, k], sequences alpha in [0, r*k], and the degenerate
-    alpha = r*k of a sequence has no floors."""
+    alpha in [0, k], sequences alpha in [0, r*k]. Only the alphas that
+    `shape_floor_rows` covers have floors: the degenerate alpha = r*k of
+    a sequence gets the empty list."""
     floors = _shape_floors(n, p, zero, meet, r)
     k = n + p + zero
     top = k * (r or 1)

@@ -238,11 +238,11 @@ def verify_balandraud(p: int) -> CampaignReport:
     _walk(p, profiles.add)
     agg = Profiles({(None, len(sizes) - 1, sizes): entry
                     for sizes, entry in profiles.items()}).aggregate()
-    # a size's floors are its only theorem's, T1_3, one per alpha; the
-    # mirror swaps digits 1 and 2, and a witness is named by its residues
+    # a size's rows are its only theorem's, T1_3, one floor per alpha
+    # 0 .. size; the mirror swaps digits 1 and 2, and a witness is named
+    # by its residues
     return finish_report(
-        {"kind": "fp", "p": p}, agg,
-        lambda r, size: (size + 1, floors[size], [(T1_3, floors[size])]),
+        {"kind": "fp", "p": p}, agg, lambda r, size: [(T1_3, floors[size])],
         started, lambda w: tuple((0, 2, 1)[d] for d in w),
         lambda w: literal(sorted(x if d == 1 else p - x
                                  for x, d in enumerate(w, 1) if d)))

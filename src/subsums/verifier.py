@@ -22,9 +22,10 @@ subsets of shape n >= 1 and zero = 1, are the only subsets of their
 shapes, so every profile sees its instances in combinations order, and
 each walk unit takes its (k, r, alpha) minima cells from the profiles'
 lists (`Profiles.aggregate`, through `minima_cells`). After the merge each
-(r, shape) takes its floors once from
-`bounds.shape_floor_rows`, as one vector over alpha per theorem and
-their greatest, each a row filled one block m = alpha//r + 1 at a time.
+(r, shape) takes its floors once from `bounds.shape_floor_rows`, one row
+per theorem over the alphas that have floors, filled one block
+m = alpha//r + 1 at a time, and `finish_report` works out from them the
+checks per instance and the greatest floor per alpha.
 Each distinct profile is compared with them by C-level counts
 (`sum(map(lt, ...))`), which gives the instance, check, violation and
 tight counts; `finish_report` makes them, so every report has them.
@@ -403,24 +404,6 @@ def _with_mirrors(wits: Sequence[tuple], mirror: Callable) -> list[tuple]:
     return sorted(set(wits).union(map(mirror, wits)))[:WITNESS_CAP]
 
 
-def _shape_rows(r: int | None, shape: tuple) -> tuple:
-    """Floors of a shape at r (None for a set) as vectors over every
-    alpha, 0 .. r*k: the checks per instance, the greatest floor per
-    alpha (`top`) and per theorem (theorem_id, floor per alpha). Each
-    vector is a row of `shape_floor_rows`, filled block by block, its
-    None entry, a sequence's degenerate alpha r*k, made 0; sizes are at
-    least 1, so a 0 is never tight and never violated."""
-    vecs = shape_floor_rows(*shape, r)
-    # floors per row: every alpha of a set, all but r*k of a sequence
-    per_row = (shape[0] + shape[1] + shape[2]) * (r or 1) + (r is None)
-    if r is not None:
-        for _, row in vecs:
-            row[-1] = 0
-    # no floors: zip() is empty, and so is top
-    top = list(map(max, zip(*(vec for _, vec in vecs))))
-    return per_row * len(vecs), top, vecs
-
-
 def _oracle_suffixes(elems: Sequence[int], r: int | None) -> list[tuple]:
     """Per alpha, the sorted sums with at least alpha terms, enumerated."""
     seq = RepSequence(IntegerSet(tuple(elems)), r or 1)
@@ -609,7 +592,8 @@ def _sweep(kind: str, max_abs: int, k_range: Iterable[int],
         universe["r"] = rs
     universe["alpha_policy"] = "all"
     universe["oracle"] = oracle_check
-    return finish_report(universe, agg, _shape_rows, started,
+    return finish_report(universe, agg,
+                         lambda r, shape: shape_floor_rows(*shape, r), started,
                          _negated if mirror else None, literal)
 
 
@@ -673,12 +657,19 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
                   name: Callable) -> CampaignReport:
     """The report of a merged aggregate. Its counts come from the
     profiles: each distinct (r, shape, sizes) is compared once with
-    rows(r, shape), its floor vectors as `_shape_rows` gives them,
-    weighted by the instances it stands for. A pair violates when its
-    size is below the greatest floor, and a theorem is tight where its
-    floor equals the size; tight_by_theorem names only theorems with a
-    hit. Sweeps pass `_shape_rows`, every alpha's floors, and `fp` its
-    sizes' prime-field floors, shape being the subset size.
+    rows(r, shape), weighted by the instances it stands for. rows gives
+    (theorem_id, row) pairs, row[alpha] the theorem's floor at alpha,
+    each row covering the alphas that have floors; finish_report reads
+    the rows and never writes into them. Sweeps pass
+    `bounds.shape_floor_rows`, every floored alpha's floors, and `fp` its
+    sizes' prime-field floors, shape being the subset size. Once per
+    (r, shape) the rows give the checks per instance, the sum of their
+    lengths, and the greatest floor per alpha. A pair
+    violates when its size is below the greatest floor, and a theorem is
+    tight where its floor equals the size; tight_by_theorem names only
+    theorems with a hit. The comparisons stop at the shorter of sizes
+    and row, so a sequence's degenerate alpha r*k, which its rows do not
+    reach, is compared with nothing.
 
     Minima cells come in key order, each with an r field only when its
     key has one. The one completion step of every campaign's witnesses:
@@ -695,7 +686,11 @@ def finish_report(universe: dict, agg: dict, rows: Callable,
     for (r, shape, sizes), weight in agg["profiles"].items():
         entry = table.get((r, shape))
         if entry is None:
-            entry = table[r, shape] = rows(r, shape)
+            vecs = rows(r, shape)
+            # no floors: zip() is empty, and so is top
+            entry = table[r, shape] = (
+                sum(len(vec) for _, vec in vecs),
+                list(map(max, zip(*(vec for _, vec in vecs)))), vecs)
         per_instance, top, vecs = entry
         checks += per_instance * weight
         violations += weight * sum(map(lt, sizes, top))

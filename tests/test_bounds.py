@@ -404,6 +404,25 @@ class TestRangeValidation:
         with pytest.raises(ValueError):
             call()
 
+    # the constructors and bound_fp check no shape themselves: each
+    # refusal comes from _shape_floors through shape_bound
+    @pytest.mark.parametrize("call,message", [
+        (lambda: bound_seq_disjoint(1, 2, 0), "no set or sequence floor"),
+        (lambda: bound_seq_zero(1, 2, 0), "no set or sequence floor"),
+        (lambda: bound_general(1, 0, False), "no set or sequence floor"),
+        (lambda: bound_seq_general(2, 1, 0, False), "no set or sequence floor"),
+        (lambda: bound_mixed(0, 3, 0), "no set or sequence floor"),
+        (lambda: bound_disjoint(0, 0), "a shape needs at least one element"),
+        (lambda: bound_fp(0, 0, 7), "a shape needs at least one element"),
+        (lambda: bound_mixed(-1, 2, 0), "no set has the sign shape"),
+        (lambda: bound_seq_mixed(1, 1, 0, 0), "r must be >= 1"),
+        (lambda: bound_fp(3, 4, 7), r"alpha=4 out of range \[0, 3\]"),
+        (lambda: bound_fp(3, 1, 8), "p must be a prime >= 2"),
+    ])
+    def test_refusal_names_the_shape_rule(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestDispatch:
     def test_mixed_set_gets_two_floors(self):
@@ -503,7 +522,7 @@ def floor_pairs(n, p, zero, meet, r, alpha):
     from its rows filled block by block."""
     return [(row[alpha], theorem_id)
             for theorem_id, row in shape_floor_rows(n, p, zero, meet, r)
-            if row[alpha] is not None]
+            if alpha < len(row)]
 
 
 def bound_pairs(n, p, zero, meet, r, alpha):
@@ -647,7 +666,9 @@ class TestShapeFloorRows:
             for r in (None, 1, 2, 3, 4, 5, 6):
                 top = k * (r or 1)
                 rows = shape_floor_rows(n, p, zero, meet, r)
-                assert all(len(row) == top + 1 for _, row in rows)
+                # a row ends at the last alpha with a floor: k for a set,
+                # r*k - 1 for a sequence
+                assert all(len(row) == top + (r is None) for _, row in rows)
                 for alpha in range(top + 1):
                     points += 1
                     pairs = bound_pairs(n, p, zero, meet, r, alpha)
@@ -655,11 +676,9 @@ class TestShapeFloorRows:
                     for value, theorem_id in pairs:
                         if theorem_id in lowest:
                             lowest[theorem_id] = min(lowest[theorem_id], value)
-                # which floors hold is decided per (shape, r): only the
-                # degenerate alpha = r*k of a sequence has no entries
-                blank = {alpha for _, row in rows
-                         for alpha, value in enumerate(row) if value is None}
-                assert blank == ({top} if r is not None and rows else set())
+                # which floors hold is decided per (shape, r), and no row
+                # holds None
+                assert all(None not in row for _, row in rows)
         assert points == 27077
         # vacuous points keep their values, far below 1
         assert lowest["C2_5"] < 0 and lowest["C3_4"] < 0
@@ -681,12 +700,11 @@ class TestShapeFloorRows:
         for alpha in [pick % (top + 1) for pick in picks]:
             assert bound_pairs(n, p, zero, meet, r, alpha) == [
                 (row[alpha], theorem_id) for theorem_id, row in rows
-                if row[alpha] is not None]
+                if alpha < len(row)]
 
     def test_rows_fresh_on_each_call(self):
         # _shape_floors keeps its last shape, but each call builds its own
-        # rows: a write into one call's row, as a sweep's _shape_rows makes
-        # at a sequence's degenerate alpha, does not reach the next call
+        # rows: a write into one call's row does not reach the next call
         for shape in [(1, 2, 1, 0, 3), (1, 2, 1, 0, None)]:
             first = shape_floor_rows(*shape)
             again = shape_floor_rows(*shape)
@@ -721,10 +739,10 @@ class TestShapeFloorRows:
                           (2, 0, 1, 1, 2)]:
                 with pytest.raises(ValueError, match="no set has the sign shape"):
                     call(*shape)
-        # T3_1_disjoint and T3_2 over alpha 0 .. 4; none at alpha 4
+        # T3_1_disjoint and T3_2 over alpha 0 .. 3; none at alpha 4
         rows = shape_floor_rows(1, 1, 0, 0, 2)
         assert [(theorem_id, len(row)) for theorem_id, row in rows] == [
-            ("T3_1_disjoint", 5), ("T3_2", 5)]
+            ("T3_1_disjoint", 4), ("T3_2", 4)]
         assert shape_bounds(1, 1, 0, 0, 2, 4) == []
 
 
@@ -748,8 +766,6 @@ class TestVacuousPoints:
                 for r in rs:
                     rows = dict(shape_floor_rows(0, k - zero, zero, 0, r))
                     for alpha, value in enumerate(rows[theorem_id]):
-                        if value is None:
-                            continue
                         i = alpha if r is None else alpha // r + 1
                         tri = (i - zero) * (i - zero + 1) // 2
                         point = (k, zero, r, alpha)

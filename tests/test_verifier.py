@@ -951,7 +951,7 @@ def sweep_profiles(draw):
         sizes = []
         for alpha in range(total + 1):
             near = [row[alpha] + d for _, row in rows
-                    if row[alpha] is not None for d in (-1, 0, 1)]
+                    if alpha < len(row) for d in (-1, 0, 1)]
             sizes.append(max(1, draw(st.sampled_from(near + [1, 2 * total]))))
         profiles[r, (n, p, zero, meet), tuple(sizes)] += draw(
             st.integers(1, 3))
@@ -973,14 +973,26 @@ class TestResolveProfiles:
     def test_equals_pair_loop(self, profiles):
         agg = verifier.new_aggregate()
         agg["profiles"].update(profiles)
-        rep = verifier.finish_report({}, agg, verifier._shape_rows, 0.0,
-                                     None, str)
+        rep = verifier.finish_report(
+            {}, agg, lambda r, shape: shape_floor_rows(*shape, r), 0.0, None,
+            str)
         checks, violations, tight = _reference_resolve(profiles)
         assert rep.instances == sum(profiles.values())
         assert (rep.checks, rep.violations) == (checks, violations)
         assert rep.tight_by_theorem == tight
         # no theorem is entered without a tight pair
         assert all(rep.tight_by_theorem.values())
+
+    def test_rows_are_only_read(self, monkeypatch):
+        # finish_report writes into no row it is handed: tuple rows give
+        # the same report as the lists shape_floor_rows builds
+        expected = sweep_sequences(2, [1, 2], [1, 3]).body()
+        rows = verifier.shape_floor_rows
+        monkeypatch.setattr(
+            verifier, "shape_floor_rows",
+            lambda *shape: [(theorem_id, tuple(row))
+                            for theorem_id, row in rows(*shape)])
+        assert sweep_sequences(2, [1, 2], [1, 3]).body() == expected
 
     def test_aggregate_holds_only_walk_output(self):
         assert set(verifier.new_aggregate()) == {
@@ -1112,7 +1124,8 @@ class TestReportShape:
         rep = sweep_sequences(1, [2], [2], collect_records=True)
         path = tmp_path / "records.csv"
         write_records_csv(rep.records, str(path))
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "instance",
             "r",
